@@ -8,10 +8,11 @@ under two fleet policies — every tenant racing its worst-case
 reservation vs every tenant running the CASH runtime — and we compare
 occupied footprint, tenant bills, and QoS.
 
-The speed benchmark pins the provider-loop fast paths (operating-point
-table cache, indexed fabric, heap queues): a 64-tenant, 500-interval
-run with fast paths on must beat the scalar reference by >= 3x while
-producing the identical ``ProviderReport``.  Timings are persisted to
+Provider runs are closed tenant lists on the service engine.  The
+speed benchmark pins its fast paths (operating-point table cache,
+indexed fabric, event heap): a 64-tenant, 500-interval run with fast
+paths on must beat the scalar reference by >= 3x while producing the
+identical ``ServiceReport``.  Timings are persisted to
 ``BENCH_CLOUD.json`` (next to the engine's ``BENCH_PERF.json``) so
 runs can be compared across commits.
 """

@@ -10,8 +10,8 @@ the PR 5 call graph, plus four rules that only fire inside the hot set.
 
 **The hot set.**  A function is *hot* when it is reachable on the call
 graph from a FAST engine entrypoint (:data:`HOT_ENTRYPOINTS` — the
-sweep workers, the event-driven cycle tier, the provider loop, the
-always-on service loop and its traffic generator, the trace generator,
+sweep workers, the event-driven cycle tier, the closed-list provider,
+the always-on service loop and its traffic generator, the trace generator,
 the operating-point build/publish paths) or from any
 function containing a ``perf.FAST`` split.  Two exemptions keep the
 scalar references out by construction:

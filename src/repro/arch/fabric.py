@@ -161,30 +161,33 @@ class Fabric:
         }
         next_slice = 0
         next_bank = 0
+        # One object per tile is one-time setup: the hot-path analyzer
+        # reaches this constructor from CloudProvider.run through
+        # ServiceEngine.__init__, never from a per-interval loop.
         for y in range(height):
             for x in range(width):
                 position = (x, y)
                 # Interleave: one Slice for every `bank_ratio` banks.
                 if (x + y * width) % (bank_ratio + 1) == 0:
-                    unit = Slice(
+                    unit = Slice(  # lint: allow(hot-alloc)
                         slice_id=next_slice,
                         position=position,
                         params=slice_params,
                         cache_params=cache_params,
                     )
-                    self._tiles[position] = Tile(
+                    self._tiles[position] = Tile(  # lint: allow(hot-alloc)
                         kind=TileKind.SLICE, position=position, slice_unit=unit
                     )
                     self._free_index[TileKind.SLICE].add(position)
                     self._kind_totals[TileKind.SLICE] += 1
                     next_slice += 1
                 else:
-                    bank = CacheBank(
+                    bank = CacheBank(  # lint: allow(hot-alloc)
                         level=cache_params.l2_bank,
                         bank_id=next_bank,
                         params=cache_params,
                     )
-                    self._tiles[position] = Tile(
+                    self._tiles[position] = Tile(  # lint: allow(hot-alloc)
                         kind=TileKind.L2_BANK, position=position, bank=bank
                     )
                     self._free_index[TileKind.L2_BANK].add(position)

@@ -8,21 +8,21 @@ by attracting more customers").  This subpackage builds that setting on
 top of the architecture and runtime layers:
 
 * :mod:`repro.cloud.tenant` — a tenant: an application, a QoS target,
-  an allocator policy, and per-tenant accounting;
-* :mod:`repro.cloud.provider` — the provider simulation: tenants share
-  one :class:`~repro.arch.fabric.Fabric`; each control interval every
-  tenant's runtime picks a schedule, the provider places the peak
-  footprint spatially (defragmenting when fragmentation blocks a
-  resize), and bills by area-time;
+  an allocator policy, and its arrival and departure;
 * :mod:`repro.cloud.admission` — worst-case-footprint admission
   control;
-* :mod:`repro.cloud.traffic` — open-loop tenant demand: seeded churn,
-  diurnal curves, flash crowds and MMPP-style bursts, materialized as
-  per-tenant activity timelines;
-* :mod:`repro.cloud.service` — the always-on event-driven service: one
-  min-heap of (interval, kind, tenant) events, controller steps only
-  where traffic queued work, idle stretches skipped exactly, streaming
-  metrics and checkpoint/restore for long horizons.
+* :mod:`repro.cloud.traffic` — tenant demand as per-tenant activity
+  timelines: seeded open-loop churn (diurnal curves, flash crowds,
+  MMPP-style bursts), or a closed tenant list as one burst per tenant;
+* :mod:`repro.cloud.service` — the one tenant-stepping engine: tenants
+  share one :class:`~repro.arch.fabric.Fabric`; in each interval with
+  work a tenant's runtime picks a schedule, the engine places the peak
+  footprint spatially (defragmenting when fragmentation blocks a
+  resize) and bills by area-time.  One min-heap of (interval, kind,
+  tenant) events, idle stretches skipped exactly, streaming metrics and
+  checkpoint/restore for long horizons;
+* :mod:`repro.cloud.provider` — the closed-list front end: a fixed
+  tenant roster run on the service engine.
 
 Because CASH isolates tenants spatially (own Slices, own banks — the
 paper's answer to SMT-style resource thrashing), tenants do not disturb
@@ -32,8 +32,8 @@ release what they do not need, so more customers fit on the same
 silicon at the same QoS.
 """
 
-from repro.cloud.tenant import Tenant, TenantAccount
-from repro.cloud.provider import CloudProvider, ProviderReport
+from repro.cloud.tenant import Tenant
+from repro.cloud.provider import CloudProvider
 from repro.cloud.admission import AdmissionController, AdmissionDecision
 from repro.cloud.traffic import (
     TenantTraffic,
@@ -50,9 +50,7 @@ from repro.cloud.service import (
 
 __all__ = [
     "Tenant",
-    "TenantAccount",
     "CloudProvider",
-    "ProviderReport",
     "AdmissionController",
     "AdmissionDecision",
     "TenantTraffic",

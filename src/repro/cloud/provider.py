@@ -1,464 +1,58 @@
-"""The multi-tenant provider simulation.
+"""The multi-tenant provider: a closed tenant list on one shared fabric.
 
-Each provider interval:
-
-1. arriving tenants pass admission control and receive an initial
-   placement on the fabric;
-2. every resident tenant's allocator (its own CASH runtime, or a
-   race-to-idle reservation) decides a schedule against the tenant's
-   private phase trajectory;
-3. the provider resizes the tenant's spatial allocation to the
-   schedule's *peak footprint* (the ``over`` configuration — time
-   multiplexing within the quantum happens inside the tenant's own
-   tiles), defragmenting the fabric when fragmentation blocks a
-   resize;
-4. tenants are billed by area-time; QoS is tracked per tenant.
-
-Spatial isolation means tenants never disturb each other's IPC (the
-paper's contrast with SMT); the shared resource is capacity, so the
-interesting provider-level outputs are density (tenants served),
-utilization, and revenue-per-tile — where CASH's habit of releasing
-unneeded tiles pays off.
-
-The provider loop is the engine's multi-tenant hot path.  Under
-:data:`repro.perf.FAST` it routes every ground-truth IPC query through
-the tiered operating-point store (tenants running the same application
-phase share one table process-wide, and — when a sweep stood up the
-shared tiers — fleet-wide), prefetches an arriving tenant's phase
-tables at admission so warm tables span control intervals *and*
-sweeps, and drains arrivals/departures from interval-keyed heaps; the
-scalar recompute-everything twins remain the reference, and fixed-seed
-runs are bit-identical in both modes.
+A fixed roster of tenants, each arriving at its ``arrival_interval``
+and staying until its ``departure_interval`` (or the end of the run),
+is the degenerate case of open-loop traffic: every tenant has work in
+every interval of its residency.  :class:`CloudProvider` builds that
+scenario (:meth:`~repro.cloud.traffic.TrafficScenario.from_tenants`)
+and runs it on :class:`~repro.cloud.service.ServiceEngine`, which owns
+admission, placement, defragmentation, billing and QoS accounting.
 """
 
 from __future__ import annotations
 
-import heapq
-import random
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro import perf
-from repro.arch.cost import CostModel, DEFAULT_COST_MODEL
-from repro.arch.fabric import Fabric, FabricError
-from repro.arch.vcore import ConfigurationSpace, VCoreConfig, DEFAULT_CONFIG_SPACE
-from repro.baselines.race import RaceToIdleAllocator
-from repro.cloud.admission import AdmissionController, AdmissionDecision
-from repro.cloud.tenant import Tenant, TenantAccount
-from repro.experiments.harness import Allocator, CASHAllocator, _PhaseWalker
-from repro.runtime.cash import LegObservation, QoSMeasurement
-from repro.runtime.optimizer import ConfigPoint, Schedule, ScheduleEntry
-from repro.sim.optables import operating_point_table
+from repro.arch.fabric import Fabric
+from repro.arch.vcore import ConfigurationSpace, DEFAULT_CONFIG_SPACE
+from repro.cloud.admission import AdmissionController
+from repro.cloud.service import ServiceEngine, ServiceReport
+from repro.cloud.tenant import Tenant
+from repro.cloud.traffic import TrafficScenario
 from repro.sim.perfmodel import PerformanceModel, DEFAULT_PERF_MODEL
-from repro.workloads.phase import Phase
-
-
-def build_tenant_allocator(
-    tenant: Tenant,
-    reservation: VCoreConfig,
-    space: ConfigurationSpace,
-    cost_model: CostModel,
-) -> Allocator:
-    """The allocator a tenant's policy selects, bounded by its reservation.
-
-    Shared by the dense provider loop and the event-driven service so
-    both engines hand identical controller state to identical tenants.
-    """
-    if tenant.policy == "race":
-        return RaceToIdleAllocator(
-            config=reservation,
-            qos_goal=tenant.qos_goal,
-            cost_model=cost_model,
-        )
-    # The tenant's menu is bounded by its admitted reservation:
-    # admission guaranteed capacity for the worst-case virtual
-    # core, so every configuration within it is placeable by
-    # construction (only fragmentation can interfere, and
-    # defragmentation fixes that).  Bursting beyond the reservation
-    # when the fabric has slack is a possible extension.
-    menu = [
-        config
-        for config in space
-        if config.slices <= reservation.slices
-        and config.l2_banks <= reservation.l2_banks
-    ]
-    return CASHAllocator(
-        configs=menu,
-        qos_goal=tenant.qos_goal,
-        cost_model=cost_model,
-        seed=tenant.tenant_id,
-    )
-
-
-@dataclass
-class _Resident:
-    """A tenant currently placed on the fabric."""
-
-    tenant: Tenant
-    allocator: object
-    walker: _PhaseWalker
-    account: TenantAccount
-    measurement: Optional[QoSMeasurement] = None
-    current_config: Optional[VCoreConfig] = None
-
-
-@dataclass(frozen=True)
-class ProviderReport:
-    """Aggregate outcome of a provider simulation."""
-
-    intervals: int
-    admitted: int
-    rejected: int
-    accounts: Dict[int, TenantAccount]
-    mean_utilization: float
-    defragmentations: int
-    revenue_rate: float
-    """Mean $/hour billed across the run (the provider's income)."""
-
-    @property
-    def mean_violation_percent(self) -> float:
-        accounts = [a for a in self.accounts.values() if a.intervals > 0]
-        if not accounts:
-            return 0.0
-        return sum(a.violation_percent for a in accounts) / len(accounts)
 
 
 class CloudProvider:
-    """Runs many tenants' runtimes against one shared fabric."""
+    """Runs a closed tenant list against one shared fabric."""
 
     def __init__(
         self,
         fabric: Optional[Fabric] = None,
         model: PerformanceModel = DEFAULT_PERF_MODEL,
         space: ConfigurationSpace = DEFAULT_CONFIG_SPACE,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        interval_cycles: float = 2.5e5,
-        noise_std_frac: float = 0.02,
-        violation_margin: float = 0.03,
         overcommit: float = 1.0,
         seed: int = 0,
     ) -> None:
         self.fabric = fabric if fabric is not None else Fabric(width=24, height=24)
         self.model = model
         self.space = space
-        self.cost_model = cost_model
-        self.interval_cycles = interval_cycles
-        self.noise_std_frac = noise_std_frac
-        self.violation_margin = violation_margin
-        self.admission = AdmissionController(
-            self.fabric, model, space, overcommit=overcommit
-        )
-        self.rng = random.Random(seed)
-        self._residents: Dict[int, _Resident] = {}
-        self._shrink_streaks: Dict[int, int] = {}
-        self.defragmentations = 0
+        self.overcommit = overcommit
+        self.seed = seed
+        self.admission: Optional[AdmissionController] = None
 
-    # ------------------------------------------------------------------
-    def _build_allocator(self, tenant: Tenant, reservation: VCoreConfig):
-        return build_tenant_allocator(
-            tenant, reservation, self.space, self.cost_model
-        )
+    def run(self, tenants: Sequence[Tenant], intervals: int) -> ServiceReport:
+        """Simulate ``intervals`` provider intervals for the tenants.
 
-    def _admit(self, tenant: Tenant) -> Optional[AdmissionDecision]:
-        decision = self.admission.request(tenant)
-        if not decision.admitted:
-            return decision
-        if perf.FAST:
-            # Prefetch the tenant's phase tables at admission: warm
-            # surfaces arrive from the shared store in one guarded
-            # lookup per phase, instead of lazy first-touches spread
-            # across the tenant's first control intervals.  Tables are
-            # value-keyed, so this changes when they are built, never
-            # what they contain.
-            for phase in tenant.app.phases:
-                operating_point_table(
-                    phase, self.model, self.space, self.cost_model
-                )
-        self._residents[tenant.tenant_id] = _Resident(
-            tenant=tenant,
-            allocator=self._build_allocator(tenant, decision.reservation),
-            walker=_PhaseWalker(tenant.app),
-            account=TenantAccount(tenant_id=tenant.tenant_id),
-        )
-        return decision
-
-    def _depart(self, tenant_id: int) -> None:
-        self._residents.pop(tenant_id, None)
-        self.admission.release(tenant_id)
-        if tenant_id in self.fabric.allocations:
-            self.fabric.release(tenant_id)
-
-    def _place(self, tenant_id: int, config: VCoreConfig) -> bool:
-        """Ensure the tenant's allocation can host ``config``.
-
-        Placement hysteresis: a held allocation that is a superset of
-        the request hosts it in place (the runtime reshapes *within*
-        the tenant's tiles, which costs nothing at the fabric level);
-        the allocation grows on demand and shrinks only when the
-        request has been much smaller than the holding for a while —
-        resizing the spatial allocation every interval would churn the
-        fabric into fragmentation.
+        Each call runs a fresh engine on :attr:`fabric`, seeded with
+        :attr:`seed`; afterwards :attr:`admission` is that engine's
+        controller, holding the run's decisions and reservations.
         """
-        current = self.fabric.allocations.get(tenant_id)
-        if current is not None:
-            held = current.config
-            hosts = (
-                held.slices >= config.slices and held.l2_banks >= config.l2_banks
-            )
-            if hosts:
-                shrink_streak = self._shrink_streaks.get(tenant_id, 0)
-                if config.tiles < 0.5 * held.tiles:
-                    shrink_streak += 1
-                else:
-                    shrink_streak = 0
-                self._shrink_streaks[tenant_id] = shrink_streak
-                if shrink_streak < 8:
-                    return True
-                # Sustained small footprint: release the slack.
-                self._shrink_streaks[tenant_id] = 0
-        target = config
-        if current is not None and not (
-            current.config.slices >= config.slices
-            and current.config.l2_banks >= config.l2_banks
-        ):
-            # Growing: take the component-wise maximum so the tenant
-            # keeps hosting its smaller legs too.
-            target = VCoreConfig(
-                slices=max(current.config.slices, config.slices),
-                l2_kb=max(current.config.l2_kb, config.l2_kb),
-            )
-        try:
-            if current is None:
-                self.fabric.allocate(tenant_id, target)
-            else:
-                self.fabric.reallocate(tenant_id, target)
-            return True
-        except FabricError:
-            # Fragmentation: reschedule everyone (Section III-A) and
-            # retry once.
-            self.defragmentations += 1
-            try:
-                self.fabric.defragment()
-                if tenant_id in self.fabric.allocations:
-                    self.fabric.reallocate(tenant_id, target)
-                else:
-                    self.fabric.allocate(tenant_id, target)
-                return True
-            except FabricError:
-                # The resize failed; if the tenant still holds its old
-                # allocation it can keep running there.
-                return tenant_id in self.fabric.allocations and (
-                    self.fabric.allocations[tenant_id].config.slices
-                    >= config.slices
-                    and self.fabric.allocations[tenant_id].config.l2_banks
-                    >= config.l2_banks
-                )
-
-    def _peak_footprint(self, schedule: Schedule) -> Optional[VCoreConfig]:
-        configs = schedule.configs()
-        if not configs:
-            return None
-        return max(configs, key=lambda c: c.tiles)
-
-    def _noisy(self, value: float) -> float:
-        if self.noise_std_frac <= 0.0:
-            return value
-        return max(value * (1.0 + self.rng.gauss(0.0, self.noise_std_frac)), 0.0)
-
-    def _true_points(self, phase: Phase) -> Sequence[ConfigPoint]:
-        if perf.FAST:
-            # The memoized table carries the same points (bit-identical
-            # speedups, same order); every tenant in the same phase of
-            # the same application shares one table process-wide.
-            return operating_point_table(
-                phase, self.model, self.space, self.cost_model
-            )
-        return [
-            ConfigPoint(
-                config=config,
-                speedup=self.model.ipc(phase, config),
-                cost_rate=config.cost_rate(self.cost_model),
-            )
-            for config in self.space
-        ]
-
-    def _ipc_of(self, phase: Phase, config: VCoreConfig) -> float:
-        """Model IPC, served from the operating-point table when fast."""
-        if perf.FAST:
-            ipc = operating_point_table(
-                phase, self.model, self.space, self.cost_model
-            ).get_ipc(config)
-            if ipc is not None:
-                return ipc
-        return self.model.ipc(phase, config)
-
-    def _run_tenant_interval(self, resident: _Resident) -> None:
-        tenant = resident.tenant
-        _, phase = resident.walker.current_phase()
-        points = self._true_points(phase)
-        schedule = resident.allocator.decide(resident.measurement, points)
-
-        footprint = self._peak_footprint(schedule)
-        placed = footprint is None or self._place(tenant.tenant_id, footprint)
-        if not placed:
-            # Capacity squeeze: keep whatever allocation the tenant
-            # already holds and run the quantum there (degraded
-            # service, honestly measured), or wait if it holds nothing.
-            existing = self.fabric.allocations.get(tenant.tenant_id)
-            if existing is None:
-                resident.account.waiting_intervals += 1
-                resident.account.intervals += 1
-                resident.account.violations += 1
-                resident.measurement = QoSMeasurement(
-                    overall_qos=0.0, legs=(), signature=()
-                )
-                return
-            resident.account.waiting_intervals += 1
-            held = ConfigPoint(
-                config=existing.config,
-                speedup=0.0,
-                cost_rate=existing.config.cost_rate(self.cost_model),
-            )
-            schedule = Schedule(entries=(ScheduleEntry(held, 1.0),))
-            footprint = existing.config
-
-        # Execute the legs, ending the interval at a phase boundary so
-        # no measurement (or its counter signature) mixes two phases —
-        # the same discipline as the single-tenant harness.
-        total_instructions = 0.0
-        elapsed = 0.0
-        dollars_time = 0.0  # Σ rate × cycles
-        legs: List[LegObservation] = []
-        crossed = False
-        for entry in schedule.entries:
-            if crossed or entry.fraction <= 0:
-                continue
-            leg_cycles = entry.fraction * self.interval_cycles
-            if entry.point.is_idle:
-                elapsed += leg_cycles
-                legs.append(LegObservation(None, entry.fraction, 0.0))
-                continue
-            config = entry.point.config
-            executed, used, crossed = resident.walker.run_cycles(
-                leg_cycles,
-                lambda p, config=config: self._ipc_of(p, config),
-                stop_at_boundary=True,
-            )
-            total_instructions += executed
-            elapsed += used
-            dollars_time += config.cost_rate(self.cost_model) * used
-            leg_qos = executed / used if used > 0 else 0.0
-            legs.append(
-                LegObservation(config, entry.fraction, self._noisy(leg_qos))
-            )
-        elapsed = max(elapsed, 1.0)
-        dollars = dollars_time / elapsed  # mean $/hr over the interval
-        true_qos = total_instructions / elapsed
-        signature = (
-            self._noisy(phase.mem_refs_per_inst),
-            self._noisy(phase.l1_miss_rate),
-            self._noisy(phase.mispredict_rate),
+        engine = ServiceEngine(
+            TrafficScenario.from_tenants(tenants, intervals, self.seed),
+            fabric=self.fabric,
+            model=self.model,
+            space=self.space,
+            overcommit=self.overcommit,
         )
-        resident.measurement = QoSMeasurement(
-            overall_qos=self._noisy(true_qos),
-            legs=tuple(legs),
-            signature=signature,
-        )
-        account = resident.account
-        account.intervals += 1
-        account.dollars_time += dollars
-        if footprint is not None:
-            account.footprints.append(footprint)
-        if true_qos < tenant.qos_goal * (1.0 - self.violation_margin):
-            account.violations += 1
-
-    # ------------------------------------------------------------------
-    def run(self, tenants: Sequence[Tenant], intervals: int) -> ProviderReport:
-        """Simulate ``intervals`` provider intervals for the tenants."""
-        if intervals <= 0:
-            raise ValueError(f"intervals must be positive, got {intervals}")
-        # Arrival queue.  The FAST path keeps a heap keyed by
-        # (arrival_interval, submission index); the reference path keeps
-        # the seed's stable sort, drained through a deque so even the
-        # scalar twin is O(n log n) instead of the old O(n²)
-        # ``list.pop(0)``.  ``sorted`` is stable, so both orders are
-        # identical tenant for tenant.
-        arrival_heap: List[Tuple[int, int, Tenant]] = []
-        pending: deque[Tenant] = deque()
-        if perf.FAST:
-            arrival_heap = [
-                (tenant.arrival_interval, order, tenant)
-                for order, tenant in enumerate(tenants)
-            ]
-            heapq.heapify(arrival_heap)
-        else:
-            pending = deque(sorted(tenants, key=lambda t: t.arrival_interval))
-        # Departure queue (FAST): pushed at admission, popped by
-        # interval, instead of rescanning every resident every interval.
-        departure_heap: List[Tuple[int, int]] = []
-        accounts: Dict[int, TenantAccount] = {}
-        rejected = 0
-        utilization_sum = 0.0
-        # The controller maintains its admitted total at decision time;
-        # snapshotting it here turns "admitted during this run" into a
-        # subtraction instead of a per-run re-scan of every decision.
-        admitted_before = self.admission.admitted_count
-
-        for interval in range(intervals):
-            # Departures first, then arrivals.
-            if perf.FAST:
-                while departure_heap and departure_heap[0][0] <= interval:
-                    _, tenant_id = heapq.heappop(departure_heap)
-                    resident = self._residents.get(tenant_id)
-                    if resident is None:
-                        continue
-                    accounts[tenant_id] = resident.account
-                    self._depart(tenant_id)
-            else:
-                for resident in list(self._residents.values()):
-                    departure = resident.tenant.departure_interval
-                    if departure is not None and interval >= departure:
-                        accounts[resident.tenant.tenant_id] = resident.account
-                        self._depart(resident.tenant.tenant_id)
-            while True:
-                if perf.FAST:
-                    if not arrival_heap or arrival_heap[0][0] > interval:
-                        break
-                    tenant = heapq.heappop(arrival_heap)[2]
-                else:
-                    if not pending or pending[0].arrival_interval > interval:
-                        break
-                    tenant = pending.popleft()
-                decision = self._admit(tenant)
-                if decision is not None and not decision.admitted:
-                    rejected += 1
-                elif (
-                    decision is not None
-                    and tenant.departure_interval is not None
-                ):
-                    # Consumed only by the FAST departure drain above;
-                    # the reference path scans residents instead.
-                    heapq.heappush(
-                        departure_heap,
-                        (tenant.departure_interval, tenant.tenant_id),
-                    )
-
-            for resident in self._residents.values():
-                self._run_tenant_interval(resident)
-            utilization_sum += self.fabric.utilization()
-
-        # Final accounting.
-        for resident in self._residents.values():
-            accounts[resident.tenant.tenant_id] = resident.account
-        total_dollars_time = sum(a.dollars_time for a in accounts.values())
-        total_intervals = max(intervals, 1)
-        return ProviderReport(
-            intervals=intervals,
-            admitted=self.admission.admitted_count - admitted_before,
-            rejected=rejected,
-            accounts=accounts,
-            mean_utilization=utilization_sum / total_intervals,
-            defragmentations=self.defragmentations,
-            revenue_rate=total_dollars_time / total_intervals,
-        )
+        self.admission = engine.admission
+        return engine.run()

@@ -1,32 +1,40 @@
-"""The event-driven always-on provider service.
+"""The provider service: one engine steps every tenant.
 
-The dense provider loop (:mod:`repro.cloud.provider`) advances *every*
-resident tenant through *every* control interval — O(tenants ×
-intervals) even when most tenants are idle between bursts or their
-controllers converged long ago.  At the ROADMAP's cloud scale (10k
-tenants, 100k-interval horizons, heavy churn) almost all of that work
-is literally nothing happening.
+:class:`ServiceEngine` runs a traffic scenario's tenants
+(:mod:`repro.cloud.traffic`) against one shared fabric.  Open-loop
+churn and a closed tenant list are the same thing to it: a closed list
+is the degenerate scenario of
+:meth:`~repro.cloud.traffic.TrafficScenario.from_tenants`, one burst
+per tenant over its residency, which
+:class:`~repro.cloud.provider.CloudProvider` builds.
 
-This module rebuilds the loop as a discrete-event service behind the
-usual FAST/scalar-twin discipline:
+In every interval where a tenant has work, its allocator (its own
+CASH runtime, or a race-to-idle reservation) decides a schedule
+against the tenant's private phase trajectory; the engine resizes the
+tenant's spatial allocation to the schedule's *peak footprint* (time
+multiplexing within the quantum happens inside the tenant's own
+tiles), defragmenting the fabric when fragmentation blocks a resize,
+and bills the tenant by area-time while tracking its QoS.
+
+The engine runs behind the usual FAST/scalar-twin discipline:
 
 * **one min-heap of events.**  ``(interval, kind, tenant_id)`` entries
   — departures before arrivals before controller steps within an
   interval, ascending tenant id within a kind — reproduce exactly the
-  order the dense reference loop visits tenants in, so both engines
+  order the dense reference loop visits tenants in, so both modes
   mutate the shared fabric identically.
 * **controller updates only when there is work.**  A tenant's
-  Kalman/Q-learning step runs only at intervals where its open-loop
-  traffic (:mod:`repro.cloud.traffic`) queued work; between bursts the
-  tenant is *parked* (its tiles released back to the fabric) and the
-  engine jumps the clock over the gap.
+  Kalman/Q-learning step runs only at intervals where its traffic
+  queued work; between bursts the tenant is *parked* (its tiles
+  released back to the fabric) and the engine jumps the clock over
+  the gap.
 * **convergence hibernation.**  A tenant whose schedule has been
   byte-identical for ``converged_after`` consecutive steps stops
   consulting its allocator (and drawing measurement noise) and replays
   the converged schedule until the phase changes or a ``reprobe_every``
-  countdown fires — the same deterministic rule in both engines.
+  countdown fires — the same deterministic rule in both modes.
 * **idle stretches skipped exactly.**  All per-interval accounting the
-  dense loop accumulates (tenant-intervals, occupied tile-intervals)
+  dense twin accumulates (tenant-intervals, occupied tile-intervals)
   is kept in integers, so multiplying over a skipped stretch equals
   per-interval accumulation bit for bit; per-tenant noise streams are
   keyed by tenant id, so skipping one tenant never perturbs another.
@@ -60,10 +68,11 @@ from repro import perf
 from repro.arch.cost import CostModel, DEFAULT_COST_MODEL
 from repro.arch.fabric import Allocation, Fabric, FabricError
 from repro.arch.vcore import ConfigurationSpace, VCoreConfig, DEFAULT_CONFIG_SPACE
+from repro.baselines.race import RaceToIdleAllocator
 from repro.cloud.admission import AdmissionController
-from repro.cloud.provider import build_tenant_allocator
+from repro.cloud.tenant import Tenant
 from repro.cloud.traffic import TenantTraffic, TrafficScenario
-from repro.experiments.harness import Allocator, _PhaseWalker
+from repro.experiments.harness import Allocator, CASHAllocator, _PhaseWalker
 from repro.runtime.cash import LegObservation, QoSMeasurement
 from repro.runtime.optimizer import ConfigPoint, Schedule, ScheduleEntry
 from repro.sim.optables import operating_point_table
@@ -87,14 +96,46 @@ class CheckpointError(RuntimeError):
     """A service checkpoint could not be validated or restored."""
 
 
+def build_tenant_allocator(
+    tenant: Tenant,
+    reservation: VCoreConfig,
+    space: ConfigurationSpace,
+    cost_model: CostModel,
+) -> Allocator:
+    """The allocator a tenant's policy selects, bounded by its reservation."""
+    if tenant.policy == "race":
+        return RaceToIdleAllocator(
+            config=reservation,
+            qos_goal=tenant.qos_goal,
+            cost_model=cost_model,
+        )
+    # The tenant's menu is bounded by its admitted reservation:
+    # admission guaranteed capacity for the worst-case virtual
+    # core, so every configuration within it is placeable by
+    # construction (only fragmentation can interfere, and
+    # defragmentation fixes that).  Bursting beyond the reservation
+    # when the fabric has slack is a possible extension.
+    menu = [
+        config
+        for config in space
+        if config.slices <= reservation.slices
+        and config.l2_banks <= reservation.l2_banks
+    ]
+    return CASHAllocator(
+        configs=menu,
+        qos_goal=tenant.qos_goal,
+        cost_model=cost_model,
+        seed=tenant.tenant_id,
+    )
+
+
 @dataclass
 class ServiceAccount:
     """Per-tenant billing and QoS bookkeeping (integer-first).
 
-    Unlike the dense loop's ``TenantAccount`` (which appends every
-    interval's footprint to a list), footprint area is accumulated as
-    an integer tile total so a million-interval tenant costs O(1)
-    memory and stretch accounting stays exact.
+    Footprint area is accumulated as an integer tile total, not a
+    per-interval list, so a million-interval tenant costs O(1) memory
+    and stretch accounting stays exact.
     """
 
     tenant_id: int
@@ -103,6 +144,12 @@ class ServiceAccount:
     dollars_time: float = 0.0  # Σ mean $/hr over active intervals
     waiting_intervals: int = 0
     footprint_tiles: int = 0  # Σ peak-footprint tiles over active intervals
+
+    @property
+    def intervals(self) -> int:
+        """Read-only alias of :attr:`active_intervals`, for readers that
+        count a closed-list tenant's steps as ``account.intervals``."""
+        return self.active_intervals
 
     @property
     def violation_percent(self) -> float:
@@ -133,8 +180,9 @@ class ServiceReport:
     accounts: Dict[int, ServiceAccount]
     tenant_intervals: int
     """Σ over simulated intervals of the resident-tenant count — the
-    work the dense loop would have iterated, and the throughput unit
-    (tenant-intervals/second) the benchmarks report."""
+    work a loop stepping every resident every interval would iterate,
+    and the throughput unit (tenant-intervals/second) the benchmarks
+    report."""
     active_steps: int
     """Controller steps actually executed (tenant active)."""
     decide_steps: int
@@ -210,9 +258,9 @@ class _ServiceResident:
     account: ServiceAccount
     rng: random.Random
     """The tenant's private measurement-noise stream.  Keyed by tenant
-    id (not shared fleet-wide like the dense loop's provider RNG) so
-    skipping other tenants' idle intervals cannot shift this one's
-    draws — the property the whole event engine rests on."""
+    id (not shared fleet-wide) so skipping other tenants' idle
+    intervals cannot shift this one's draws — the property the whole
+    event engine rests on."""
     measurement: Optional[QoSMeasurement] = None
     last_schedule: Optional[Schedule] = None
     stable_steps: int = 0
@@ -323,10 +371,12 @@ class ServiceEngine:
             return False
         self._admitted += 1
         if perf.FAST:
-            # Prefetch the tenant's phase tables at admission (same
-            # discipline as the dense provider): warm, value-keyed
-            # surfaces change when tables are built, never what they
-            # contain.
+            # Prefetch the tenant's phase tables at admission: warm
+            # surfaces arrive from the shared store in one guarded
+            # lookup per phase, instead of lazy first-touches spread
+            # across the tenant's first control intervals.  Tables are
+            # value-keyed, so this changes when they are built, never
+            # what they contain.
             for phase in tenant.app.phases:
                 operating_point_table(
                     phase, self.model, self.space, self.cost_model
@@ -355,6 +405,9 @@ class ServiceEngine:
     # ------------------------------------------------------------------
     def _true_points(self, phase: Phase) -> Sequence[ConfigPoint]:
         if perf.FAST:
+            # The memoized table carries the same points (bit-identical
+            # speedups, same order); every tenant in the same phase of
+            # the same application shares one table process-wide.
             return operating_point_table(
                 phase, self.model, self.space, self.cost_model
             )
@@ -368,6 +421,7 @@ class ServiceEngine:
         ]
 
     def _ipc_of(self, phase: Phase, config: VCoreConfig) -> float:
+        """Model IPC, served from the operating-point table when fast."""
         if perf.FAST:
             ipc = operating_point_table(
                 phase, self.model, self.space, self.cost_model
@@ -390,7 +444,16 @@ class ServiceEngine:
         return max(configs, key=lambda c: c.tiles)
 
     def _place(self, tenant_id: int, config: VCoreConfig) -> bool:
-        """Placement with hysteresis — the dense provider's rules."""
+        """Ensure the tenant's allocation can host ``config``.
+
+        Placement hysteresis: a held allocation that is a superset of
+        the request hosts it in place (the runtime reshapes *within*
+        the tenant's tiles, which costs nothing at the fabric level);
+        the allocation grows on demand and shrinks only when the
+        request has been much smaller than the holding for a while —
+        resizing the spatial allocation every interval would churn the
+        fabric into fragmentation.
+        """
         current = self.fabric.allocation_for(tenant_id)
         if current is not None:
             held = current.config
@@ -406,12 +469,15 @@ class ServiceEngine:
                 self._shrink_streaks[tenant_id] = shrink_streak
                 if shrink_streak < 8:
                     return True
+                # Sustained small footprint: release the slack.
                 self._shrink_streaks[tenant_id] = 0
         target = config
         if current is not None and not (
             current.config.slices >= config.slices
             and current.config.l2_banks >= config.l2_banks
         ):
+            # Growing: take the component-wise maximum so the tenant
+            # keeps hosting its smaller legs too.
             target = VCoreConfig(
                 slices=max(current.config.slices, config.slices),
                 l2_kb=max(current.config.l2_kb, config.l2_kb),
@@ -423,6 +489,8 @@ class ServiceEngine:
                 self.fabric.reallocate(tenant_id, target)
             return True
         except FabricError:
+            # Fragmentation: reschedule everyone (Section III-A) and
+            # retry once.
             self.defragmentations += 1
             try:
                 self.fabric.defragment()
@@ -432,6 +500,8 @@ class ServiceEngine:
                     self.fabric.allocate(tenant_id, target)
                 return True
             except FabricError:
+                # The resize failed; if the tenant still holds its old
+                # allocation it can keep running there.
                 held_now = self.fabric.allocation_for(tenant_id)
                 return held_now is not None and (
                     held_now.config.slices >= config.slices
@@ -475,14 +545,17 @@ class ServiceEngine:
             resident.probe_countdown = self.reprobe_every
         return schedule, False
 
-    def _step_tenant(self, resident: _ServiceResident, interval: int) -> None:
+    def _step_tenant(self, resident: _ServiceResident) -> None:
         """One control interval for one active tenant.
 
-        A transliteration of the dense provider's
-        ``_run_tenant_interval`` with three deltas: noise comes from
-        the tenant's own stream, hibernation replays skip the allocator
-        and the noise draws symmetrically, and the tenant is parked
-        (tiles released) when its burst ends.
+        The allocator decides a schedule (or a hibernation replay
+        repeats the converged one, skipping the allocator and the
+        noise draws alike), the tenant's allocation is resized to the
+        schedule's peak footprint, and the legs run on the tenant's
+        phase walker.  Measurement noise comes from the tenant's own
+        stream.  Parking a tenant whose burst ends here is left to
+        :meth:`_close_interval`, after this interval's occupancy is
+        sampled.
         """
         self._active_steps += 1
         tenant = resident.traffic.tenant
@@ -494,6 +567,9 @@ class ServiceEngine:
         footprint = self._peak_footprint(schedule)
         placed = footprint is None or self._place(tenant.tenant_id, footprint)
         if not placed:
+            # Capacity squeeze: keep whatever allocation the tenant
+            # already holds and run the quantum there (degraded
+            # service, honestly measured), or wait if it holds nothing.
             existing = self.fabric.allocation_for(tenant.tenant_id)
             if existing is None:
                 account.waiting_intervals += 1
@@ -504,7 +580,6 @@ class ServiceEngine:
                     resident.measurement = QoSMeasurement(
                         overall_qos=0.0, legs=(), signature=()
                     )
-                self._park_if_idle(resident, interval)
                 return
             account.waiting_intervals += 1
             held = ConfigPoint(
@@ -515,6 +590,9 @@ class ServiceEngine:
             schedule = Schedule(entries=(ScheduleEntry(held, 1.0),))
             footprint = existing.config
 
+        # Execute the legs, ending the interval at a phase boundary so
+        # no measurement (or its counter signature) mixes two phases —
+        # the same discipline as the single-tenant harness.
         total_instructions = 0.0
         elapsed = 0.0
         dollars_time = 0.0  # Σ rate × cycles
@@ -567,7 +645,6 @@ class ServiceEngine:
         if true_qos < tenant.qos_goal * (1.0 - self.violation_margin):
             account.violations += 1
             self._open_violations += 1
-        self._park_if_idle(resident, interval)
 
     def _park_if_idle(self, resident: _ServiceResident, interval: int) -> None:
         """Release the tenant's tiles when its burst just ended.
@@ -605,7 +682,16 @@ class ServiceEngine:
     # ------------------------------------------------------------------
     # interval accounting (integer, stretch-exact)
     # ------------------------------------------------------------------
-    def _close_interval(self, interval: int, steps: int) -> None:
+    def _close_interval(
+        self, interval: int, stepped: List[_ServiceResident]
+    ) -> None:
+        """Account one eventful interval, then park the tenants in
+        ``stepped`` whose burst ended with it.
+
+        Parking follows the occupancy sample: a tenant whose burst ends
+        at ``interval`` ran in it, so its tiles count toward this
+        interval's utilization.
+        """
         residents = len(self._residents)
         self._tenant_intervals += residents
         occupied = self.fabric.occupied_tiles()
@@ -616,7 +702,7 @@ class ServiceEngine:
                     "kind": "interval",
                     "interval": interval,
                     "residents": residents,
-                    "steps": steps,
+                    "steps": len(stepped),
                     "occupied": occupied,
                     "violations": self._open_violations,
                     "revenue": self._open_dollars,
@@ -624,6 +710,8 @@ class ServiceEngine:
             )
         self._open_violations = 0
         self._open_dollars = 0.0
+        for resident in stepped:
+            self._park_if_idle(resident, interval)
 
     def _account_stretch(self, start: int, end: int) -> None:
         """Account ``[start, end)`` — a span with no events — exactly."""
@@ -675,7 +763,7 @@ class ServiceEngine:
             if interval > cursor:
                 self._account_stretch(cursor, interval)
                 cursor = interval
-            steps = 0
+            stepped: List[_ServiceResident] = []
             while heap and heap[0][0] == interval:
                 _, kind, tenant_id = heapq.heappop(heap)
                 if kind == _EVENT_DEPART:
@@ -698,12 +786,12 @@ class ServiceEngine:
                     resident = self._residents.get(tenant_id)
                     if resident is None:
                         continue  # departed this very interval
-                    self._step_tenant(resident, interval)
-                    steps += 1
+                    self._step_tenant(resident)
+                    stepped.append(resident)
                     wake = resident.traffic.next_active(interval + 1)
                     if wake is not None:
                         heapq.heappush(heap, (wake, _EVENT_STEP, tenant_id))
-            self._close_interval(interval, steps)
+            self._close_interval(interval, stepped)
             cursor = interval + 1
 
     def _run_dense_reference(self, until: int) -> None:
@@ -723,13 +811,13 @@ class ServiceEngine:
                 self._arrival_cursor += 1
                 self._admit(traffic)
             # ... then a controller step for every tenant with work.
-            steps = 0
+            stepped: List[_ServiceResident] = []
             for tenant_id in sorted(self._residents):
                 resident = self._residents[tenant_id]
                 if resident.traffic.is_active(interval):
-                    self._step_tenant(resident, interval)
-                    steps += 1
-            self._close_interval(interval, steps)
+                    self._step_tenant(resident)
+                    stepped.append(resident)
+            self._close_interval(interval, stepped)
 
     # ------------------------------------------------------------------
     # driving

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.arch.vcore import VCoreConfig
 from repro.workloads.phase import PhasedApplication
 
 
@@ -47,32 +46,3 @@ class Tenant:
         ):
             raise ValueError("departure must come after arrival")
 
-
-@dataclass
-class TenantAccount:
-    """Per-tenant billing and QoS bookkeeping."""
-
-    tenant_id: int
-    intervals: int = 0
-    violations: int = 0
-    dollars_time: float = 0.0  # Σ cost_rate over intervals
-    waiting_intervals: int = 0
-    footprints: List[VCoreConfig] = field(default_factory=list)
-
-    @property
-    def mean_cost_rate(self) -> float:
-        return self.dollars_time / self.intervals if self.intervals else 0.0
-
-    @property
-    def violation_percent(self) -> float:
-        if self.intervals == 0:
-            return 0.0
-        return 100.0 * self.violations / self.intervals
-
-    @property
-    def mean_footprint_tiles(self) -> float:
-        if not self.footprints:
-            return 0.0
-        return sum(config.tiles for config in self.footprints) / len(
-            self.footprints
-        )

@@ -27,6 +27,8 @@ The timelines are plain sorted tuples of half-open ``[start, stop)``
 bursts; :meth:`TenantTraffic.is_active` and
 :meth:`TenantTraffic.next_active` answer point and successor queries by
 bisection, so the event engine can jump over idle stretches exactly.
+A closed tenant list (:meth:`TrafficScenario.from_tenants`) is the
+degenerate case: one burst per tenant, spanning its residency.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import random
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.tenant import Tenant
 from repro.experiments.harness import qos_target_for
@@ -192,6 +194,33 @@ class TrafficScenario:
     spec: TrafficSpec
     tenants: Tuple[TenantTraffic, ...]
     flash_windows: Tuple[Tuple[int, int], ...]
+
+    @classmethod
+    def from_tenants(
+        cls, tenants: Sequence[Tenant], horizon: int, seed: int
+    ) -> TrafficScenario:
+        """A closed tenant list as degenerate traffic.
+
+        Every tenant has work throughout its residency: one burst over
+        ``[arrival, departure or horizon)``, none if it arrives at or
+        after the horizon.  The spec records only the tenant count,
+        the horizon and ``seed`` (the service engine's noise seed); it
+        does not regenerate the list.
+        """
+        spec = TrafficSpec(tenants=len(tenants), horizon=horizon, seed=seed)
+        ids = {tenant.tenant_id for tenant in tenants}
+        if len(ids) != len(tenants):
+            raise ValueError("tenant ids must be unique")
+        timelines: List[TenantTraffic] = []
+        for tenant in tenants:
+            departure = tenant.departure_interval
+            stop = horizon if departure is None else min(departure, horizon)
+            start = tenant.arrival_interval
+            bursts: Tuple[Tuple[int, int], ...] = (
+                ((start, stop),) if start < stop else ()
+            )
+            timelines.append(TenantTraffic(tenant=tenant, bursts=bursts))
+        return cls(spec=spec, tenants=tuple(timelines), flash_windows=())
 
     @property
     def horizon(self) -> int:

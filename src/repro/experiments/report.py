@@ -75,7 +75,7 @@ def provider_table(reports: Mapping[tuple, object]) -> str:
     """Render the multi-tenant grid: one row per provider cell.
 
     ``reports`` maps ``(policy_mix, overcommit, seed)`` to a
-    :class:`~repro.cloud.provider.ProviderReport` (the shape
+    :class:`~repro.cloud.service.ServiceReport` (the shape
     :func:`~repro.experiments.scenarios.multitenant_grid` returns).
     """
     header = (

@@ -492,7 +492,7 @@ def run_provider_mix(
     model: PerformanceModel = DEFAULT_PERF_MODEL,
     space: ConfigurationSpace = DEFAULT_CONFIG_SPACE,
 ):
-    """Run one multi-tenant provider cell; returns a ProviderReport.
+    """Run one multi-tenant provider cell; returns a ServiceReport.
 
     Tenant ``i`` runs ``mix[i]`` and arrives at interval
     ``i * arrival_stride`` — everything is derived from the arguments,
@@ -539,7 +539,7 @@ def multitenant_grid(
 
     Returns ``(reports, timing)`` where ``reports`` maps
     ``(policy_mix, overcommit, seed)`` to its
-    :class:`~repro.cloud.provider.ProviderReport` and ``timing`` is a
+    :class:`~repro.cloud.service.ServiceReport` and ``timing`` is a
     JSON-ready wall-clock record for ``BENCH_CLOUD.json``.  Cells fan
     out over the same process pool as the single-tenant sweeps; results
     are collected in spec order, so ``jobs`` never changes any report.

@@ -352,7 +352,7 @@ def run_cells(
     Single-tenant and provider specs may share one batch; each result
     slot carries whatever its spec kind produces (a
     :class:`~repro.experiments.harness.RunResult` or a
-    :class:`~repro.cloud.provider.ProviderReport`).
+    :class:`~repro.cloud.service.ServiceReport`).
 
     With ``tier_batch`` enabled the :class:`TierCellSpec` entries are
     grouped into per-worker :class:`TierBatchSpec` slabs before

@@ -1,10 +1,10 @@
-"""Provider placement hysteresis and reservation-bounded menus."""
-
-import pytest
+"""Service placement hysteresis and reservation-bounded menus."""
 
 from repro.arch.fabric import Fabric
 from repro.arch.vcore import VCoreConfig
 from repro.cloud import CloudProvider, Tenant
+from repro.cloud.service import ServiceEngine, build_tenant_allocator
+from repro.cloud.traffic import TrafficScenario
 from repro.experiments.harness import qos_target_for
 from repro.workloads.apps import get_app
 
@@ -19,53 +19,61 @@ def make_tenant(tenant_id, name="bzip", policy="cash"):
     )
 
 
+def make_engine():
+    """An engine that is never run: tests drive its placement directly."""
+    scenario = TrafficScenario.from_tenants([make_tenant(0)], horizon=1, seed=0)
+    return ServiceEngine(scenario, fabric=Fabric(width=16, height=16))
+
+
 class TestPlacementHysteresis:
     def test_superset_allocation_hosts_in_place(self):
-        provider = CloudProvider(fabric=Fabric(width=16, height=16))
-        provider.fabric.allocate(1, VCoreConfig(4, 512))
+        engine = make_engine()
+        engine.fabric.allocate(1, VCoreConfig(4, 512))
         # A smaller request is hosted without reallocation.
-        assert provider._place(1, VCoreConfig(2, 128)) is True
-        assert provider.fabric.allocation(1).config == VCoreConfig(4, 512)
+        assert engine._place(1, VCoreConfig(2, 128)) is True
+        assert engine.fabric.allocation(1).config == VCoreConfig(4, 512)
 
     def test_growth_reallocates_to_componentwise_max(self):
-        provider = CloudProvider(fabric=Fabric(width=16, height=16))
-        provider.fabric.allocate(1, VCoreConfig(4, 128))
-        assert provider._place(1, VCoreConfig(2, 512)) is True
-        held = provider.fabric.allocation(1).config
+        engine = make_engine()
+        engine.fabric.allocate(1, VCoreConfig(4, 128))
+        assert engine._place(1, VCoreConfig(2, 512)) is True
+        held = engine.fabric.allocation(1).config
         assert held.slices == 4 and held.l2_kb == 512
 
     def test_sustained_small_footprint_shrinks(self):
-        provider = CloudProvider(fabric=Fabric(width=16, height=16))
-        provider.fabric.allocate(1, VCoreConfig(8, 1024))
+        engine = make_engine()
+        engine.fabric.allocate(1, VCoreConfig(8, 1024))
         small = VCoreConfig(1, 64)
         for _ in range(8):
-            provider._place(1, small)
+            engine._place(1, small)
         # After the streak the holding is released down to the request.
-        assert provider.fabric.allocation(1).config == small
+        assert engine.fabric.allocation(1).config == small
 
     def test_brief_dip_does_not_shrink(self):
-        provider = CloudProvider(fabric=Fabric(width=16, height=16))
+        engine = make_engine()
         big = VCoreConfig(8, 1024)
-        provider.fabric.allocate(1, big)
+        engine.fabric.allocate(1, big)
         for _ in range(3):
-            provider._place(1, VCoreConfig(1, 64))
-        provider._place(1, big)  # footprint back up: streak resets
+            engine._place(1, VCoreConfig(1, 64))
+        engine._place(1, big)  # footprint back up: streak resets
         for _ in range(3):
-            provider._place(1, VCoreConfig(1, 64))
-        assert provider.fabric.allocation(1).config == big
+            engine._place(1, VCoreConfig(1, 64))
+        assert engine.fabric.allocation(1).config == big
 
     def test_fresh_tenant_gets_allocated(self):
-        provider = CloudProvider(fabric=Fabric(width=16, height=16))
-        assert provider._place(2, VCoreConfig(2, 128)) is True
-        assert provider.fabric.allocation(2).config == VCoreConfig(2, 128)
+        engine = make_engine()
+        assert engine._place(2, VCoreConfig(2, 128)) is True
+        assert engine.fabric.allocation(2).config == VCoreConfig(2, 128)
 
 
 class TestReservationBoundedMenu:
     def test_cash_menu_never_exceeds_reservation(self):
-        provider = CloudProvider(fabric=Fabric(width=16, height=16))
+        engine = make_engine()
         tenant = make_tenant(0)
-        decision = provider.admission.request(tenant)
-        allocator = provider._build_allocator(tenant, decision.reservation)
+        decision = engine.admission.request(tenant)
+        allocator = build_tenant_allocator(
+            tenant, decision.reservation, engine.space, engine.cost_model
+        )
         for config in allocator.runtime.configs:
             assert config.slices <= decision.reservation.slices
             assert config.l2_banks <= decision.reservation.l2_banks

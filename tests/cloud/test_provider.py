@@ -1,9 +1,11 @@
-"""The multi-tenant provider simulation."""
+"""The multi-tenant provider: closed tenant lists on the service engine."""
 
 import pytest
 
 from repro.arch.fabric import Fabric
 from repro.cloud import CloudProvider, Tenant
+from repro.cloud.service import ServiceEngine
+from repro.cloud.traffic import TrafficScenario
 from repro.experiments.harness import qos_target_for
 from repro.workloads.apps import get_app
 
@@ -24,7 +26,7 @@ class TestProviderBasics:
         provider = CloudProvider(fabric=Fabric(width=16, height=16))
         report = provider.run([make_tenant(0, "bzip")], intervals=500)
         account = report.accounts[0]
-        assert account.intervals == 500
+        assert account.active_intervals == 500
         # Cold start included, so allow generous but bounded violations.
         assert account.violation_percent < 15.0
         assert account.mean_cost_rate > 0
@@ -55,8 +57,8 @@ class TestProviderBasics:
         ]
         provider = CloudProvider(fabric=Fabric(width=16, height=16))
         report = provider.run(tenants, intervals=100)
-        assert report.accounts[0].intervals == 50
-        assert report.accounts[1].intervals == 80
+        assert report.accounts[0].active_intervals == 50
+        assert report.accounts[1].active_intervals == 80
 
     def test_rejected_tenants_counted(self):
         # A tiny fabric cannot hold many worst-case reservations.
@@ -87,13 +89,22 @@ class TestProviderCapacity:
     def test_fabric_allocations_stay_disjoint(self):
         tenants = [make_tenant(i, name) for i, name in
                    enumerate(["hmmer", "sjeng", "bzip", "lib"])]
-        provider = CloudProvider(fabric=Fabric(width=16, height=16))
-        provider.run(tenants, intervals=150)
-        owned = {}
-        for vcore_id, allocation in provider.fabric.allocations.items():
-            for position in allocation.positions:
-                assert position not in owned
-                owned[position] = vcore_id
+        engine = ServiceEngine(
+            TrafficScenario.from_tenants(tenants, horizon=150, seed=0),
+            fabric=Fabric(width=16, height=16),
+        )
+        # Inspect mid-run: at the horizon every tenant has parked.
+        for until in (30, 75, 149):
+            engine.run(until=until)
+            allocations = engine.fabric.allocations
+            assert len(allocations) == len(tenants)
+            owned = {}
+            for vcore_id, allocation in allocations.items():
+                for position in allocation.positions:
+                    assert position not in owned
+                    owned[position] = vcore_id
+        engine.run()
+        assert not engine.fabric.allocations
 
     def test_utilization_tracked(self):
         provider = CloudProvider(fabric=Fabric(width=16, height=16))

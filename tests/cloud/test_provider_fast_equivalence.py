@@ -1,17 +1,18 @@
-"""Provider-loop fast paths are an optimization, never a model change.
+"""Sharding closed provider runs over workers is invisible in reports.
 
-``CloudProvider.run`` has FAST twins at three layers — the operating
-point table cache, the fabric free-tile index, and the heap-based
-arrival/departure queues.  Each test runs the same fixed-seed scenario
-with fast paths on and off (or across worker counts) and asserts the
-``ProviderReport`` is identical field for field.
+``ProviderCellSpec`` cells run ``CloudProvider.run`` — a closed tenant
+list on the service engine — inside the sweep executor.  The test runs
+a grid of policy mixes and overcommit levels serially and across four
+workers and asserts every ``ServiceReport`` is identical field for
+field.  Fast-vs-reference identity of the same closed runs lives in
+``test_service_fast_equivalence.py``.
 """
 
 import pytest
 
 from repro import perf
-from repro.experiments.scenarios import provider_mix, run_provider_mix
-from repro.experiments.stats import CellSpec, ProviderCellSpec, run_cells
+from repro.experiments.scenarios import provider_mix
+from repro.experiments.stats import ProviderCellSpec, run_cells
 
 
 @pytest.fixture(autouse=True)
@@ -20,68 +21,14 @@ def restore_fast_paths():
     perf.set_fast_paths(True)
 
 
-def _run_departure_scenario(seed=7):
-    """A mixed-policy run with staggered arrivals *and* departures, so
-    both the arrival heap and the departure heap are exercised."""
-    from repro.cloud import CloudProvider, Tenant
-    from repro.experiments.harness import qos_target_for
-    from repro.arch.fabric import Fabric
-    from repro.workloads.apps import get_app
-
-    names = ["bzip", "hmmer", "sjeng", "lib", "omnetpp", "ferret"]
-    tenants = []
-    for index, name in enumerate(names):
-        app = get_app(name)
-        tenants.append(
-            Tenant(
-                tenant_id=index,
-                app=app,
-                qos_goal=qos_target_for(app),
-                policy="cash" if index % 2 == 0 else "race",
-                arrival_interval=index * 7,
-                departure_interval=40 + index * 11 if index % 3 == 0 else None,
-            )
-        )
-    provider = CloudProvider(
-        fabric=Fabric(width=16, height=16), seed=seed, overcommit=1.5
-    )
-    return provider.run(tenants, intervals=120)
-
-
-def _assert_reports_identical(fast, reference):
-    assert fast.accounts == reference.accounts
-    assert fast.mean_utilization == reference.mean_utilization
-    assert fast.revenue_rate == reference.revenue_rate
-    assert fast.defragmentations == reference.defragmentations
-    assert fast == reference
-
-
-class TestFastVsReference:
-    @pytest.mark.parametrize("policy_mix", ["race", "cash", "half"])
-    def test_provider_mix_identical(self, policy_mix):
-        mix = provider_mix(policy_mix, tenants=8)
-        with perf.fast_paths(True):
-            fast = run_provider_mix(mix, intervals=80, seed=0)
-        with perf.fast_paths(False):
-            reference = run_provider_mix(mix, intervals=80, seed=0)
-        _assert_reports_identical(fast, reference)
-
-    def test_departures_and_overcommit_identical(self):
-        with perf.fast_paths(True):
-            fast = _run_departure_scenario()
-        with perf.fast_paths(False):
-            reference = _run_departure_scenario()
-        _assert_reports_identical(fast, reference)
-
-    def test_nondefault_seed_identical(self):
-        mix = provider_mix("half", tenants=6)
-        with perf.fast_paths(True):
-            fast = run_provider_mix(mix, intervals=60, seed=3, overcommit=1.5)
-        with perf.fast_paths(False):
-            reference = run_provider_mix(
-                mix, intervals=60, seed=3, overcommit=1.5
-            )
-        _assert_reports_identical(fast, reference)
+def _assert_reports_identical(left, right):
+    assert left.accounts == right.accounts
+    assert left.tenant_intervals == right.tenant_intervals
+    assert left.utilization_tile_intervals == right.utilization_tile_intervals
+    assert left.mean_utilization == right.mean_utilization
+    assert left.revenue_rate == right.revenue_rate
+    assert left.defragmentations == right.defragmentations
+    assert left == right
 
 
 class TestShardedVsSerial:
@@ -103,14 +50,3 @@ class TestShardedVsSerial:
         assert len(serial) == len(self.SPECS)
         for left, right in zip(serial, sharded):
             _assert_reports_identical(left, right)
-
-    def test_mixed_batch_dispatch(self):
-        """Single-tenant and provider specs share one executor batch."""
-        specs = [
-            CellSpec(app_name="x264", kind="cash", intervals=40, seed=0),
-            ProviderCellSpec(mix=provider_mix("cash", tenants=4), intervals=40),
-        ]
-        serial = run_cells(specs, jobs=1)
-        sharded = run_cells(specs, jobs=2)
-        assert serial[0].records == sharded[0].records
-        assert serial[1] == sharded[1]

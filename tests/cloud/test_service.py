@@ -20,7 +20,15 @@ from repro.cloud.service import (
     MetricsSink,
     ServiceEngine,
 )
-from repro.cloud.traffic import TrafficSpec, generate_traffic
+from repro.cloud.tenant import Tenant
+from repro.cloud.traffic import (
+    TenantTraffic,
+    TrafficScenario,
+    TrafficSpec,
+    generate_traffic,
+)
+from repro.experiments.harness import qos_target_for
+from repro.workloads.apps import get_app
 
 
 @pytest.fixture(autouse=True)
@@ -77,6 +85,24 @@ class TestReportAccounting:
         engine = build_engine(converged_after=0)
         report = engine.run()
         assert report.decide_steps == report.active_steps
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_last_burst_interval_counts_toward_utilization(self, fast):
+        """A tenant parks after the interval it ran in is sampled."""
+        app = get_app("bzip")
+        tenant = Tenant(
+            tenant_id=0, app=app, qos_goal=qos_target_for(app), policy="race"
+        )
+        scenario = TrafficScenario(
+            spec=TrafficSpec(tenants=1, horizon=4),
+            tenants=(TenantTraffic(tenant=tenant, bursts=((0, 1),)),),
+            flash_windows=(),
+        )
+        with perf.fast_paths(fast):
+            report = ServiceEngine(scenario, fabric=Fabric(16, 16)).run()
+        footprint = report.accounts[0].footprint_tiles
+        assert footprint > 0
+        assert report.utilization_tile_intervals == footprint
 
     def test_parking_releases_idle_tenants(self):
         engine = build_engine()

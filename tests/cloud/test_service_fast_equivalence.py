@@ -3,10 +3,11 @@
 The acceptance claim for the service engine: at a fixed seed the
 event-heap run (FAST on) and the dense per-interval reference (FAST
 off) produce the identical ``ServiceReport`` — per-tenant accounting
-included — across worker counts and with the sanitizer armed.  The
-Hypothesis property drives randomized churn schedules (tenant counts,
-activity, bursts, flash crowds, diurnal cycles, seeds) through both
-engines.
+included — across worker counts and with the sanitizer armed.  Open
+churn and closed tenant lists (``CloudProvider`` runs) are both
+covered.  The Hypothesis property drives randomized churn schedules
+(tenant counts, activity, bursts, flash crowds, diurnal cycles, seeds)
+through both engines.
 """
 
 import pytest
@@ -16,10 +17,19 @@ from hypothesis import strategies as st
 from repro import perf
 from repro.analysis import sanitize
 from repro.arch.fabric import Fabric
+from repro.cloud import CloudProvider, Tenant
 from repro.cloud.service import ServiceEngine
 from repro.cloud.traffic import TrafficSpec, generate_traffic
-from repro.experiments.stats import ServiceCellSpec, run_cells
+from repro.experiments.harness import qos_target_for
+from repro.experiments.scenarios import provider_mix, run_provider_mix
+from repro.experiments.stats import (
+    CellSpec,
+    ProviderCellSpec,
+    ServiceCellSpec,
+    run_cells,
+)
 from repro.sim.optables import cache_clear
+from repro.workloads.apps import get_app
 
 
 @pytest.fixture(autouse=True)
@@ -37,6 +47,41 @@ def run_engine(spec, fast, overcommit=2.0):
             scenario, fabric=Fabric(16, 16), overcommit=overcommit
         )
         return engine.run()
+
+
+def run_departure_scenario():
+    """A closed mixed-policy list with staggered arrivals *and*
+    departures, on an overcommitted fabric."""
+    names = ["bzip", "hmmer", "sjeng", "lib", "omnetpp", "ferret"]
+    tenants = []
+    for index, name in enumerate(names):
+        app = get_app(name)
+        tenants.append(
+            Tenant(
+                tenant_id=index,
+                app=app,
+                qos_goal=qos_target_for(app),
+                policy="cash" if index % 2 == 0 else "race",
+                arrival_interval=index * 7,
+                departure_interval=40 + index * 11 if index % 3 == 0 else None,
+            )
+        )
+    provider = CloudProvider(
+        fabric=Fabric(width=16, height=16), seed=7, overcommit=1.5
+    )
+    return provider.run(tenants, intervals=120)
+
+
+def run_closed(name):
+    """A ``CloudProvider`` run: a policy mix, the departure scenario, or
+    a half mix at a non-default seed and overcommit."""
+    if name == "departures":
+        return run_departure_scenario()
+    if name == "seed3":
+        return run_provider_mix(
+            provider_mix("half", tenants=6), intervals=60, seed=3, overcommit=1.5
+        )
+    return run_provider_mix(provider_mix(name, tenants=8), intervals=80, seed=0)
 
 
 def assert_reports_identical(fast, reference):
@@ -87,6 +132,16 @@ class TestFastVsReference:
             run_engine(spec, fast=False, overcommit=3.0),
         )
 
+    @pytest.mark.parametrize(
+        "name", ["race", "cash", "half", "departures", "seed3"]
+    )
+    def test_closed_identical(self, name):
+        with perf.fast_paths(True):
+            fast = run_closed(name)
+        with perf.fast_paths(False):
+            reference = run_closed(name)
+        assert_reports_identical(fast, reference)
+
     @settings(max_examples=12, deadline=None)
     @given(
         tenants=st.integers(min_value=2, max_value=14),
@@ -113,8 +168,17 @@ class TestFastVsReference:
             flash_duration=max(horizon // 10, 1),
             flash_boost=4.0,
         )
-        assert_reports_identical(
-            run_engine(spec, fast=True), run_engine(spec, fast=False)
+        fast = run_engine(spec, fast=True)
+        assert_reports_identical(fast, run_engine(spec, fast=False))
+        # Every stepped tenant holds at least its footprint through the
+        # interval it ran in, and the fabric bounds what can be held.
+        footprints = sum(
+            account.footprint_tiles for account in fast.accounts.values()
+        )
+        assert footprints <= fast.utilization_tile_intervals
+        assert (
+            fast.utilization_tile_intervals
+            <= fast.fabric_tiles * fast.intervals
         )
 
 
@@ -142,6 +206,17 @@ class TestShardedVsSerial:
         assert len(serial) == len(self.SPECS)
         for left, right in zip(serial, sharded):
             assert_reports_identical(left, right)
+
+    def test_mixed_batch_dispatch(self):
+        """Single-tenant and provider specs share one executor batch."""
+        specs = [
+            CellSpec(app_name="x264", kind="cash", intervals=40, seed=0),
+            ProviderCellSpec(mix=provider_mix("cash", tenants=4), intervals=40),
+        ]
+        serial = run_cells(specs, jobs=1)
+        sharded = run_cells(specs, jobs=2)
+        assert serial[0].records == sharded[0].records
+        assert_reports_identical(serial[1], sharded[1])
 
 
 class TestSanitized:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.arch.vcore import VCoreConfig
-from repro.cloud.tenant import Tenant, TenantAccount
+from repro.cloud.service import ServiceAccount
+from repro.cloud.tenant import Tenant
 from repro.workloads.apps import get_app
 
 
@@ -38,18 +38,27 @@ class TestTenant:
 
 
 class TestTenantAccount:
+    """A tenant's account is a :class:`ServiceAccount`."""
+
     def test_empty_account(self):
-        account = TenantAccount(tenant_id=1)
+        account = ServiceAccount(tenant_id=1)
+        assert account.intervals == 0
         assert account.mean_cost_rate == 0.0
         assert account.violation_percent == 0.0
         assert account.mean_footprint_tiles == 0.0
 
     def test_aggregates(self):
-        account = TenantAccount(tenant_id=1)
-        account.intervals = 10
+        account = ServiceAccount(tenant_id=1)
+        account.active_intervals = 10
         account.violations = 2
         account.dollars_time = 0.5
-        account.footprints = [VCoreConfig(2, 128), VCoreConfig(4, 256)]
+        account.footprint_tiles = 4 + 8
+        assert account.intervals == 10
         assert account.mean_cost_rate == pytest.approx(0.05)
         assert account.violation_percent == pytest.approx(20.0)
-        assert account.mean_footprint_tiles == pytest.approx((4 + 8) / 2)
+        assert account.mean_footprint_tiles == pytest.approx(12 / 10)
+
+    def test_intervals_is_read_only(self):
+        account = ServiceAccount(tenant_id=1)
+        with pytest.raises(AttributeError):
+            account.intervals = 3

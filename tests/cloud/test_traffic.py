@@ -4,16 +4,20 @@ The traffic model is a frozen, seeded spec: the same ``TrafficSpec``
 must always expand to the same fleet, burst for burst.  These tests pin
 determinism, spec validation, burst-schedule invariants, the
 ``is_active``/``next_active`` fast queries against a brute-force scan,
-and the demand shaping (diurnal rate curve, flash crowds).
+and the demand shaping (diurnal rate curve, flash crowds), plus the
+closed tenant list as degenerate traffic (``TrafficScenario.from_tenants``).
 """
 
 import pytest
 
+from repro.cloud.tenant import Tenant
 from repro.cloud.traffic import (
     TenantTraffic,
+    TrafficScenario,
     TrafficSpec,
     generate_traffic,
 )
+from repro.workloads.apps import get_app
 
 
 def small_spec(**overrides):
@@ -205,3 +209,59 @@ class TestDemandShaping:
             )
 
         assert occupancy(0, half) > occupancy(half, spec.horizon)
+
+
+class TestClosedTenantList:
+    def tenants(self):
+        app = get_app("hmmer")
+        return [
+            Tenant(tenant_id=0, app=app, qos_goal=1.0),
+            Tenant(
+                tenant_id=1,
+                app=app,
+                qos_goal=1.0,
+                arrival_interval=5,
+                departure_interval=20,
+            ),
+            Tenant(
+                tenant_id=2, app=app, qos_goal=1.0, departure_interval=90
+            ),
+            Tenant(tenant_id=3, app=app, qos_goal=1.0, arrival_interval=40),
+        ]
+
+    def test_one_burst_over_each_residency(self):
+        scenario = TrafficScenario.from_tenants(
+            self.tenants(), horizon=40, seed=9
+        )
+        assert [t.bursts for t in scenario.tenants] == [
+            ((0, 40),),  # resident to the horizon
+            ((5, 20),),  # departure is exclusive
+            ((0, 40),),  # departure past the horizon is clipped
+            (),  # arrives at the horizon: never active
+        ]
+        assert scenario.flash_windows == ()
+        assert scenario.spec.tenants == 4
+        assert scenario.horizon == 40
+        assert scenario.spec.seed == 9
+
+    def test_activity_queries(self):
+        scenario = TrafficScenario.from_tenants(
+            self.tenants(), horizon=40, seed=0
+        )
+        leaver = scenario.tenants[1]
+        assert not leaver.is_active(4)
+        assert leaver.is_active(5) and leaver.is_active(19)
+        assert not leaver.is_active(20)
+        assert leaver.next_active(0) == 5
+        assert leaver.next_active(12) == 12
+        assert leaver.next_active(20) is None
+        late = scenario.tenants[3]
+        assert not late.is_active(39)
+        assert late.next_active(0) is None
+
+    def test_duplicate_ids_rejected(self):
+        tenants = self.tenants()
+        with pytest.raises(ValueError, match="unique"):
+            TrafficScenario.from_tenants(
+                tenants + tenants[:1], horizon=40, seed=0
+            )
