@@ -12,12 +12,15 @@ This module provides spatial allocation: given a virtual-core request
 preferring tiles adjacent to ones already chosen.
 
 With :data:`repro.perf.FAST` enabled the fabric answers utilization,
-free-count and seed-selection queries from an incrementally maintained
-per-kind free-position index (updated on every allocate/release) in
-O(1)/O(free) instead of rescanning all tiles; the scalar full-scan
-twins remain the reference path, and the index enumerates free
-positions in the exact row-major order the scans produce, so both
-modes are bit-identical.
+free-count and allocation queries from per-kind boolean free-tile
+masks indexed by flat row-major tile id (updated on every
+allocate/release) instead of rescanning all tiles.  ``np.flatnonzero``
+of a mask lists the free tiles in the scalar scan's row-major order,
+seed selection gathers an int16 all-pairs distance table, and the
+region is picked in closed form: the nearest free tiles of each kind
+in the ``(distance, x, y)`` order in which region growth pops them.
+The scalar full-scan seed search and :meth:`Fabric._grow_region`
+remain the reference path, and both modes are bit-identical.
 """
 
 from __future__ import annotations
@@ -58,14 +61,17 @@ def _distance_matrix(width: int, height: int) -> np.ndarray:
     Flat index ``y * width + x`` matches the row-major order tiles are
     created in, so gathering rows/columns of this matrix for the free
     set reproduces the distances the scalar scan computes pairwise.
+    Entries are int16 whenever the largest distance, ``width + height
+    - 2``, fits (a quarter of int64's gather traffic), else int32.
     """
     key = (width, height)
     with _DISTANCE_LOCK:
         cached = _DISTANCE_CACHE.get(key)
         if cached is None:
-            ys, xs = np.divmod(
-                np.arange(width * height, dtype=np.int64), width
-            )
+            fits = width + height - 2 <= np.iinfo(np.int16).max
+            dtype = np.int16 if fits else np.int32
+            ys, xs = np.divmod(np.arange(width * height), width)
+            xs, ys = xs.astype(dtype), ys.astype(dtype)
             cached = np.abs(xs[:, None] - xs[None, :]) + np.abs(
                 ys[:, None] - ys[None, :]
             )
@@ -144,14 +150,14 @@ class Fabric:
         self.cache_params = cache_params
         self._tiles: Dict[Coordinate, Tile] = {}
         self._allocations: Dict[int, Allocation] = {}
-        # Incremental free-position index: one set of coordinates per
-        # tile kind, kept in lockstep with every ownership change, plus
-        # immutable per-kind totals.  The sets are only *consulted*
-        # under perf.FAST; the scalar full-scan paths stay the
-        # reference.
-        self._free_index: Dict[TileKind, Set[Coordinate]] = {
-            TileKind.SLICE: set(),
-            TileKind.L2_BANK: set(),
+        # Incremental free-tile index: one boolean mask per tile kind
+        # over flat row-major ids (``y * width + x``), kept in lockstep
+        # with every ownership change, plus immutable per-kind totals.
+        # The masks are only *consulted* under perf.FAST; the scalar
+        # full-scan paths stay the reference.
+        self._free_index: Dict[TileKind, np.ndarray] = {
+            TileKind.SLICE: np.zeros(width * height, dtype=bool),
+            TileKind.L2_BANK: np.zeros(width * height, dtype=bool),
         }
         # Sanitizer shadow-recount sampling counter (REPRO_SANITIZE=1).
         self._sanitize_ticks = 0
@@ -167,8 +173,9 @@ class Fabric:
         for y in range(height):
             for x in range(width):
                 position = (x, y)
+                tile_id = x + y * width
                 # Interleave: one Slice for every `bank_ratio` banks.
-                if (x + y * width) % (bank_ratio + 1) == 0:
+                if tile_id % (bank_ratio + 1) == 0:
                     unit = Slice(  # lint: allow(hot-alloc)
                         slice_id=next_slice,
                         position=position,
@@ -178,7 +185,7 @@ class Fabric:
                     self._tiles[position] = Tile(  # lint: allow(hot-alloc)
                         kind=TileKind.SLICE, position=position, slice_unit=unit
                     )
-                    self._free_index[TileKind.SLICE].add(position)
+                    self._free_index[TileKind.SLICE][tile_id] = True
                     self._kind_totals[TileKind.SLICE] += 1
                     next_slice += 1
                 else:
@@ -190,7 +197,7 @@ class Fabric:
                     self._tiles[position] = Tile(  # lint: allow(hot-alloc)
                         kind=TileKind.L2_BANK, position=position, bank=bank
                     )
-                    self._free_index[TileKind.L2_BANK].add(position)
+                    self._free_index[TileKind.L2_BANK][tile_id] = True
                     self._kind_totals[TileKind.L2_BANK] += 1
                     next_bank += 1
 
@@ -210,7 +217,7 @@ class Fabric:
 
     def count_free(self, kind: TileKind) -> int:
         if perf.FAST:
-            count = len(self._free_index[kind])
+            count = int(np.count_nonzero(self._free_index[kind]))
             if sanitize.ENABLED:
                 self._sanitize_ticks += 1
                 if sanitize.should_sample(self._sanitize_ticks):
@@ -240,37 +247,49 @@ class Fabric:
             if tile.kind is kind and tile.is_free
         ]
 
+    def _mark_free(self, tile: Tile, free: bool) -> None:
+        """Set ``tile``'s bit in its kind's free-tile mask."""
+        x, y = tile.position
+        self._free_index[tile.kind][y * self.width + x] = free
+
+    def _free_ids(self, kind: TileKind) -> np.ndarray:
+        """Flat ids of the free ``kind`` tiles, ascending.
+
+        Ascending flat id is row-major order, the order the scalar scan
+        enumerates free tiles in, so seed selection is bit-identical in
+        both modes.  Every FAST consumer of the masks' contents goes
+        through here, so this is where the sanitizer's sampled shadow
+        recount compares them against a full scan.
+        """
+        ids = np.flatnonzero(self._free_index[kind])
+        if sanitize.ENABLED:
+            self._sanitize_ticks += 1
+            if sanitize.should_sample(self._sanitize_ticks):
+                positions = self._positions(ids)
+                reference = self._scan_free_positions(kind)
+                if positions != reference:
+                    extra = sorted(set(positions) - set(reference))
+                    missing = sorted(set(reference) - set(positions))
+                    sanitize.violation(
+                        "shadow-recount",
+                        "repro.arch.fabric.Fabric._free_index",
+                        "_free_ids",
+                        f"{kind.name}: index diverged from full scan "
+                        f"(stale={extra[:4]!r}, missing="
+                        f"{missing[:4]!r}, index_len={len(positions)}, "
+                        f"scan_len={len(reference)})",
+                    )
+        return ids
+
+    def _positions(self, ids: np.ndarray) -> List[Coordinate]:
+        """Coordinates of flat tile ids, as tuples of Python ints."""
+        ys, xs = np.divmod(ids, self.width)
+        return list(zip(xs.tolist(), ys.tolist()))
+
     def _free_positions(self, kind: TileKind) -> List[Coordinate]:
         if perf.FAST:
-            # ``_tiles`` is populated row-major (y outer, x inner), so
-            # sorting the free set by (y, x) reproduces the scalar
-            # scan's enumeration order exactly — allocation seed
-            # selection is bit-identical in both modes.
-            positions = sorted(
-                self._free_index[kind], key=lambda p: (p[1], p[0])
-            )
-            if sanitize.ENABLED:
-                self._sanitize_ticks += 1
-                if sanitize.should_sample(self._sanitize_ticks):
-                    reference = self._scan_free_positions(kind)
-                    if positions != reference:
-                        extra = sorted(set(positions) - set(reference))
-                        missing = sorted(set(reference) - set(positions))
-                        sanitize.violation(
-                            "shadow-recount",
-                            "repro.arch.fabric.Fabric._free_index",
-                            "_free_positions",
-                            f"{kind.name}: index diverged from full scan "
-                            f"(stale={extra[:4]!r}, missing="
-                            f"{missing[:4]!r}, index_len={len(positions)}, "
-                            f"scan_len={len(reference)})",
-                        )
-            return positions
-        return [
-            position
-            for position, tile in self._tiles.items()
-            if tile.kind is kind and tile.is_free
-        ]
+            return self._positions(self._free_ids(kind))
+        return self._scan_free_positions(kind)
 
     def _best_seed(
         self, need_slices: int, need_banks: int
@@ -281,39 +300,57 @@ class Fabric:
         produces is simply the nearest free tiles of each kind and its
         span is ``max(k-th smallest Manhattan distance to free Slices,
         m-th smallest to free banks)`` — an integer computable for all
-        seeds at once.  ``argmin`` returns the first minimal entry and
-        the seed array is in row-major scan order, so the winner is
-        bit-identical to the scalar loop's first strictly-best seed.
+        seeds at once.  The distance rows of the free Slices are
+        gathered once and their Slice and bank columns taken from them.
+        ``argmin`` returns the first minimal entry and the seeds are in
+        row-major scan order, so the winner is bit-identical to the
+        scalar loop's first strictly-best seed.
         """
-        seeds = self._free_positions(TileKind.SLICE)
-        if len(seeds) < need_slices:
+        seed_ids = self._free_ids(TileKind.SLICE)
+        if len(seed_ids) < need_slices:
             return None
-        width = self.width
-        distances = _distance_matrix(width, self.height)
-        seed_ids = np.fromiter(
-            (y * width + x for x, y in seeds),
-            dtype=np.intp,
-            count=len(seeds),
-        )
-        slice_distances = distances[np.ix_(seed_ids, seed_ids)]
-        spans = np.partition(slice_distances, need_slices - 1, axis=1)[
+        rows = _distance_matrix(self.width, self.height)[seed_ids]
+        spans = np.partition(rows[:, seed_ids], need_slices - 1, axis=1)[
             :, need_slices - 1
         ]
         if need_banks:
-            banks = self._free_positions(TileKind.L2_BANK)
-            if len(banks) < need_banks:
+            bank_ids = self._free_ids(TileKind.L2_BANK)
+            if len(bank_ids) < need_banks:
                 return None
-            bank_ids = np.fromiter(
-                (y * width + x for x, y in banks),
-                dtype=np.intp,
-                count=len(banks),
-            )
-            bank_distances = distances[np.ix_(seed_ids, bank_ids)]
-            bank_spans = np.partition(bank_distances, need_banks - 1, axis=1)[
-                :, need_banks - 1
-            ]
+            bank_spans = np.partition(
+                rows[:, bank_ids], need_banks - 1, axis=1
+            )[:, need_banks - 1]
             spans = np.maximum(spans, bank_spans)
-        return seeds[int(np.argmin(spans))]
+        y, x = divmod(int(seed_ids[np.argmin(spans)]), self.width)
+        return (x, y)
+
+    def _nearest_region(
+        self, seed: Coordinate, need_slices: int, need_banks: int
+    ) -> Tuple[List[Coordinate], List[Coordinate]]:
+        """FAST twin of :meth:`_grow_region` for a request that fits.
+
+        Growth walks through occupied tiles, and on the full grid every
+        tile at distance ``d >= 1`` from the seed neighbours one at
+        ``d - 1``, so growth's best-first heap pops all tiles at
+        distance ``d`` before any at ``d + 1``, and those in ``(x, y)``
+        order.  The region is therefore the first
+        ``need_slices`` free Slices and ``need_banks`` free banks in
+        ``(distance, x, y)`` order: one ``lexsort`` per kind.
+        """
+        width = self.width
+        x, y = seed
+        seed_row = _distance_matrix(width, self.height)[y * width + x]
+        region: List[List[Coordinate]] = []
+        for kind, need in (
+            (TileKind.SLICE, need_slices),
+            (TileKind.L2_BANK, need_banks),
+        ):
+            ids = self._free_ids(kind)
+            ys, xs = np.divmod(ids, width)
+            order = np.lexsort((ys, xs, seed_row[ids]))
+            region.append(self._positions(ids[order[:need]]))
+        slices, banks = region
+        return slices, banks
 
     def _neighbors(self, position: Coordinate) -> List[Coordinate]:
         x, y = position
@@ -375,7 +412,7 @@ class Fabric:
         if perf.FAST:
             seed = self._best_seed(need_slices, need_banks)
             if seed is not None:
-                best = self._grow_region(seed, need_slices, need_banks)
+                best = self._nearest_region(seed, need_slices, need_banks)
         else:
             best_span = None
             for seed in self._free_positions(TileKind.SLICE):
@@ -399,7 +436,7 @@ class Fabric:
         for position in slices + banks:
             tile = self._tiles[position]
             tile.owner_vcore = vcore_id
-            self._free_index[tile.kind].discard(position)
+            self._mark_free(tile, False)
         for position in slices:
             self._tiles[position].slice_unit.owner_vcore = vcore_id
         allocation = Allocation(
@@ -432,7 +469,7 @@ class Fabric:
         for position in allocation.positions:
             tile = self._tiles[position]
             tile.owner_vcore = allocation.vcore_id
-            self._free_index[tile.kind].discard(position)
+            self._mark_free(tile, False)
         for position in allocation.slice_positions:
             self._tiles[position].slice_unit.owner_vcore = allocation.vcore_id
         self._allocations[allocation.vcore_id] = allocation
@@ -445,7 +482,7 @@ class Fabric:
         for position in allocation.positions:
             tile = self._tiles[position]
             tile.owner_vcore = None
-            self._free_index[tile.kind].add(position)
+            self._mark_free(tile, True)
             if tile.slice_unit is not None:
                 tile.slice_unit.owner_vcore = None
 
@@ -478,20 +515,14 @@ class Fabric:
         tile-intervals so that multiplying over a skipped idle stretch
         equals per-interval accumulation bit for bit.
         """
-        total = len(self._tiles)
         if perf.FAST:
-            free = sum(len(index) for index in self._free_index.values())
-            return total - free
+            free = sum(self.count_free(kind) for kind in self._free_index)
+            return len(self._tiles) - free
         return sum(1 for tile in self._tiles.values() if not tile.is_free)
 
     def utilization(self) -> float:
         total = len(self._tiles)
-        if perf.FAST:
-            free = sum(len(index) for index in self._free_index.values())
-            used = total - free
-        else:
-            used = sum(1 for tile in self._tiles.values() if not tile.is_free)
-        return used / total if total else 0.0
+        return self.occupied_tiles() / total if total else 0.0
 
     def defragment(self) -> int:
         """Re-pack all allocations compactly; returns vcores moved.

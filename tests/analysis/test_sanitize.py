@@ -167,12 +167,12 @@ class TestFabricShadowRecount:
         # Corrupt the incremental index: claim an allocated tile free.
         config = VCoreConfig(slices=2, l2_kb=128)
         fabric.allocate(vcore_id=1, config=config)
-        taken = next(
+        x, y = next(
             position
             for position, tile in fabric._tiles.items()
             if tile.owner_vcore == 1 and tile.kind is TileKind.SLICE
         )
-        fabric._free_index[TileKind.SLICE].add(taken)
+        fabric._free_index[TileKind.SLICE][y * fabric.width + x] = True
         with pytest.raises(SanitizerViolation) as excinfo:
             for _ in range(2 * sanitize.SHADOW_SAMPLE_PERIOD):
                 fabric._free_positions(TileKind.SLICE)
@@ -181,10 +181,31 @@ class TestFabricShadowRecount:
 
     def test_corrupted_count_is_caught(self, fast):
         fabric = Fabric(width=4, height=4)
-        fabric._free_index[TileKind.L2_BANK].pop()
-        with pytest.raises(SanitizerViolation):
+        banks = fabric._free_index[TileKind.L2_BANK]
+        banks[np.flatnonzero(banks)[-1]] = False
+        with pytest.raises(SanitizerViolation) as excinfo:
             for _ in range(2 * sanitize.SHADOW_SAMPLE_PERIOD):
                 fabric.count_free(TileKind.L2_BANK)
+        assert excinfo.value.rule == "shadow-recount"
+        assert "_free_index" in excinfo.value.owner
+
+    def test_allocation_checks_the_free_tiles_it_places_on(self, fast):
+        # A corrupted mask that keeps every free count right (one owned
+        # Slice marked free, one free Slice marked taken) is only visible
+        # in which tiles are free, and allocation must still catch it.
+        fabric = Fabric(width=4, height=4)
+        allocation = fabric.allocate(vcore_id=1, config=VCoreConfig(1, 64))
+        ((x, y),) = allocation.slice_positions
+        slices = fabric._free_index[TileKind.SLICE]
+        last_free = np.flatnonzero(slices)[-1]
+        slices[y * fabric.width + x] = True
+        slices[last_free] = False
+        with pytest.raises(SanitizerViolation) as excinfo:
+            for vcore_id in range(2, 2 + sanitize.SHADOW_SAMPLE_PERIOD):
+                allocation = fabric.allocate(vcore_id, VCoreConfig(1, 64))
+                fabric.release(allocation.vcore_id)
+        assert excinfo.value.rule == "shadow-recount"
+        assert excinfo.value.site == "_free_ids"
 
     def test_clean_fabric_runs_sampled_checks_silently(self, fast):
         fabric = Fabric(width=4, height=4)

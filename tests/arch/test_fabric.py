@@ -1,9 +1,11 @@
 """Spatial allocation on the 2D fabric (Fig. 3)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.fabric import Fabric, FabricError, TileKind
+from repro.arch.fabric import Fabric, FabricError, TileKind, _distance_matrix
+from repro.arch.network import manhattan
 from repro.arch.vcore import VCoreConfig
 
 
@@ -166,7 +168,8 @@ class TestDefragmentation:
 
 
 class TestFreeIndexConsistency:
-    """The FAST free-tile index must always agree with a full scan."""
+    """The FAST free-tile index must always agree with a full scan, and
+    FAST allocation must decide exactly what the scalar search decides."""
 
     @staticmethod
     def _scan_free(fabric, kind):
@@ -178,22 +181,37 @@ class TestFreeIndexConsistency:
         ]
 
     @staticmethod
-    def _apply(fabric, op):
+    def _apply(fabric, op, released):
+        """Run one op; return its outcome as text to diff across modes."""
         action = op[0]
         try:
             if action == "alloc":
                 _, vcore_id, slices, l2_kb = op
-                fabric.allocate(vcore_id, VCoreConfig(slices, l2_kb))
-            elif action == "realloc":
+                return repr(
+                    fabric.allocate(vcore_id, VCoreConfig(slices, l2_kb))
+                )
+            if action == "realloc":
                 _, vcore_id, slices, l2_kb = op
-                fabric.reallocate(vcore_id, VCoreConfig(slices, l2_kb))
-            elif action == "release":
+                return repr(
+                    fabric.reallocate(vcore_id, VCoreConfig(slices, l2_kb))
+                )
+            if action == "release":
+                allocation = fabric.allocation(op[1])
                 fabric.release(op[1])
-            else:
-                fabric.defragment()
-        except FabricError:
-            pass
+                released[op[1]] = allocation
+                return "released"
+            if action == "reseat":
+                if op[1] not in released:
+                    return "never released"
+                return repr(fabric.try_allocate_exact(released[op[1]]))
+            return repr(fabric.defragment())
+        except FabricError as error:
+            return f"FabricError: {error}"
 
+    @pytest.mark.parametrize(
+        "width,height,bank_ratio",
+        [(8, 8, 1), (7, 5, 1), (1, 12, 1), (9, 6, 2), (12, 20, 3)],
+    )
     @settings(max_examples=30, deadline=None)
     @given(
         ops=st.lists(
@@ -211,30 +229,74 @@ class TestFreeIndexConsistency:
                     st.sampled_from([64, 128, 256, 512]),
                 ),
                 st.tuples(st.just("release"), st.integers(0, 5)),
+                st.tuples(st.just("reseat"), st.integers(0, 5)),
                 st.tuples(st.just("defrag")),
             ),
             min_size=1,
             max_size=20,
         )
     )
-    def test_index_matches_full_scan(self, ops):
+    def test_index_matches_full_scan(self, width, height, bank_ratio, ops):
         from repro import perf
 
-        fabric = Fabric(width=8, height=8)
-        for op in ops:
-            self._apply(fabric, op)
-            for kind in (TileKind.SLICE, TileKind.L2_BANK):
-                expected = self._scan_free(fabric, kind)
-                # Counters match the recount...
-                assert fabric.count_free(kind) == len(expected)
-                # ...and the FAST enumeration reproduces the scalar
-                # scan order exactly (seed selection depends on it).
-                with perf.fast_paths(True):
-                    fast_positions = fabric._free_positions(kind)
-                with perf.fast_paths(False):
-                    scalar_positions = fabric._free_positions(kind)
-                assert fast_positions == expected
-                assert scalar_positions == expected
+        replays = {}
+        for fast in (True, False):
+            fabric = Fabric(width=width, height=height, bank_ratio=bank_ratio)
+            released = {}
+            outcomes = []
+            for op in ops:
+                with perf.fast_paths(fast):
+                    outcomes.append(self._apply(fabric, op, released))
+                counts = {}
+                for mode in (True, False):
+                    with perf.fast_paths(mode):
+                        counts[mode] = repr(
+                            (fabric.occupied_tiles(), fabric.utilization())
+                        )
+                assert counts[True] == counts[False]
+                for kind in (TileKind.SLICE, TileKind.L2_BANK):
+                    expected = self._scan_free(fabric, kind)
+                    # Counters match the recount...
+                    assert fabric.count_free(kind) == len(expected)
+                    # ...and the FAST enumeration reproduces the scalar
+                    # scan order exactly (seed selection depends on it).
+                    with perf.fast_paths(True):
+                        fast_positions = fabric._free_positions(kind)
+                    with perf.fast_paths(False):
+                        scalar_positions = fabric._free_positions(kind)
+                    assert fast_positions == expected
+                    assert scalar_positions == expected
+            owners = {
+                position: tile.owner_vcore
+                for position, tile in fabric.tiles.items()
+            }
+            replays[fast] = (fabric, outcomes, owners)
+        # Same Allocation reprs (seeds, tiles, tile order, Python-int
+        # coordinates), same FabricError messages, same owner maps.
+        assert replays[True][1:] == replays[False][1:]
+
+        # The closed-form region is the grown one from every free seed.
+        fabric = replays[True][0]
+        free_slices = fabric.count_free(TileKind.SLICE)
+        free_banks = fabric.count_free(TileKind.L2_BANK)
+        needs = {
+            (min(slices, free_slices), min(banks, free_banks))
+            for slices, banks in ((1, 1), (2, 4), (4, 8), (9, 3))
+        } | {(free_slices, free_banks)}
+        for seed in self._scan_free(fabric, TileKind.SLICE):
+            for need_slices, need_banks in needs:
+                assert fabric._nearest_region(
+                    seed, need_slices, need_banks
+                ) == fabric._grow_region(seed, need_slices, need_banks)
+
+    def test_distance_table_is_pairwise_manhattan(self):
+        fabric = Fabric(width=7, height=5)
+        positions = list(fabric.tiles)
+        table = _distance_matrix(7, 5)
+        assert table.tolist() == [
+            [manhattan(a, b) for b in positions] for a in positions
+        ]
+        assert _distance_matrix(24, 24).dtype == np.int16
 
     def test_kind_totals_are_invariant(self):
         fabric = Fabric(width=8, height=8)

@@ -220,13 +220,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             ServiceEngine.restore(blob[:20])
 
-    def test_wrong_schema_rejected(self):
+    @pytest.mark.parametrize(
+        "schema",
+        [CHECKPOINT_SCHEMA - 1, CHECKPOINT_SCHEMA + 1],
+        ids=["older", "newer"],
+    )
+    def test_wrong_schema_rejected(self, schema):
         import hashlib
 
         from repro.cloud import service
 
         payload = pickle.dumps(
-            {"schema": CHECKPOINT_SCHEMA + 1, "engine": None},
+            {"schema": schema, "engine": None},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         blob = (
