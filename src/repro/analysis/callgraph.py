@@ -13,8 +13,7 @@ derived from the ASTs:
   classification covers both values built from lock factories
   (``threading.Lock()`` and friends) and the ``*_LOCK`` naming
   protocol: a global named ``..._LOCK`` is a lock slot even when it is
-  initialized to ``None`` and bound to a cross-process lock later (the
-  shared operating-point store's ``_CREATE_LOCK`` idiom);
+  initialized to ``None`` and bound to a lock later;
 * every function gets a :class:`FunctionSummary` with its resolved
   **calls** (same-module names, ``from``-imports, module-alias
   attributes, ``self.method`` within a class), its **effect sites**

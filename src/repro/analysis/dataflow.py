@@ -4,7 +4,7 @@ Every speedup tier in this repo leans on two idioms the per-file rules
 cannot prove correct:
 
 * **value-keyed caches** — the operating-point table LRU, the envelope
-  memo, the fabric distance-matrix cache, the shared-memory view cache.
+  memo, the fabric distance-matrix cache.
   A cached result keyed on *fewer* inputs than the computation actually
   reads returns stale values for the unkeyed input — silently, and only
   under cache hits, so tests that build fresh state never see it.
@@ -46,8 +46,8 @@ on top of those, four whole-program rules:
 
 ``schema-drift``
     A structural fingerprint of every serialized surface (checkpoint
-    payload dataclasses + engine state, the ``.npz`` cache layout, the
-    shared-memory header words) is pinned in a committed
+    payload dataclasses + engine state, the ``.npz`` cache layout) is
+    pinned in a committed
     ``SCHEMA_FINGERPRINTS.json``.  Changing a field set without bumping
     the owning ``SCHEMA_VERSION`` constant (and re-pinning via
     ``repro lint --update-schema``) fails the gate.
@@ -955,12 +955,6 @@ SCHEMA_SURFACES: Tuple[SchemaSurface, ...] = (
         version_module_suffix="cacheconf",
         version_name="SCHEMA_VERSION",
     ),
-    SchemaSurface(
-        name="optable-shm-header",
-        module_suffix="sim.optstore",
-        version_module_suffix="cacheconf",
-        version_name="SCHEMA_VERSION",
-    ),
 )
 
 
@@ -1080,24 +1074,6 @@ def _surface_structure(
                 if splats:
                     arrays.update(_dict_string_keys(tree, splats))
         return {"arrays": sorted(arrays)}
-    if surface.name == "optable-shm-header":
-        words: Dict[str, int] = {}
-        for statement in tree.body:
-            if not isinstance(statement, ast.Assign):
-                continue
-            for target in statement.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and (
-                        target.id.startswith("_W_")
-                        or target.id.startswith("_SEG_")
-                        or target.id in {"_HEADER_WORDS"}
-                    )
-                    and isinstance(statement.value, ast.Constant)
-                    and isinstance(statement.value.value, int)
-                ):
-                    words[target.id] = statement.value.value
-        return {"words": dict(sorted(words.items()))}
     raise ValueError(f"unknown schema surface {surface.name!r}")
 
 
@@ -1201,9 +1177,9 @@ class SchemaDriftRule(ProgramRule):
 
     id = "schema-drift"
     description = (
-        "a serialized surface (checkpoint dataclasses, .npz layout, shm "
-        "header) changed without bumping its SCHEMA_VERSION and "
-        "re-pinning SCHEMA_FINGERPRINTS.json"
+        "a serialized surface (checkpoint dataclasses, .npz layout) "
+        "changed without bumping its SCHEMA_VERSION and re-pinning "
+        "SCHEMA_FINGERPRINTS.json"
     )
 
     def __init__(self) -> None:

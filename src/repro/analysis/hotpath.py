@@ -103,7 +103,6 @@ HOT_ENTRYPOINTS: Tuple[Tuple[str, str], ...] = (
     ("sim.optables", "operating_point_table"),
     ("sim.optables", "ensure_surface"),
     ("sim.optstore", "publish"),
-    ("sim.optstore", "attach"),
     ("sim.optstore", "build_guard"),
 )
 

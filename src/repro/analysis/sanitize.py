@@ -20,13 +20,7 @@ Three families of checks plug into the engine:
   against a full recomputation;
 * **checkpoint verification** — the RNG word-stream decoder calls
   :func:`violation` when a resync or checkpoint replay disagrees with
-  the reference stream;
-* **shared-memory attach verification** — the tiered operating-point
-  store (:mod:`repro.sim.optstore`) re-checksums every speedup surface
-  it maps from a shared-memory segment or loads from the disk tier and
-  calls :func:`violation` (rule ``shm-attach``) on any mismatch with
-  the digest recorded at publish time, mirroring the freeze-on-publish
-  check the L1 cache gets.
+  the reference stream.
 
 Violations raise :class:`SanitizerViolation`, naming the rule, the
 owner site (who published/owns the state) and the mutation/check site.

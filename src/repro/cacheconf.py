@@ -1,4 +1,4 @@
-"""Configuration of the persistent operating-point cache tiers.
+"""Configuration of the persistent operating-point cache tier.
 
 The engine directories (``sim``/``runtime``/``baselines``/``cloud``)
 are forbidden from reading the environment — the ``env-read``
@@ -20,8 +20,8 @@ full table identity (see :data:`SCHEMA_VERSION` and
 
 ``SCHEMA_VERSION`` is part of every digest and must be bumped whenever
 the *meaning* of a stored surface changes — a performance-model or
-envelope semantics change, a layout change in the ``.npz``/shared
-segments — so stale caches self-invalidate instead of being trusted.
+envelope semantics change, a layout change in the ``.npz`` entries —
+so stale caches self-invalidate instead of being trusted.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from pathlib import Path
 from typing import Optional, Union
 
 #: Content-hash schema version: participates in every table digest and
-#: in the shared-memory index header.  Bump on any change to the stored
-#: payload layout or to the semantics of the cached surfaces
-#: (performance model, envelope construction, cost mapping).
+#: in every ``.npz`` entry.  Bump on any change to the stored payload
+#: layout or to the semantics of the cached surfaces (performance
+#: model, envelope construction, cost mapping).
 SCHEMA_VERSION: int = 1
 
 #: Environment values (case-insensitive) that mean "disk tier off".

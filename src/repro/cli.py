@@ -22,10 +22,11 @@ in parallel and records the timing in ``BENCH_PERF.json``.  Cells are
 independently seeded, so ``--jobs`` never changes any result.
 ``cache`` manages the tiered operating-point store: ``info`` prints
 per-tier statistics, ``warm`` pre-publishes phase surfaces into the
-shared tiers (pair with ``--cache-dir`` or ``REPRO_CACHE_DIR`` to
-persist them on disk), ``clear`` drops every tier.  ``sweep`` and the
-multi-cell figures accept ``--cache-dir`` too and report per-tier
-hit/miss/build counters next to their wall-clock timing.
+disk tier (pair with ``--cache-dir`` or ``REPRO_CACHE_DIR``; with the
+disk tier off it only counts the builds), ``clear`` drops every tier.
+``sweep`` and the multi-cell figures accept ``--cache-dir`` too and
+report per-tier hit/miss/build counters next to their wall-clock
+timing.
 ``lint`` runs the domain-aware static-analysis suite
 (:mod:`repro.analysis`) — including the whole-program shared-state
 rules and the hot-path performance rules scoped to the FAST-engine
@@ -105,8 +106,7 @@ def _store_summary(stats) -> str:
     line = (
         f"optable store: "
         f"L1 {fleet['l1_hits']}h/{fleet['l1_misses']}m | "
-        f"L2 shm {fleet['l2_hits']}h/{fleet['l2_misses']}m | "
-        f"L3 disk {fleet['l3_hits']}h/{fleet['l3_misses']}m | "
+        f"disk {fleet['l3_hits']}h/{fleet['l3_misses']}m | "
         f"{fleet['builds']} build(s)"
     )
     disk = stats["disk"]
@@ -273,12 +273,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     if args.action == "clear":
         cache_clear()
-        optstore.destroy()
         removed = optstore.disk_clear()
         root = cacheconf.cache_dir()
         suffix = f" under {root}" if root is not None else ""
         print(
-            f"cleared L1 tables and the shared store; "
+            f"cleared L1 tables; "
             f"removed {removed} disk entr"
             f"{'y' if removed == 1 else 'ies'}{suffix}"
         )

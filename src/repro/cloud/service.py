@@ -372,9 +372,9 @@ class ServiceEngine:
         self._admitted += 1
         if perf.FAST:
             # Prefetch the tenant's phase tables at admission: warm
-            # surfaces arrive from the shared store in one guarded
-            # lookup per phase, instead of lazy first-touches spread
-            # across the tenant's first control intervals.  Tables are
+            # surfaces arrive from the store in one guarded lookup per
+            # phase, instead of lazy first-touches spread across the
+            # tenant's first control intervals.  Tables are
             # value-keyed, so this changes when they are built, never
             # what they contain.
             for phase in tenant.app.phases:

@@ -445,13 +445,13 @@ def warm_app_surfaces(
     model: PerformanceModel = DEFAULT_PERF_MODEL,
     cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> Tuple[Tuple[str, str, str], ...]:
-    """Warm every phase surface of one application into the shared tiers.
+    """Warm every phase surface of one application into the disk tier.
 
     The cell body behind :class:`~repro.experiments.stats.WarmCellSpec`
     and ``repro cache warm``: publishes each phase's speedup grid and
     default-idle hull through
     :func:`~repro.sim.optables.ensure_surface`, constructing no
-    ``ConfigPoint`` when the surface is already shared.  ``None`` grid
+    ``ConfigPoint`` when the surface is already on disk.  ``None`` grid
     axes mean the default configuration space.  Returns one
     ``(phase_name, digest, fingerprint)`` triple per phase — the
     fingerprints are bit-stable across cold and warm passes, which is

@@ -23,13 +23,13 @@ Provider timings land in ``BENCH_CLOUD.json``
 
 Worker processes are configured exactly once, by the pool
 ``initializer`` (:func:`_worker_setup`): the FAST switch, the
-sanitizer flag, the disk-cache root and the shared operating-point
-store handle all travel through its arguments, so no per-cell code
-re-derives process state and fork and spawn start methods behave
-identically.  With the fast paths on, ``run_cells`` stands up the
-cross-process store (:func:`repro.sim.optstore.ensure`) before the
-pool starts, so every worker attaches to one shared table tier and
-each (phase-key, grid) table is built exactly once fleet-wide.
+sanitizer flag and the disk-cache root all travel through its
+arguments, so no per-cell code re-derives process state and fork and
+spawn start methods behave identically.  Each worker keeps its own
+operating-point tables, so a table is built at most once per worker;
+every pool task returns its cell's store-counter delta next to the
+result, and the parent adds them up so
+:func:`repro.sim.optstore.counters_fleet` covers the whole sweep.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class TierCellSpec:
 @dataclass(frozen=True)
 class WarmCellSpec:
     """One cache warm-up cell: pre-publish every phase surface of one
-    application over one configuration space into the shared tiers.
+    application over one configuration space into the disk tier.
 
     Unlike the run specs this produces no report — its result is a
     tuple of ``(phase_name, digest, fingerprint)`` triples naming what
@@ -273,24 +273,28 @@ def default_jobs() -> int:
 
 
 def _worker_setup(
-    fast: bool,
-    sanitize_enabled: bool,
-    cache_root: Optional[str],
-    store: Optional[optstore.StoreHandle],
+    fast: bool, sanitize_enabled: bool, cache_root: Optional[str]
 ) -> None:
     """Pool initializer: configure a worker once, not once per cell.
 
     Everything a cell's engine behaviour depends on travels here
-    explicitly — the FAST switch, the sanitizer flag, the disk-cache
-    root and the shared-store handle — so a worker is configured
-    exactly like its parent whether the pool forked or spawned it, and
-    no per-cell code re-derives process state.
+    explicitly — the FAST switch, the sanitizer flag and the
+    disk-cache root — so a worker is configured exactly like its
+    parent whether the pool forked or spawned it, and no per-cell code
+    re-derives process state.
     """
     perf.set_fast_paths(fast)
     sanitize.set_enabled(sanitize_enabled)
     cacheconf.set_cache_dir(cache_root)
-    if store is not None:
-        optstore.attach(store)
+
+
+def _run_cell_counted(spec: AnyCellSpec) -> Tuple[object, Dict[str, int]]:
+    """Pool task: one cell's result and the store-counter delta it
+    caused in this worker.  Calls :func:`run_cell` through the module
+    global, so a wrapper installed on it sees every cell."""
+    before = optstore.counters_local()
+    result = run_cell(spec)
+    return result, optstore.counters_since(before)
 
 
 def _group_tier_batches(
@@ -379,11 +383,6 @@ def run_cells(
         return flat
     if jobs == 1 or len(specs) <= 1:
         return [run_cell(spec) for spec in specs]
-    # Stand up the cross-process table store before the pool exists so
-    # the initializer can hand every worker the same handle.  (With the
-    # fast paths off the store must stay untouched — reference runs
-    # bypass every cache tier.)
-    store = optstore.ensure() if perf.FAST else None
     root = cacheconf.cache_dir()
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(specs)),
@@ -392,10 +391,12 @@ def run_cells(
             perf.FAST,
             sanitize.ENABLED,
             None if root is None else str(root),
-            store,
         ),
     ) as pool:
-        return list(pool.map(run_cell, specs))
+        counted = list(pool.map(_run_cell_counted, specs))
+    for _, delta in counted:
+        optstore.absorb(delta)
+    return [result for result, _ in counted]
 
 
 @dataclass(frozen=True)
@@ -533,7 +534,7 @@ def warm_surface_grid(
     l2_sizes_kb: Optional[Tuple[int, ...]] = None,
     jobs: Optional[int] = None,
 ) -> Tuple[Dict[str, tuple], Dict[str, object]]:
-    """Warm every (application, phase) surface into the shared tiers.
+    """Warm every (application, phase) surface into the disk tier.
 
     The pre-heater behind ``repro cache warm`` and the warm-sweep
     benchmark: each :class:`WarmCellSpec` publishes its app's phase

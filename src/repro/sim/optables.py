@@ -15,19 +15,17 @@ dataclasses, so value-hashing is exact and safe across instances).
 Tables also memoize their lower convex envelope, so an oracle that
 solves Eqn. 5 on the same phase a thousand times pays for one hull.
 
-This module is the **L1** (front) tier of the three-tier operating-
-point store.  On an L1 miss the lookup consults
-:mod:`repro.sim.optstore`: **L2**, a cross-process read-only shared-
-memory tier whose sealed payloads the rebuilt table's
-``speedup_array`` aliases zero-copy, and **L3**, a content-hash-keyed
-on-disk ``.npz`` cache that additionally persists the default-idle
-envelope hull (see :meth:`OperatingPointTable.prime_envelope`).  Only
-a verified tier miss pays for a build, and the build happens under the
-fleet-wide :func:`repro.sim.optstore.build_guard` so each (phase-key,
-grid) table is constructed exactly once across a whole worker pool.
-:func:`ensure_surface` warms the shared tiers without constructing any
-``ConfigPoint`` at all — the cheap path sweeps use to pre-heat a cache
-directory.  :func:`optable_cache_stats` reports all tiers at once.
+This module is the **L1** (front) tier of the two-tier operating-
+point store.  On an L1 miss the lookup consults the disk tier of
+:mod:`repro.sim.optstore`, a content-hash-keyed on-disk ``.npz``
+cache that also persists the default-idle envelope hull (see
+:meth:`OperatingPointTable.prime_envelope`).  Only a verified disk
+miss pays for a build, and the build happens under
+:func:`repro.sim.optstore.build_guard` so each (phase-key, grid) table
+is constructed at most once per process.  :func:`ensure_surface` warms
+the disk tier without constructing any ``ConfigPoint`` at all — the
+cheap path sweeps use to pre-heat a cache directory.
+:func:`optable_cache_stats` reports both tiers at once.
 
 With :data:`repro.perf.FAST` disabled every tier is bypassed and
 tables are rebuilt with the original scalar loop — the reference path
@@ -43,7 +41,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro import cacheconf, perf
+from repro import perf
 from repro.analysis import sanitize
 from repro.arch.cost import CostModel, DEFAULT_COST_MODEL
 from repro.arch.vcore import ConfigurationSpace, VCoreConfig, DEFAULT_CONFIG_SPACE
@@ -228,14 +226,11 @@ def _table_from_payload(
     space: ConfigurationSpace,
     cost_model: CostModel,
 ) -> OperatingPointTable:
-    """Reconstitute a sealed table from a shared-tier surface.
+    """Reconstitute a sealed table from a disk-tier surface.
 
     ``ConfigPoint`` speedups round-trip float64-exactly through the
     stored array, so the result is bit-identical to the table the
-    publisher built.  A shm payload's view replaces the freshly built
-    ndarray — the table then aliases the shared buffer zero-copy (the
-    view is already read-only; :meth:`~OperatingPointTable.seal` keeps
-    it that way).  A disk payload's hull pre-seeds the envelope memo.
+    publisher built.  A stored hull pre-seeds the envelope memo.
     """
     speedups = payload.speedups
     table = OperatingPointTable(
@@ -248,51 +243,42 @@ def _table_from_payload(
             for index, config in enumerate(space)
         )
     )
-    if payload.source == "shm":
-        table.speedup_array = speedups
     table.seal()
     if payload.hull is not None:
         table.prime_envelope(payload.hull)
     return table
 
 
-def _shared_or_built(
+def _stored_or_built(
     key: tuple,
     phase: Phase,
     model: PerformanceModel,
     space: ConfigurationSpace,
     cost_model: CostModel,
 ) -> OperatingPointTable:
-    """Resolve an L1 miss against L2/L3, building only on a full miss.
+    """Resolve an L1 miss against the disk tier, building on a miss.
 
-    The build sits inside :func:`repro.sim.optstore.build_guard` with a
-    post-acquire re-lookup, so while a store is active exactly one
-    process pays for each (phase-key, grid) table and everyone else
-    attaches to its published surface.
+    The lookup and build sit inside
+    :func:`repro.sim.optstore.build_guard`, so a table is built at most
+    once per process.
     """
     values = _grid_values(space)
     digest = optstore.table_digest(key, values)
-    payload = optstore.lookup(digest, values)
-    if payload is None:
-        with optstore.build_guard():
-            payload = optstore.lookup(digest, values)
-            if payload is None:
-                table = build_table_vectorized(
-                    phase, model, space, cost_model
-                )
-                table.seal()
-                hull, _ = table.envelope()
-                optstore.publish(
-                    digest,
-                    table.speedup_array,
-                    np.array(hull, dtype=np.float64),
-                )
-                if sanitize.ENABLED:
-                    _verify_published(table, site="publish")
-                return table
+    with optstore.build_guard():
+        payload = optstore.lookup(digest, values)
+        if payload is None:
+            table = build_table_vectorized(phase, model, space, cost_model)
+            table.seal()
+            hull, _ = table.envelope()
+            optstore.publish(
+                digest, table.speedup_array, np.array(hull, dtype=np.float64)
+            )
+            if sanitize.ENABLED:
+                _verify_published(table, site="publish")
+            return table
     table = _table_from_payload(payload, space, cost_model)
     if sanitize.ENABLED:
-        _verify_published(table, site=f"{payload.source} attach")
+        _verify_published(table, site="disk load")
     return table
 
 
@@ -316,7 +302,7 @@ def operating_point_table(
             if sanitize.ENABLED:
                 _verify_published(table, site="cache hit")
             return table
-    table = _shared_or_built(key, phase, model, space, cost_model)
+    table = _stored_or_built(key, phase, model, space, cost_model)
     with _CACHE_LOCK:
         _MISSES += 1
         optstore.bump("l1_misses")
@@ -333,18 +319,17 @@ def ensure_surface(
     space: ConfigurationSpace = DEFAULT_CONFIG_SPACE,
     cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> Tuple[str, str]:
-    """Warm one table surface into the shared tiers, without L1.
+    """Warm one table surface into the disk tier, without L1.
 
     The warm-up path of ``repro cache warm`` and the sweep pre-heater:
-    when the surface is already shared (and, with the disk tier on,
-    carries its stored hull) this verifies and returns immediately —
-    no ``ConfigPoint`` is ever constructed, which is what makes a
-    disk-warm sweep start several times faster than a cold one.  On a
-    miss the speedup grid and default-idle hull are computed directly
-    from the vectorized kernel (bit-identical to the table path: same
-    float64 grid, and the hull depends only on the deduplicated
-    (speedup, cost) pair set that :func:`compute_envelope` uses) and
-    published under the fleet-wide build guard.
+    when the disk tier already holds the surface with its stored hull
+    this verifies and returns immediately — no ``ConfigPoint`` is ever
+    constructed, which is what makes a disk-warm sweep start several
+    times faster than a cold one.  Otherwise the speedup grid and
+    default-idle hull are computed directly from the vectorized kernel
+    (bit-identical to the table path: same float64 grid, and the hull
+    depends only on the deduplicated (speedup, cost) pair set that
+    :func:`compute_envelope` uses) and published under the build guard.
 
     Returns ``(digest, fingerprint)`` — the content digest naming the
     surface and the sha256 of its payload, stable across cold and warm
@@ -355,13 +340,8 @@ def ensure_surface(
     digest = optstore.table_digest(key, values)
     with optstore.build_guard():
         payload = optstore.lookup(digest, values)
-        if payload is not None and payload.checksum:
-            if payload.hull is not None or cacheconf.cache_dir() is None:
-                return digest, payload.checksum
-            # A shm hit carries no hull; the disk entry (if any) does.
-            stored = optstore.disk_probe(digest, values)
-            if stored is not None and stored.hull is not None:
-                return digest, stored.checksum
+        if payload is not None and payload.hull is not None:
+            return digest, payload.checksum
         speedups = model.ipc_grid(phase, space).ravel()
         costs = tuple(config.cost_rate(cost_model) for config in space)
         pairs = {
@@ -415,10 +395,10 @@ def optable_cache_stats() -> Dict[str, object]:
     """Per-tier statistics of the whole operating-point store.
 
     ``l1`` is this module's LRU (:func:`cache_info`); ``local`` /
-    ``fleet`` are the tier hit/miss/build/byte counters (fleet-summed
-    over every process attached to the shared store); ``shm`` and
-    ``disk`` describe the L2/L3 backings.  This is what ``repro cache
-    info`` prints and what sweep timing summaries embed.
+    ``fleet`` are the hit/miss/build/byte counters (``fleet`` adds the
+    counts pool workers returned to this process); ``disk`` describes
+    the disk tier.  This is what ``repro cache info`` prints and what
+    sweep timing summaries embed.
     """
     combined: Dict[str, object] = {"l1": cache_info()}
     combined.update(optstore.stats())

@@ -1,21 +1,9 @@
-"""Cross-process tiers of the operating-point store (L2 shm, L3 disk).
+"""The disk tier of the operating-point store, and the store's counters.
 
 :mod:`repro.sim.optables` keeps the per-process sealed LRU (L1).  This
-module supplies the two tiers underneath it:
+module supplies the tier underneath it:
 
-**L2 — shared memory.**  A *store* is one index segment plus one data
-segment per published table, all under a common name prefix.  The
-parent process creates the store (:func:`create`) and pool workers
-attach (:func:`attach`); each data segment holds a 64-byte header
-(magic word, schema version, element count, payload sha256) followed by
-the sealed ``speedup_array`` payload, and attached tables map their
-ndarray straight onto that buffer — zero copies, read-only views.  The
-index segment carries a per-process counter matrix (one single-writer
-row per attached process, so fleet-wide tier statistics need no write
-sharing) and a registry of published digests the owner unlinks at
-:func:`destroy`.
-
-**L3 — disk.**  One ``.npz`` per table under the
+**Disk.**  One ``.npz`` per table under the
 :func:`repro.cacheconf.cache_dir` root (off unless ``REPRO_CACHE_DIR``
 or ``--cache-dir`` is set), named by content digest, written via
 temp-file + atomic rename, checksum-verified on every load.  A
@@ -23,44 +11,42 @@ truncated or bit-flipped file is treated as a miss (counted under
 ``corrupt``) and rebuilt — the rebuild overwrites the bad entry, so
 the cache self-heals.
 
-**Locking discipline.**  Two locks, strictly ordered:
+**Counters.**  Each process counts its own L1 and disk hits and
+misses, builds and disk bytes.  A sweep's pool workers return each
+cell's counter delta (:func:`counters_since`) with the cell's result
+and the parent adds it up (:func:`absorb`), so :func:`counters_fleet`
+sums a whole sweep.
 
-* ``_STORE_LOCK`` (per-process ``threading.Lock``) — *every* access to
-  this module's globals sits inside it; it is the innermost lock and
-  nothing else is acquired while holding it.
-* ``_CREATE_LOCK`` (cross-process ``multiprocessing.Lock``, bound at
-  create/attach; :func:`build_guard` falls back to a process-local
-  lock when no store is active) — serializes table creation fleet-wide
-  so exactly one process builds each (phase-key, grid) table.
-  :func:`publish` must only be called while holding it.
+**Locking.**  ``_STORE_LOCK`` guards every access to this module's
+globals; it is the innermost lock and nothing else is acquired while
+holding it.  :func:`build_guard` is a second process-local lock held
+around the lookup + build + :func:`publish` sequence, so each
+(phase-key, grid) table is built at most once per process.
 
 Nothing here ever changes a result: every entry is keyed by
 :func:`table_digest` (a sha256 over the full value-typed table
 identity plus :data:`~repro.cacheconf.SCHEMA_VERSION`), payloads are
-verified on attach/load, and any verification failure degrades to a
-rebuild.
+verified on load, and any verification failure degrades to a rebuild.
 """
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import os
 import threading
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
-from multiprocessing import shared_memory, synchronize
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 from zipfile import BadZipFile
 
 import numpy as np
 import numpy.typing as npt
 
 from repro import cacheconf
-from repro.analysis import sanitize
 
-#: Tier counters, one slot per name in each process's index-matrix row.
+#: Store counters.  ``l2_hits``, ``l2_misses`` and ``publishes`` are
+#: always 0; they remain only because ``perfbench/run.py`` reads them.
 COUNTERS: Tuple[str, ...] = (
     "l1_hits",
     "l1_misses",
@@ -72,60 +58,27 @@ COUNTERS: Tuple[str, ...] = (
     "publishes",
     "disk_writes",
     "corrupt",
-    "shm_bytes",
     "disk_read_bytes",
     "disk_write_bytes",
 )
 
-_COUNTER_SLOTS = 16  # row width in the index matrix (padded for growth)
-_DIGEST_CHARS = 20  # hex chars of sha256 kept in names and the registry
-
-_MAGIC = 0x43415348_4F505431  # "CASHOPT1"
-
-# Index-segment word layout (int64 words).
-_W_MAGIC = 0
-_W_SCHEMA = 1
-_W_NSLOTS = 2
-_W_CAPACITY = 3
-_W_NCLAIMED = 4
-_W_NREGISTERED = 5
-_HEADER_WORDS = 8
-
-# Data-segment layout: 4 int64 words + 32 checksum bytes, then payload.
-_SEG_MAGIC = 0
-_SEG_SCHEMA = 1
-_SEG_COUNT = 2
-_SEG_HEADER_BYTES = 4 * 8 + 32
-
-_OWNER_SITE = "repro.sim.optstore"
-
-
-@dataclass(frozen=True)
-class StoreHandle:
-    """Everything a worker needs to attach: names plus the creation
-    lock.  Travels through ``ProcessPoolExecutor`` initializer args
-    (fork inherits it directly; spawn pickles the lock through the
-    process channel, which multiprocessing supports)."""
-
-    prefix: str
-    index_name: str
-    lock: synchronize.Lock
+_DIGEST_CHARS = 20  # hex chars of sha256 kept in file names
 
 
 @dataclass(frozen=True)
 class Payload:
-    """One table surface as loaded from a shared tier.
+    """One table surface as loaded from the disk tier.
 
-    ``speedups`` is read-only float64; ``hull`` (disk tier only) is the
-    stored default-idle envelope hull as an (H, 2) float64 array;
-    ``checksum`` is the surface fingerprint — the sha256 hex of the
-    speedups payload bytes, identical for the same surface whether it
-    came from a fresh build, a shm attach, or a disk load.
+    ``speedups`` is read-only float64; ``hull`` is the stored
+    default-idle envelope hull as an (H, 2) float64 array, or None when
+    the entry was published without one; ``checksum`` is the surface
+    fingerprint — the sha256 hex of the speedups payload bytes,
+    identical for the same surface whether it came from a fresh build
+    or a disk load.
     """
 
     speedups: npt.NDArray[np.float64]
     hull: Optional[npt.NDArray[np.float64]]
-    source: str
     checksum: str
 
 
@@ -142,436 +95,44 @@ def table_digest(key: object, values: int) -> str:
 
 
 _STORE_LOCK = threading.Lock()
-_FALLBACK_GUARD = threading.Lock()
-
-_CREATE_LOCK: Optional[synchronize.Lock] = None
-_HANDLE: Optional[StoreHandle] = None
-_INDEX: Optional[object] = None  # SharedMemory index segment, if attached
-_WORDS: Optional[npt.NDArray[np.int64]] = None
-_MATRIX: Optional[npt.NDArray[np.int64]] = None
-_REGISTRY: Optional[npt.NDArray[np.uint8]] = None
-_COUNTS: npt.NDArray[np.int64] = np.zeros(_COUNTER_SLOTS, dtype=np.int64)
-_SLOT: Optional[int] = None
-_OWNER = False
-_ATEXIT_ARMED = False
-_PID = os.getpid()
-_SEGMENTS: Dict[str, object] = {}  # digest -> attached SharedMemory
-_VIEW_CACHE: Dict[str, npt.NDArray[np.float64]] = {}  # digest -> sealed view
-_CHECKSUMS: Dict[str, str] = {}  # digest -> surface fingerprint
-
-
-def _counter_index(name: str) -> int:
-    return COUNTERS.index(name)
-
-
-def _unregister_attached(shm: object) -> None:
-    """Drop a segment from the resource tracker's cleanup list.
-
-    Python 3.11 registers shared memory with the tracker on *attach*
-    as well as on create; the store owner is the only process that may
-    unlink, so every other registration must be withdrawn or the
-    tracker double-unlinks (and warns) at interpreter shutdown.
-    """
-    from multiprocessing import resource_tracker
-
-    try:
-        resource_tracker.unregister(getattr(shm, "_name"), "shared_memory")
-    except Exception:  # pragma: no cover - tracker variations
-        pass
-
-
-def _ensure_process_locked() -> None:
-    """Reset per-process state after a fork (caller holds _STORE_LOCK).
-
-    A forked worker inherits the parent's mappings (still valid) and
-    its claimed counter row (NOT valid: single-writer).  Counters drop
-    to a local scratch row until the worker attaches properly via the
-    pool initializer and claims its own slot.
-    """
-    global _PID, _SLOT, _COUNTS
-    if _PID != os.getpid():
-        _PID = os.getpid()
-        _SLOT = None
-        _COUNTS = np.zeros(_COUNTER_SLOTS, dtype=np.int64)
-
-
-class _Segment(shared_memory.SharedMemory):
-    """A shared-memory block whose ``close`` tolerates live views.
-
-    ``mmap.close`` refuses (``BufferError``) while exported buffers
-    exist — i.e. while some sealed table still aliases the segment.
-    Swallowing that refusal makes garbage collection self-protecting:
-    a mapping unmaps exactly when the last view is gone, and is left
-    alone (silently) while anything real still points into it.
-    """
-
-    def close(self) -> None:
-        try:
-            super().close()
-        except BufferError:
-            pass
-
-
-def _shared_memory(name: str, create: bool = False, size: int = 0) -> object:
-    if create:
-        return _Segment(name=name, create=True, size=size)
-    return _Segment(name=name)
-
-
-def _index_views(
-    shm: object, slots: int, capacity: int
-) -> Tuple[
-    npt.NDArray[np.int64], npt.NDArray[np.int64], npt.NDArray[np.uint8]
-]:
-    buf = getattr(shm, "buf")
-    nwords = _HEADER_WORDS + slots * _COUNTER_SLOTS
-    words = np.frombuffer(buf, dtype=np.int64, count=nwords)
-    matrix = words[_HEADER_WORDS:].reshape(slots, _COUNTER_SLOTS)
-    registry = np.frombuffer(
-        buf,
-        dtype=np.uint8,
-        count=capacity * _DIGEST_CHARS,
-        offset=nwords * 8,
-    )
-    return words, matrix, registry
-
-
-def create(slots: int = 64, capacity: int = 512) -> StoreHandle:
-    """Create a fresh store and attach this (owner) process to slot 0.
-
-    ``slots`` bounds the number of attached processes with their own
-    counter rows; ``capacity`` bounds the number of published shared
-    tables (beyond it, publishes quietly skip the shm tier).  Raises
-    ``OSError`` when the platform offers no usable shared memory.
-    """
-    import multiprocessing
-
-    global _CREATE_LOCK, _HANDLE, _INDEX, _WORDS, _MATRIX, _REGISTRY
-    global _COUNTS, _SLOT, _OWNER, _ATEXIT_ARMED
-    destroy()
-    prefix = f"cashopt-{os.getpid()}-"
-    size = (_HEADER_WORDS + slots * _COUNTER_SLOTS) * 8
-    size += capacity * _DIGEST_CHARS
-    index = None
-    for attempt in range(16):
-        try:
-            index = _shared_memory(
-                f"{prefix}idx{attempt}", create=True, size=size
-            )
-            break
-        except FileExistsError:
-            continue
-    if index is None:  # pragma: no cover - 16 stale same-pid stores
-        raise OSError("could not allocate a store index segment")
-    lock = multiprocessing.Lock()
-    with _STORE_LOCK:
-        _ensure_process_locked()
-        words, matrix, registry = _index_views(index, slots, capacity)
-        matrix[:] = 0
-        words[_W_SCHEMA] = cacheconf.SCHEMA_VERSION
-        words[_W_NSLOTS] = slots
-        words[_W_CAPACITY] = capacity
-        words[_W_NCLAIMED] = 1
-        words[_W_NREGISTERED] = 0
-        words[_W_MAGIC] = _MAGIC
-        row = matrix[0]
-        row[:] = _COUNTS
-        _CREATE_LOCK = lock
-        _HANDLE = StoreHandle(
-            prefix=prefix, index_name=getattr(index, "name"), lock=lock
-        )
-        _INDEX = index
-        _WORDS = words
-        _MATRIX = matrix
-        _REGISTRY = registry
-        _COUNTS = row
-        _SLOT = 0
-        _OWNER = True
-        if not _ATEXIT_ARMED:
-            atexit.register(_atexit_destroy)
-            _ATEXIT_ARMED = True
-        handle = _HANDLE
-    return handle
-
-
-def attach(handle: StoreHandle) -> None:
-    """Attach this process to an existing store and claim a counter row.
-
-    Idempotent for a process already attached to the same store; a
-    forked child re-claims its own row (the inherited one belongs to
-    the parent).  Local counters accumulated before attaching carry
-    over into the claimed row.
-    """
-    global _CREATE_LOCK, _HANDLE, _INDEX, _WORDS, _MATRIX, _REGISTRY
-    global _COUNTS, _SLOT, _OWNER
-    with _STORE_LOCK:
-        _ensure_process_locked()
-        already = (
-            _HANDLE is not None
-            and _HANDLE.index_name == handle.index_name
-            and _SLOT is not None
-        )
-        if already:
-            return
-        if _INDEX is None or _HANDLE is None or (
-            _HANDLE.index_name != handle.index_name
-        ):
-            index = _shared_memory(handle.index_name)
-            _unregister_attached(index)
-        else:
-            index = _INDEX  # fork-inherited mapping: reuse it
-        probe, _, _ = _index_views(index, 1, 0)
-        if int(probe[_W_MAGIC]) != _MAGIC or (
-            int(probe[_W_SCHEMA]) != cacheconf.SCHEMA_VERSION
-        ):
-            raise ValueError(
-                f"store index {handle.index_name!r} has an unexpected "
-                f"magic/schema header"
-            )
-        slots = int(probe[_W_NSLOTS])
-        capacity = int(probe[_W_CAPACITY])
-        words, matrix, registry = _index_views(index, slots, capacity)
-        _CREATE_LOCK = handle.lock
-        _HANDLE = handle
-        _INDEX = index
-        _WORDS = words
-        _MATRIX = matrix
-        _REGISTRY = registry
-        _OWNER = False
-        _SLOT = None
-    with handle.lock:
-        with _STORE_LOCK:
-            claimed = int(words[_W_NCLAIMED])
-            if claimed < slots:
-                words[_W_NCLAIMED] = claimed + 1
-                row = matrix[claimed]
-                row[:] = _COUNTS
-                _COUNTS = row
-                _SLOT = claimed
-            # else: slots exhausted — keep counting locally.
-
-
-def detach() -> None:
-    """Drop this process's store bindings (mappings stay valid for any
-    live table views; nothing is closed or unlinked)."""
-    global _CREATE_LOCK, _HANDLE, _INDEX, _WORDS, _MATRIX, _REGISTRY
-    global _COUNTS, _SLOT, _OWNER
-    with _STORE_LOCK:
-        _ensure_process_locked()
-        _COUNTS = np.array(_COUNTS, dtype=np.int64)  # detach from the row
-        _CREATE_LOCK = None
-        _HANDLE = None
-        _INDEX = None
-        _WORDS = None
-        _MATRIX = None
-        _REGISTRY = None
-        _SLOT = None
-        _OWNER = False
-        _SEGMENTS.clear()
-        _VIEW_CACHE.clear()
-        _CHECKSUMS.clear()
-
-
-def destroy() -> None:
-    """Owner: unlink every store segment, then detach.  Non-owners
-    just detach.  Safe to call repeatedly (and from atexit).
-
-    Call :func:`repro.sim.optables.cache_clear` first if cached tables
-    may still alias shared buffers — the mappings stay valid for live
-    views, but dropping the tables releases the memory promptly.
-    """
-    with _STORE_LOCK:
-        _ensure_process_locked()
-        owner = _OWNER and _INDEX is not None
-        prefix = _HANDLE.prefix if _HANDLE is not None else ""
-        digests: List[str] = []
-        if owner and _WORDS is not None and _REGISTRY is not None:
-            registered = int(_WORDS[_W_NREGISTERED])
-            for i in range(registered):
-                raw = bytes(
-                    _REGISTRY[i * _DIGEST_CHARS : (i + 1) * _DIGEST_CHARS]
-                )
-                digests.append(raw.decode("ascii", errors="replace"))
-        index = _INDEX if owner else None
-    if owner:
-        for digest in digests:
-            _unlink_quietly(f"{prefix}{digest}")
-        if index is not None:
-            try:
-                getattr(index, "unlink")()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-    detach()
-
-
-def _unlink_quietly(name: str) -> None:
-    try:
-        segment = _shared_memory(name)
-    except FileNotFoundError:
-        return
-    except ValueError:  # pragma: no cover - raced a mid-create publish
-        # Attach saw a zero-size segment (creator between shm_open and
-        # ftruncate); the creator still holds it — leave it alone.
-        return
-    # unlink() below withdraws the attach-time tracker registration
-    # itself, so no separate unregister here.
-    try:
-        getattr(segment, "unlink")()
-    except FileNotFoundError:  # pragma: no cover - raced another unlink
-        pass
-
-
-def _atexit_destroy() -> None:  # pragma: no cover - interpreter exit
-    try:
-        destroy()
-    except Exception:
-        pass
-
-
-def ensure(slots: int = 64, capacity: int = 512) -> Optional[StoreHandle]:
-    """The active store's handle, creating one if none is active.
-
-    Returns None when shared memory is unavailable on the platform —
-    the caller degrades to L1 + disk.
-    """
-    with _STORE_LOCK:
-        _ensure_process_locked()
-        current = _HANDLE
-    if current is not None:
-        return current
-    try:
-        return create(slots=slots, capacity=capacity)
-    except OSError:
-        return None
-
-
-def active() -> bool:
-    """Whether this process is attached to a shared-memory store."""
-    with _STORE_LOCK:
-        _ensure_process_locked()
-        return _INDEX is not None
-
-
-def handle() -> Optional[StoreHandle]:
-    """The active store's handle (to pass to workers), or None."""
-    with _STORE_LOCK:
-        _ensure_process_locked()
-        return _HANDLE
+_BUILD_GUARD = threading.Lock()
+_COUNTS: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
+_ABSORBED: Dict[str, int] = dict.fromkeys(COUNTERS, 0)  # from pool workers
 
 
 def build_guard() -> AbstractContextManager[bool]:
-    """The fleet-wide table-creation lock (or a process-local fallback
-    when no store is attached).  Hold it around the re-check + build +
-    :func:`publish` sequence so each table is built exactly once."""
-    with _STORE_LOCK:
-        _ensure_process_locked()
-        guard = _CREATE_LOCK
-    if guard is None:
-        return _FALLBACK_GUARD
-    return guard
+    """The table-creation lock.  Hold it around the lookup + build +
+    :func:`publish` sequence so each table is built at most once per
+    process."""
+    return _BUILD_GUARD
 
 
 def bump(name: str, amount: int = 1) -> None:
-    """Add to one tier counter (this process's row, single-writer)."""
-    index = _counter_index(name)
+    """Add to one of this process's counters."""
     with _STORE_LOCK:
-        _ensure_process_locked()
-        _COUNTS[index] += amount
-
-
-def _segment_name_locked(digest: str) -> Optional[str]:
-    if _HANDLE is None:
-        return None
-    return f"{_HANDLE.prefix}{digest}"
-
-
-def _validate_segment_locked(
-    shm: object, digest: str, values: int
-) -> Optional[Tuple[npt.NDArray[np.float64], str]]:
-    """Header + checksum verification of one data segment.
-
-    Returns ``(sealed view, checksum hex)`` or None (counted as
-    ``corrupt``; a sanitized run raises instead, mirroring the L1
-    publish verification).
-    """
-    buf = getattr(shm, "buf")
-    head = np.frombuffer(buf, dtype=np.int64, count=4)
-    if int(head[_SEG_MAGIC]) == 0:
-        # Zero magic is not damage: segments are created zero-filled
-        # and the magic word is the commit flag written last, so a
-        # lock-free reader racing an in-flight publish lands here.
-        # Report a plain miss — the caller re-checks under the build
-        # guard, where the committed table becomes visible.
-        return None
-    detail = None
-    if int(head[_SEG_MAGIC]) != _MAGIC:
-        detail = "bad magic word"
-    elif int(head[_SEG_SCHEMA]) != cacheconf.SCHEMA_VERSION:
-        detail = "schema version mismatch"
-    elif int(head[_SEG_COUNT]) != values:
-        detail = f"expected {values} values, found {int(head[_SEG_COUNT])}"
-    if detail is None:
-        stored = bytes(buf[32:64])
-        view = np.frombuffer(
-            buf, dtype=np.float64, count=values, offset=_SEG_HEADER_BYTES
-        )
-        actual = hashlib.sha256(view.tobytes()).digest()
-        if actual != stored:
-            detail = "payload checksum mismatch"
-        else:
-            view.setflags(write=False)
-            return view, actual.hex()
-    _COUNTS[_counter_index("corrupt")] += 1
-    if sanitize.ENABLED:
-        sanitize.violation(
-            "shm-attach", _OWNER_SITE, f"attach {digest}", detail
-        )
-    return None
-
-
-def _shm_lookup_locked(digest: str, values: int) -> Optional[Payload]:
-    if _INDEX is None:
-        return None
-    view = _VIEW_CACHE.get(digest)
-    if view is not None and view.shape[0] == values:
-        _COUNTS[_counter_index("l2_hits")] += 1
-        return Payload(
-            speedups=view,
-            hull=None,
-            source="shm",
-            checksum=_CHECKSUMS.get(digest, ""),
-        )
-    name = _segment_name_locked(digest)
-    if name is None:
-        return None
-    try:
-        segment = _shared_memory(name)
-    except (FileNotFoundError, ValueError):
-        # ValueError ("cannot mmap an empty file"): the publisher in
-        # another process is between shm_open and ftruncate — the
-        # segment exists but has no size yet.  A miss, never an error:
-        # the disk/build tiers below produce bit-identical tables.
-        _COUNTS[_counter_index("l2_misses")] += 1
-        return None
-    _unregister_attached(segment)
-    validated = _validate_segment_locked(segment, digest, values)
-    if validated is None:
-        _COUNTS[_counter_index("l2_misses")] += 1
-        return None
-    view, checksum = validated
-    view.setflags(write=False)
-    _SEGMENTS[digest] = segment
-    _VIEW_CACHE[digest] = view
-    _CHECKSUMS[digest] = checksum
-    _COUNTS[_counter_index("l2_hits")] += 1
-    return Payload(speedups=view, hull=None, source="shm", checksum=checksum)
+        _COUNTS[name] += amount
 
 
 def _disk_path(root: Path, digest: str) -> Path:
     return root / f"{digest}.npz"
 
 
-def _disk_lookup_locked(digest: str, values: int) -> Optional[Payload]:
+def _payload_checksum(
+    speedups: npt.NDArray[np.float64],
+    hull: Optional[npt.NDArray[np.float64]],
+) -> str:
+    digest = hashlib.sha256(speedups.tobytes())
+    if hull is not None:
+        digest.update(np.ascontiguousarray(hull).tobytes())
+    return digest.hexdigest()
+
+
+def lookup(digest: str, values: int) -> Optional[Payload]:
+    """Load one table surface from the disk tier.
+
+    None when the tier is off, the entry is missing, or it fails
+    verification.  A pure lookup — no writes.
+    """
     root = cacheconf.cache_dir()
     if root is None:
         return None
@@ -592,117 +153,35 @@ def _disk_lookup_locked(digest: str, values: int) -> Optional[Payload]:
             raise ValueError("shape mismatch")
         if hull is not None and (hull.ndim != 2 or hull.shape[1] != 2):
             raise ValueError("hull shape mismatch")
-        actual = _payload_checksum(speedups, hull)
-        if actual != stored:
+        if _payload_checksum(speedups, hull) != stored:
             raise ValueError("payload checksum mismatch")
     except FileNotFoundError:
-        _COUNTS[_counter_index("l3_misses")] += 1
+        bump("l3_misses")
         return None
     except (OSError, ValueError, KeyError, EOFError, BadZipFile):
         # Truncated/bit-flipped entry: a miss, never an error — the
         # rebuild overwrites it and the cache self-heals.
-        _COUNTS[_counter_index("corrupt")] += 1
-        _COUNTS[_counter_index("l3_misses")] += 1
+        bump("corrupt")
+        bump("l3_misses")
         return None
     speedups.setflags(write=False)
     if hull is not None:
         hull.setflags(write=False)
-    fingerprint = hashlib.sha256(speedups.tobytes()).hexdigest()
-    _COUNTS[_counter_index("l3_hits")] += 1
-    _COUNTS[_counter_index("disk_read_bytes")] += size
+    bump("l3_hits")
+    bump("disk_read_bytes", size)
     return Payload(
-        speedups=speedups, hull=hull, source="disk", checksum=fingerprint
+        speedups=speedups,
+        hull=hull,
+        checksum=hashlib.sha256(speedups.tobytes()).hexdigest(),
     )
 
 
-def _payload_checksum(
-    speedups: npt.NDArray[np.float64],
-    hull: Optional[npt.NDArray[np.float64]],
-) -> str:
-    digest = hashlib.sha256(speedups.tobytes())
-    if hull is not None:
-        digest.update(np.ascontiguousarray(hull).tobytes())
-    return digest.hexdigest()
-
-
-def lookup(digest: str, values: int) -> Optional[Payload]:
-    """Consult L2 then L3 for one table surface.
-
-    Pure lookup — no promotion, no writes — so it is safe both outside
-    and (for the post-acquire re-check) inside :func:`build_guard`.
-    """
-    with _STORE_LOCK:
-        _ensure_process_locked()
-        payload = _shm_lookup_locked(digest, values)
-        if payload is not None:
-            return payload
-        return _disk_lookup_locked(digest, values)
-
-
-def disk_probe(digest: str, values: int) -> Optional[Payload]:
-    """Consult only the disk tier (the warm-up path's verification)."""
-    with _STORE_LOCK:
-        _ensure_process_locked()
-        return _disk_lookup_locked(digest, values)
-
-
-def _shm_publish_locked(
-    digest: str, speedups: npt.NDArray[np.float64]
-) -> None:
-    if _INDEX is None or _WORDS is None or _REGISTRY is None:
-        return
-    if digest in _VIEW_CACHE:
-        return
-    registered = int(_WORDS[_W_NREGISTERED])
-    if registered >= int(_WORDS[_W_CAPACITY]):
-        return  # registry full: skip the shm tier, keep L1/L3
-    name = _segment_name_locked(digest)
-    if name is None:
-        return
-    payload = speedups.tobytes()
-    size = _SEG_HEADER_BYTES + len(payload)
-    try:
-        segment = _shared_memory(name, create=True, size=size)
-    except FileExistsError:
-        # Only possible if a previous store with our prefix leaked this
-        # name; the guarded lookup already missed it, so leave it be.
-        return
-    except OSError:
-        return  # shm exhausted: degrade quietly
-    buf = getattr(segment, "buf")
-    head = np.frombuffer(buf, dtype=np.int64, count=4)
-    head[_SEG_SCHEMA] = cacheconf.SCHEMA_VERSION
-    head[_SEG_COUNT] = speedups.shape[0]
-    buf[_SEG_HEADER_BYTES : _SEG_HEADER_BYTES + len(payload)] = payload
-    buf[32:64] = hashlib.sha256(payload).digest()
-    head[_SEG_MAGIC] = _MAGIC  # commit flag: written last
-    # The store owner unlinks; withdraw this process's tracker claim.
-    _unregister_attached(segment)
-    row = _REGISTRY[
-        registered * _DIGEST_CHARS : (registered + 1) * _DIGEST_CHARS
-    ]
-    row[:] = np.frombuffer(digest.encode("ascii"), dtype=np.uint8)
-    _WORDS[_W_NREGISTERED] = registered + 1
-    view = np.frombuffer(
-        buf, dtype=np.float64, count=speedups.shape[0],
-        offset=_SEG_HEADER_BYTES,
-    )
-    view.setflags(write=False)
-    _SEGMENTS[digest] = segment
-    _VIEW_CACHE[digest] = view
-    _COUNTS[_counter_index("publishes")] += 1
-    _COUNTS[_counter_index("shm_bytes")] += size
-
-
-def _disk_write_locked(
+def _disk_write(
+    root: Path,
     digest: str,
     speedups: npt.NDArray[np.float64],
     hull: Optional[npt.NDArray[np.float64]],
-    checksum: str,
 ) -> None:
-    root = cacheconf.cache_dir()
-    if root is None:
-        return
     path = _disk_path(root, digest)
     scratch = root / f".{digest}.{os.getpid()}.tmp"
     try:
@@ -715,18 +194,19 @@ def _disk_write_locked(
                 sink,
                 digest=np.array(digest),
                 schema=np.array(cacheconf.SCHEMA_VERSION),
-                checksum=np.array(checksum),
+                checksum=np.array(_payload_checksum(speedups, hull)),
                 **arrays,
             )
         os.replace(scratch, path)
+        size = path.stat().st_size
     except OSError:
         try:
             scratch.unlink(missing_ok=True)
         except OSError:  # pragma: no cover - unwritable scratch dir
             pass
         return
-    _COUNTS[_counter_index("disk_writes")] += 1
-    _COUNTS[_counter_index("disk_write_bytes")] += path.stat().st_size
+    bump("disk_writes")
+    bump("disk_write_bytes", size)
 
 
 def publish(
@@ -734,80 +214,61 @@ def publish(
     speedups: npt.NDArray[np.float64],
     hull: Optional[npt.NDArray[np.float64]] = None,
 ) -> str:
-    """Publish one freshly built surface into the shared tiers.
+    """Count one freshly built surface and persist it to the disk tier.
 
-    Must be called under :func:`build_guard` — the guard is what makes
-    the shm create + registry append race-free and the ``builds``
-    counter mean "distinct fleet-wide builds" while a store is active.
-    Counts the build even when both tiers are inactive (the surface
-    was still computed).  Returns the surface fingerprint (sha256 hex
-    of the speedups payload; the ``.npz`` integrity checksum
-    additionally covers the hull).
+    Call under :func:`build_guard`, which makes ``builds`` count
+    distinct builds in this process.  The build is counted even when
+    the disk tier is off (the surface was still computed).  Returns the
+    surface fingerprint (sha256 hex of the speedups payload; the
+    ``.npz`` integrity checksum additionally covers the hull).
     """
-    fingerprint = hashlib.sha256(speedups.tobytes()).hexdigest()
-    integrity = _payload_checksum(speedups, hull)
-    with _STORE_LOCK:
-        _ensure_process_locked()
-        _COUNTS[_counter_index("builds")] += 1
-        _shm_publish_locked(digest, speedups)
-        _CHECKSUMS.setdefault(digest, fingerprint)
-        _disk_write_locked(digest, speedups, hull, integrity)
-    return fingerprint
+    bump("builds")
+    root = cacheconf.cache_dir()
+    if root is not None:
+        _disk_write(root, digest, speedups, hull)
+    return hashlib.sha256(speedups.tobytes()).hexdigest()
 
 
 def counters_local() -> Dict[str, int]:
-    """This process's tier counters."""
+    """This process's counters."""
     with _STORE_LOCK:
-        _ensure_process_locked()
-        return {
-            name: int(_COUNTS[i]) for i, name in enumerate(COUNTERS)
-        }
+        return dict(_COUNTS)
+
+
+def counters_since(before: Mapping[str, int]) -> Dict[str, int]:
+    """This process's counts accumulated since the ``before`` snapshot
+    of :func:`counters_local` — what a pool task returns to the
+    parent."""
+    with _STORE_LOCK:
+        return {name: _COUNTS[name] - before[name] for name in COUNTERS}
+
+
+def absorb(delta: Mapping[str, int]) -> None:
+    """Add a pool worker's counter delta to the fleet counts."""
+    with _STORE_LOCK:
+        for name in COUNTERS:
+            _ABSORBED[name] += delta[name]
 
 
 def counters_fleet() -> Dict[str, int]:
-    """Tier counters summed over every process attached to the store
-    (equal to :func:`counters_local` when no store is active).  Worker
-    rows persist after the pool exits, so the parent reads the whole
-    sweep's history."""
+    """This process's counters plus every delta absorbed from pool
+    workers, so the parent reads a whole sweep's counts."""
     with _STORE_LOCK:
-        _ensure_process_locked()
-        if _MATRIX is None or _WORDS is None:
-            return {
-                name: int(_COUNTS[i]) for i, name in enumerate(COUNTERS)
-            }
-        claimed = int(_WORDS[_W_NCLAIMED])
-        total = _MATRIX[:claimed].sum(axis=0)
-        if _SLOT is None:
-            total = total + _COUNTS
-        return {name: int(total[i]) for i, name in enumerate(COUNTERS)}
+        return {name: _COUNTS[name] + _ABSORBED[name] for name in COUNTERS}
 
 
 def reset_counters(fleet: bool = False) -> None:
-    """Zero this process's counters; with ``fleet=True`` (owner,
-    between benchmark passes) zero every claimed row."""
+    """Zero this process's counters; with ``fleet=True`` (between
+    benchmark passes) zero the absorbed worker counts too."""
     with _STORE_LOCK:
-        _ensure_process_locked()
-        _COUNTS[:] = 0
-        if fleet and _MATRIX is not None:
-            _MATRIX[:] = 0
+        for name in COUNTERS:
+            _COUNTS[name] = 0
+            if fleet:
+                _ABSORBED[name] = 0
 
 
 def stats() -> Dict[str, object]:
-    """Per-tier statistics: local + fleet counters, shm and disk info."""
-    fleet = counters_fleet()
-    local = counters_local()
-    with _STORE_LOCK:
-        _ensure_process_locked()
-        shm_info: Dict[str, object] = {
-            "active": _INDEX is not None,
-            "owner": _OWNER,
-            "attached_segments": len(_VIEW_CACHE),
-            "slot": _SLOT,
-        }
-        if _WORDS is not None:
-            shm_info["processes"] = int(_WORDS[_W_NCLAIMED])
-            shm_info["published"] = int(_WORDS[_W_NREGISTERED])
-            shm_info["capacity"] = int(_WORDS[_W_CAPACITY])
+    """Store statistics: local and fleet counters, and disk-tier info."""
     root = cacheconf.cache_dir()
     files = 0
     nbytes = 0
@@ -818,18 +279,16 @@ def stats() -> Dict[str, object]:
                 files += 1
             except OSError:  # pragma: no cover - raced deletion
                 continue
-    disk_info: Dict[str, object] = {
-        "enabled": root is not None,
-        "dir": str(root) if root is not None else None,
-        "files": files,
-        "bytes": nbytes,
-        "schema": cacheconf.SCHEMA_VERSION,
-    }
     return {
-        "local": local,
-        "fleet": fleet,
-        "shm": shm_info,
-        "disk": disk_info,
+        "local": counters_local(),
+        "fleet": counters_fleet(),
+        "disk": {
+            "enabled": root is not None,
+            "dir": str(root) if root is not None else None,
+            "files": files,
+            "bytes": nbytes,
+            "schema": cacheconf.SCHEMA_VERSION,
+        },
     }
 
 

@@ -768,7 +768,6 @@ class TestDataflowReport:
         assert set(report["schema"]) == {
             "service-checkpoint",
             "optable-npz",
-            "optable-shm-header",
         }
 
 

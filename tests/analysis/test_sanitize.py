@@ -119,7 +119,7 @@ class TestViolationPickling:
         import pickle
 
         original = SanitizerViolation(
-            "shm-attach", "repro.sim.optstore", "attach abc", "bad magic"
+            "cache-publish", "repro.sim.optables", "disk load", "bare dict"
         )
         clone = pickle.loads(pickle.dumps(original))
         assert isinstance(clone, SanitizerViolation)

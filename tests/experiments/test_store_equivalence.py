@@ -1,10 +1,13 @@
-"""The shared store tiers never change a result.
+"""The operating-point store's tiers never change a result.
 
 Every cell set here is run against the scalar reference (fast paths
 off, serial) and must match record-for-record from every tier state —
-cold, shm-warm, disk-warm — at any job count, sanitized or not.  With
-fast paths off the tiers must not even be consulted.
+cold, disk-warm — at any job count, sanitized or not.  With fast paths
+off the tiers must not even be consulted.  A pooled sweep's store
+counters reach the parent through the pool's result pipe.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -32,13 +35,11 @@ def pristine_tiers():
     previous_sanitize = sanitize.ENABLED
     perf.set_fast_paths(True)
     cache_clear()
-    optstore.destroy()
-    optstore.reset_counters()
+    optstore.reset_counters(fleet=True)
     cacheconf.set_cache_dir(None)
     yield
     cache_clear()
-    optstore.destroy()
-    optstore.reset_counters()
+    optstore.reset_counters(fleet=True)
     cacheconf.set_cache_dir(None)
     sanitize.set_enabled(previous_sanitize)
     perf.set_fast_paths(previous)
@@ -68,25 +69,12 @@ class TestTierStatesMatchReference:
         assert_identical(run_cells(SPECS, jobs=jobs), reference)
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_shm_warm(self, jobs, reference):
-        if optstore.ensure() is None:  # pragma: no cover - no shm
-            pytest.skip("no shared memory on this platform")
-        for app in APPS:
-            warm_app_surfaces(app)
-        cache_clear()  # drop L1 so the run must attach via shm
-        optstore.reset_counters(fleet=True)
-        assert_identical(run_cells(SPECS, jobs=jobs), reference)
-        assert optstore.counters_fleet()["l2_hits"] >= 1
-        assert optstore.counters_fleet()["builds"] == 0
-
-    @pytest.mark.parametrize("jobs", [1, 4])
     def test_disk_warm(self, jobs, reference, tmp_path):
         cacheconf.set_cache_dir(tmp_path)
         for app in APPS:
             warm_app_surfaces(app)
-        cache_clear()
-        optstore.destroy()  # shm gone: only the disk tier stays warm
-        optstore.reset_counters()
+        cache_clear()  # drop L1: only the disk tier stays warm
+        optstore.reset_counters(fleet=True)
         assert_identical(run_cells(SPECS, jobs=jobs), reference)
         assert optstore.counters_fleet()["l3_hits"] >= 1
         assert optstore.counters_fleet()["builds"] == 0
@@ -110,3 +98,30 @@ class TestReferenceModeBypassesTiers:
         assert all(value == 0 for value in counts.values())
         assert cache_info()["size"] == 0
         assert list(tmp_path.iterdir()) == []
+
+
+def _shm_store_entries():
+    """Names of shared-memory segments an operating-point store made."""
+    root = Path("/dev/shm")
+    if not root.is_dir():
+        return set()
+    return {path.name for path in root.glob("cashopt-*")}
+
+
+class TestPooledCounters:
+    def test_worker_counters_return_through_the_result_pipe(self, reference):
+        before = _shm_store_entries()
+        run_cells(SPECS, jobs=1)
+        serial = optstore.counters_fleet()
+        cache_clear()  # forked workers must start from an empty L1
+        optstore.reset_counters(fleet=True)
+        assert_identical(run_cells(SPECS, jobs=3), reference)
+        pooled = optstore.counters_fleet()
+
+        lookups = serial["l1_hits"] + serial["l1_misses"]
+        assert lookups > 0
+        assert pooled["l1_hits"] + pooled["l1_misses"] == lookups
+        # At most once per worker: each of the 3 may build a table.
+        assert serial["builds"] <= pooled["builds"] <= 3 * serial["builds"]
+        assert optstore.counters_local()["builds"] == 0
+        assert _shm_store_entries() - before == set()

@@ -1,15 +1,11 @@
-"""The shared tiers (L2 shm, L3 disk) of the operating-point store.
+"""The disk tier and counters of the operating-point store.
 
 Covers the acceptance claims of the tiered store: content digests are
 stable; disk entries survive a round trip bit-identically and any
-truncated/bit-flipped entry degrades to a clean rebuild; two processes
-racing table creation build exactly once fleet-wide; a ``cache clear``
-against an idle store leaves the engine fully functional; and the
-sanitizer catches a corrupted shared segment at attach.
+truncated/bit-flipped entry degrades to a clean rebuild; warm-up
+builds each surface once and a disk-warm table matches the scalar
+reference; and a ``cache clear`` leaves the engine fully functional.
 """
-
-import hashlib
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -33,19 +29,18 @@ VALUES = len(SPACE.slice_counts) * len(SPACE.l2_sizes_kb)
 
 @pytest.fixture(autouse=True)
 def clean_store():
-    """Every test starts and ends with no store, no L1, no disk tier."""
+    """Every test starts and ends with zero counters, no L1, no disk
+    tier."""
     previous = perf.FAST
     previous_sanitize = sanitize.ENABLED
     perf.set_fast_paths(True)
     sanitize.set_enabled(False)
     cache_clear()
-    optstore.destroy()
-    optstore.reset_counters()
+    optstore.reset_counters(fleet=True)
     cacheconf.set_cache_dir(None)
     yield
     cache_clear()
-    optstore.destroy()
-    optstore.reset_counters()
+    optstore.reset_counters(fleet=True)
     cacheconf.set_cache_dir(None)
     sanitize.set_enabled(previous_sanitize)
     perf.set_fast_paths(previous)
@@ -88,7 +83,6 @@ class TestDiskTier:
             fingerprint = optstore.publish(digest, speedups, hull)
         loaded = optstore.lookup(digest, VALUES)
         assert loaded is not None
-        assert loaded.source == "disk"
         assert loaded.checksum == fingerprint
         assert loaded.speedups.tobytes() == speedups.tobytes()
         assert loaded.hull is not None
@@ -153,165 +147,6 @@ class TestDiskTier:
         assert optstore.disk_clear() == 0
 
 
-class TestShmTier:
-    def test_publish_then_attach_is_zero_copy(self):
-        handle = optstore.ensure()
-        if handle is None:
-            pytest.skip("no shared memory on this platform")
-        speedups, hull = surface()
-        digest = optstore.table_digest(("shm",), VALUES)
-        with optstore.build_guard():
-            fingerprint = optstore.publish(digest, speedups, hull)
-        # Re-attach with a cold view cache, as a fresh worker would.
-        optstore.detach()
-        optstore.attach(handle)
-        loaded = optstore.lookup(digest, VALUES)
-        assert loaded is not None
-        assert loaded.source == "shm"
-        assert loaded.checksum == fingerprint
-        assert loaded.speedups.tobytes() == speedups.tobytes()
-        assert not loaded.speedups.flags.writeable
-        assert not loaded.speedups.flags.owndata  # view onto the segment
-
-    def test_capacity_exhaustion_degrades_quietly(self):
-        try:
-            optstore.create(slots=4, capacity=1)
-        except OSError:  # pragma: no cover - no shm on this platform
-            pytest.skip("no shared memory on this platform")
-        first, hull = surface(1)
-        second, _ = surface(2)
-        with optstore.build_guard():
-            optstore.publish(optstore.table_digest(("cap", 1), VALUES), first, hull)
-            optstore.publish(optstore.table_digest(("cap", 2), VALUES), second, hull)
-        stats = optstore.stats()
-        assert stats["shm"]["published"] == 1
-        # The second surface simply missed the shm tier (disk is off).
-        assert optstore.lookup(optstore.table_digest(("cap", 2), VALUES), VALUES) is None
-        assert optstore.counters_local()["builds"] == 2
-
-    def test_sanitizer_catches_corrupted_segment(self):
-        handle = optstore.ensure()
-        if handle is None:
-            pytest.skip("no shared memory on this platform")
-        speedups, hull = surface()
-        digest = optstore.table_digest(("corrupt-shm",), VALUES)
-        with optstore.build_guard():
-            optstore.publish(digest, speedups, hull)
-        # Flip one payload byte in the raw segment.
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=f"{handle.prefix}{digest}")
-        try:
-            offset = 64 + 3  # past the 64-byte header, mid-payload
-            segment.buf[offset] = (segment.buf[offset] + 1) % 256
-        finally:
-            optstore._unregister_attached(segment)
-            segment.close()
-        optstore.detach()
-        optstore.attach(handle)
-        with sanitize.sanitized(True):
-            with pytest.raises(sanitize.SanitizerViolation):
-                optstore.lookup(digest, VALUES)
-        # Unsanitized: the same damage is just a counted miss.
-        optstore.detach()
-        optstore.attach(handle)
-        assert optstore.lookup(digest, VALUES) is None
-        assert optstore.counters_local()["corrupt"] >= 1
-
-    def test_inflight_publish_is_a_miss_not_corruption(self):
-        # A lock-free reader can open a segment after its create but
-        # before the magic word commits; the zero-filled header must
-        # read as "not published yet", never as damage — sanitized
-        # parallel cold runs raced exactly this way.
-        handle = optstore.ensure()
-        if handle is None:
-            pytest.skip("no shared memory on this platform")
-        speedups, hull = surface()
-        digest = optstore.table_digest(("inflight",), VALUES)
-        with optstore.build_guard():
-            optstore.publish(digest, speedups, hull)
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=f"{handle.prefix}{digest}")
-        try:
-            committed = bytes(segment.buf[:8])
-            segment.buf[:8] = b"\x00" * 8  # uncommit: publish in flight
-            optstore.detach()
-            optstore.attach(handle)
-            with sanitize.sanitized(True):
-                assert optstore.lookup(digest, VALUES) is None
-            counts = optstore.counters_local()
-            assert counts["corrupt"] == 0
-            assert counts["l2_misses"] >= 1
-            segment.buf[:8] = committed  # commit lands: ordinary hit
-            optstore.detach()
-            optstore.attach(handle)
-            loaded = optstore.lookup(digest, VALUES)
-            assert loaded is not None
-            assert loaded.speedups.tobytes() == speedups.tobytes()
-        finally:
-            optstore._unregister_attached(segment)
-            segment.close()
-
-    def test_destroy_unlinks_everything(self):
-        handle = optstore.ensure()
-        if handle is None:
-            pytest.skip("no shared memory on this platform")
-        speedups, hull = surface()
-        digest = optstore.table_digest(("destroyed",), VALUES)
-        with optstore.build_guard():
-            optstore.publish(digest, speedups, hull)
-        optstore.destroy()
-        assert not optstore.active()
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=handle.index_name)
-
-
-def _race_child(handle, barrier, queue, phase):
-    perf.set_fast_paths(True)
-    optstore.attach(handle)
-    barrier.wait()
-    table = operating_point_table(phase, space=SPACE)
-    queue.put(hashlib.sha256(table.speedup_array.tobytes()).hexdigest())
-
-
-class TestCreationRace:
-    def test_two_processes_build_exactly_once(self):
-        handle = optstore.ensure()
-        if handle is None:
-            pytest.skip("no shared memory on this platform")
-        optstore.reset_counters(fleet=True)
-        phase = make_x264().phases[0]
-        context = multiprocessing.get_context("fork")
-        barrier = context.Barrier(2)
-        queue = context.Queue()
-        workers = [
-            context.Process(
-                target=_race_child, args=(handle, barrier, queue, phase)
-            )
-            for _ in range(2)
-        ]
-        for worker in workers:
-            worker.start()
-        fingerprints = {queue.get(timeout=60) for _ in workers}
-        for worker in workers:
-            worker.join(timeout=60)
-            assert worker.exitcode == 0
-        assert len(fingerprints) == 1
-        fleet = optstore.counters_fleet()
-        assert fleet["builds"] == 1
-        assert fleet["l2_hits"] >= 1  # the loser attached to the winner's
-        # The parent sees the published surface too.
-        cache_clear()
-        table = operating_point_table(phase, space=SPACE)
-        assert (
-            hashlib.sha256(table.speedup_array.tobytes()).hexdigest()
-            in fingerprints
-        )
-
-
 class TestWarmPaths:
     def test_ensure_surface_builds_once_and_is_stable(self, tmp_path):
         cacheconf.set_cache_dir(tmp_path)
@@ -336,23 +171,12 @@ class TestWarmPaths:
         assert list(hull) == list(ref_hull)
         assert optstore.counters_local()["l3_hits"] >= 1
 
-    def test_shm_warm_table_aliases_the_segment(self):
-        if optstore.ensure() is None:  # pragma: no cover
-            pytest.skip("no shared memory on this platform")
-        phase = make_x264().phases[0]
-        ensure_surface(phase, space=SPACE)
-        cache_clear()
-        table = operating_point_table(phase, space=SPACE)
-        assert not table.speedup_array.flags.owndata
-        assert tuple(table) == tuple(build_table_scalar(phase, space=SPACE))
-
     def test_cache_clear_on_idle_store_keeps_engine_green(self, tmp_path):
         # The `repro cache clear` sequence against an idle store.
         cacheconf.set_cache_dir(tmp_path)
         phase = make_x264().phases[0]
         ensure_surface(phase, space=SPACE)
         cache_clear()
-        optstore.destroy()
         assert optstore.disk_clear() >= 1
         table = operating_point_table(phase, space=SPACE)
         assert tuple(table) == tuple(build_table_scalar(phase, space=SPACE))
@@ -361,7 +185,7 @@ class TestWarmPaths:
 class TestStats:
     def test_stats_shape(self):
         stats = optable_cache_stats()
-        assert set(stats) == {"l1", "local", "fleet", "shm", "disk"}
+        assert set(stats) == {"l1", "local", "fleet", "disk"}
         assert set(stats["local"]) == set(optstore.COUNTERS)
         assert set(stats["fleet"]) == set(optstore.COUNTERS)
         assert stats["disk"]["enabled"] is False
@@ -372,5 +196,10 @@ class TestStats:
 
     def test_reset_counters(self):
         optstore.bump("builds", 5)
+        optstore.absorb(dict.fromkeys(optstore.COUNTERS, 2))
         optstore.reset_counters()
         assert optstore.counters_local()["builds"] == 0
+        # Absorbed worker counts survive a local reset, not a fleet one.
+        assert optstore.counters_fleet()["builds"] == 2
+        optstore.reset_counters(fleet=True)
+        assert optstore.counters_fleet()["builds"] == 0

@@ -87,7 +87,7 @@ class TestCacheCommands:
 
         yield
         cache_clear()
-        optstore.destroy()
+        optstore.reset_counters(fleet=True)
         cacheconf.set_cache_dir(None)
 
     def test_cache_info_is_json(self, capsys):
@@ -95,7 +95,7 @@ class TestCacheCommands:
 
         assert main(["cache", "info"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"l1", "local", "fleet", "shm", "disk"}
+        assert set(payload) == {"l1", "local", "fleet", "disk"}
 
     def test_cache_warm_then_clear(self, tmp_path, capsys):
         code = main(
