@@ -88,9 +88,15 @@ class RaceToIdleAllocator:
         measurement: Optional[object],
         true_points: Sequence[ConfigPoint],
     ) -> Schedule:
-        point = next(
-            (p for p in true_points if p.config == self.config), None
-        )
+        # Tables and the latency point view answer the first-wins scan
+        # in O(1); plain lists (the reference path) are scanned.
+        point_for = getattr(true_points, "point_for", None)
+        if point_for is not None:
+            point = point_for(self.config)
+        else:
+            point = next(
+                (p for p in true_points if p.config == self.config), None
+            )
         if point is None:
             raise ValueError(
                 f"worst-case config {self.config} missing from true points"

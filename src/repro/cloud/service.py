@@ -85,7 +85,7 @@ _EVENT_DEPART = 0
 _EVENT_ARRIVE = 1
 _EVENT_STEP = 2
 
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 """Bump when the pickled engine state changes shape."""
 
 _CHECKPOINT_MAGIC = b"CASHSVC1"

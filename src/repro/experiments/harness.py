@@ -21,7 +21,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from repro import perf
 from repro.arch.cost import CostModel, DEFAULT_COST_MODEL
@@ -33,7 +33,12 @@ from repro.runtime.cash import (
     QoSMeasurement,
     RuntimeDecision,
 )
-from repro.runtime.optimizer import ConfigPoint, Schedule
+from repro.runtime.optimizer import (
+    IDLE_POINT,
+    ConfigPoint,
+    Schedule,
+    _envelope_over_keys,
+)
 from repro.sim.optables import OperatingPointTable, operating_point_table
 from repro.sim.perfmodel import PerformanceModel, DEFAULT_PERF_MODEL
 from repro.workloads.phase import Phase, PhasedApplication
@@ -247,6 +252,23 @@ class _PhaseWalker:
         return self.app.phases[-1].instructions
 
 
+class _StallMemo(dict):
+    """``transition_cycles(old, new)`` memoized per ``(old, new)`` pair.
+
+    The cost model and both configurations are frozen values, so the
+    memo is exact: each simulator pays for a distinct transition once.
+    """
+
+    def __init__(self, costs: ReconfigCostModel) -> None:
+        super().__init__()
+        self.costs = costs
+
+    def __missing__(self, key: Tuple[VCoreConfig, VCoreConfig]) -> int:
+        stall = self.costs.transition_cycles(*key)
+        self[key] = stall
+        return stall
+
+
 class ThroughputSimulator:
     """Closed-loop simulation for throughput-QoS applications."""
 
@@ -293,6 +315,7 @@ class ThroughputSimulator:
         self.violation_margin = violation_margin
         self.seed = seed
         self._points_cache: Dict[str, Sequence[ConfigPoint]] = {}
+        self._stalls = _StallMemo(reconfig_costs)
 
     def true_points(self, phase: Phase) -> Sequence[ConfigPoint]:
         cached = self._points_cache.get(phase.name)
@@ -463,10 +486,7 @@ class ThroughputSimulator:
             config = entry.point.config
             stall = 0
             if current_config is not None and config != current_config:
-                stall = self.reconfig_costs.transition_cycles(
-                    current_config, config
-                )
-                stall = min(stall, int(leg_cycles))
+                stall = min(self._stalls[current_config, config], int(leg_cycles))
             current_config = config
             productive = leg_cycles - stall
             executed, used, crossed = walker.run_cycles(
@@ -551,6 +571,110 @@ class CASHAllocator:
         return decision.schedule
 
 
+class _PhaseCapacities:
+    """One phase's rate-independent latency operating points.
+
+    The request rate only scales the capacity margin, so a phase's
+    configurations, service capacities (requests/cycle) and cost rates
+    are computed once and shared by every interval spent in the phase.
+    """
+
+    __slots__ = ("configs", "capacities", "cost_rates", "positions", "non_negative")
+
+    def __init__(self, table: OperatingPointTable, per_request: float) -> None:
+        self.configs = tuple(point.config for point in table)
+        self.capacities = tuple(point.speedup / per_request for point in table)
+        self.cost_rates = tuple(point.cost_rate for point in table)
+        positions: Dict[VCoreConfig, int] = {}
+        for position, config in enumerate(self.configs):
+            positions.setdefault(config, position)
+        self.positions = positions
+        # ConfigPoint rejects a negative speedup or cost.  With no
+        # negative capacity or cost here, every point of an interval
+        # whose required capacity is positive passes that check.
+        self.non_negative = not any(
+            value < 0 for value in self.capacities + self.cost_rates
+        )
+
+
+class _CapacityPoints(Sequence[ConfigPoint]):
+    """One latency interval's true points, built only when read.
+
+    Iteration, ``len`` and indexing see exactly the eager list — the
+    same ``capacity / required`` division, in table order — which is
+    materialized at most once.  :meth:`envelope` and :meth:`point_for`
+    answer the oracle and race-to-idle without it: the oracle builds a
+    ``ConfigPoint`` per hull vertex and race builds one.
+    """
+
+    __slots__ = ("_phase", "_required", "_points")
+
+    def __init__(self, phase: _PhaseCapacities, required: float) -> None:
+        self._phase = phase
+        self._required = required
+        self._points: Optional[List[ConfigPoint]] = None
+
+    def _materialized(self) -> List[ConfigPoint]:
+        points = self._points
+        if points is None:
+            phase, required = self._phase, self._required
+            points = [
+                ConfigPoint(
+                    config=config,
+                    speedup=capacity / required,
+                    cost_rate=cost_rate,
+                )
+                for config, capacity, cost_rate in zip(
+                    phase.configs, phase.capacities, phase.cost_rates
+                )
+            ]
+            self._points = points
+        return points
+
+    def __len__(self) -> int:
+        return len(self._phase.configs)
+
+    def __iter__(self) -> Iterator[ConfigPoint]:
+        return iter(self._materialized())
+
+    def __getitem__(self, index):
+        return self._materialized()[index]
+
+    def _point_at(self, position: int) -> ConfigPoint:
+        phase = self._phase
+        return ConfigPoint(
+            config=phase.configs[position],
+            speedup=phase.capacities[position] / self._required,
+            cost_rate=phase.cost_rates[position],
+        )
+
+    def point_for(self, config: VCoreConfig) -> Optional[ConfigPoint]:
+        """The first point carrying ``config``, or None."""
+        position = self._phase.positions.get(config)
+        return None if position is None else self._point_at(position)
+
+    def envelope(self, idle: ConfigPoint = IDLE_POINT) -> tuple:
+        """``(hull, best_at)`` as :func:`compute_envelope` builds it.
+
+        The first-wins keys are the eager list's ``(speedup, cost)``
+        pairs; ``best_at`` covers hull vertices only, each owned by the
+        first position carrying it.
+        """
+        required = self._required
+        phase = self._phase
+        keys = [
+            (capacity / required, cost_rate)
+            for capacity, cost_rate in zip(phase.capacities, phase.cost_rates)
+        ]
+        carried = dict.fromkeys(keys)
+        return _envelope_over_keys(
+            sorted(carried),
+            carried,
+            lambda key: self._point_at(keys.index(key)),
+            idle,
+        )
+
+
 class LatencySimulator:
     """Closed-loop simulation for latency-QoS (server) applications.
 
@@ -602,6 +726,18 @@ class LatencySimulator:
             raise ValueError(
                 f"cycles_per_second must be positive, got {cycles_per_second}"
             )
+        if interval_cycles <= 0:
+            raise ValueError(
+                f"interval_cycles must be positive, got {interval_cycles}"
+            )
+        if noise_std_frac < 0:
+            raise ValueError(
+                f"noise_std_frac must be non-negative, got {noise_std_frac}"
+            )
+        if not 0.0 <= violation_margin < 1.0:
+            raise ValueError(
+                f"violation_margin must be in [0, 1), got {violation_margin}"
+            )
         self.app = app
         self.load = load
         self.target_latency = target_latency_cycles
@@ -615,36 +751,36 @@ class LatencySimulator:
         self.violation_margin = violation_margin
         self.seed = seed
         self._cheapest = min(space, key=lambda c: c.cost_rate(cost_model))
-        # Per-phase (config, capacity, cost_rate) triples: the request
-        # rate only scales the capacity margin, so the expensive part of
-        # ``true_points`` is rate-independent and cacheable.
-        self._capacity_cache: Dict[
-            str, List[Tuple[VCoreConfig, float, float]]
-        ] = {}
+        # Per-phase handles, resolved once like the throughput
+        # simulator's ``_points_cache``: the operating-point table and
+        # its rate-independent capacities.
+        self._tables: Dict[str, OperatingPointTable] = {}
+        self._capacity_cache: Dict[str, _PhaseCapacities] = {}
+        self._stalls = _StallMemo(reconfig_costs)
+
+    def _table(self, phase: Phase) -> OperatingPointTable:
+        table = self._tables.get(phase.name)
+        if table is None:
+            table = operating_point_table(
+                phase, self.model, self.space, self.cost_model
+            )
+            self._tables[phase.name] = table
+        return table
 
     def _ipc_of(self, phase: Phase, config: VCoreConfig) -> float:
         """Model IPC, served from the operating-point table when fast."""
         if perf.FAST:
-            ipc = operating_point_table(
-                phase, self.model, self.space, self.cost_model
-            ).get_ipc(config)
+            ipc = self._table(phase).get_ipc(config)
             if ipc is not None:
                 return ipc
         return self.model.ipc(phase, config)
 
-    def _capacity_entries(
-        self, phase: Phase
-    ) -> List[Tuple[VCoreConfig, float, float]]:
+    def _capacity_entries(self, phase: Phase) -> _PhaseCapacities:
         cached = self._capacity_cache.get(phase.name)
         if cached is None:
-            table = operating_point_table(
-                phase, self.model, self.space, self.cost_model
+            cached = _PhaseCapacities(
+                self._table(phase), self.app.instructions_per_request
             )
-            per_request = self.app.instructions_per_request
-            cached = [
-                (point.config, point.speedup / per_request, point.cost_rate)
-                for point in table
-            ]
             self._capacity_cache[phase.name] = cached
         return cached
 
@@ -678,20 +814,19 @@ class LatencySimulator:
 
     def true_points(
         self, phase: Phase, rate_per_second: float
-    ) -> List[ConfigPoint]:
+    ) -> Sequence[ConfigPoint]:
         if perf.FAST:
             # capacity / required is the same division the scalar
             # ``qos_of`` performs, on the same capacity value, so each
-            # point is bit-identical.
+            # point is bit-identical.  The view builds points only when
+            # read; where some point could fail ConfigPoint's checks the
+            # eager list is built instead, raising exactly as before.
+            entries = self._capacity_entries(phase)
             required = self.required_capacity(rate_per_second)
-            return [
-                ConfigPoint(
-                    config=config,
-                    speedup=capacity / required,
-                    cost_rate=cost_rate,
-                )
-                for config, capacity, cost_rate in self._capacity_entries(phase)
-            ]
+            view = _CapacityPoints(entries, required)
+            if entries.non_negative and required > 0:
+                return view
+            return list(view)
         return [
             ConfigPoint(
                 config=config,
@@ -739,9 +874,7 @@ class LatencySimulator:
                 )
                 stall = 0
                 if current_config is not None and config != current_config:
-                    stall = self.reconfig_costs.transition_cycles(
-                        current_config, config
-                    )
+                    stall = self._stalls[current_config, config]
                 current_config = config
                 leg_cycles = entry.fraction * self.interval_cycles
                 stall_penalty = min(stall / max(leg_cycles, 1.0), 0.5)

@@ -40,6 +40,7 @@ from repro.experiments.harness import (
     ThroughputSimulator,
     qos_target_for,
 )
+from repro.sim.optables import OperatingPointTable
 from repro.sim.perfmodel import PerformanceModel, DEFAULT_PERF_MODEL
 from repro.workloads.apps import APP_NAMES, get_app
 from repro.workloads.phase import PhasedApplication
@@ -152,8 +153,10 @@ class _LatencyConvexAllocator(ConvexOptimizationAllocator):
                 )
             )
         # Bypass the parent constructor: install precomputed points.
+        # As an OperatingPointTable (like ``average_points``) the static
+        # profile's envelope is built once per cell, not per interval.
         self.qos_goal = 1.0
-        self.points = points
+        self.points = OperatingPointTable(tuple(points))
         base_point = min(points, key=lambda p: p.cost_rate)
         self._base_qos = max(base_point.speedup, 1e-9)
         from repro.runtime.controller import DeadbeatController

@@ -28,7 +28,16 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Container,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro import perf
 from repro.arch.vcore import VCoreConfig
@@ -202,6 +211,35 @@ def _lower_hull_presorted(
     return hull
 
 
+def _envelope_over_keys(
+    keys_sorted: Sequence[Tuple[float, float]],
+    carried: Container[Tuple[float, float]],
+    owner: Callable[[Tuple[float, float]], ConfigPoint],
+    idle: ConfigPoint,
+) -> tuple:
+    """Frozen ``(hull, best_at)`` from sorted, deduplicated point keys.
+
+    The same hull :func:`compute_envelope` builds: the idle key joins
+    ``keys_sorted`` when no point carries it (``carried`` is the key
+    set), and the monotone chain runs over the result.  ``best_at``
+    holds hull vertices only — the keys the LP ever looks up — with
+    ``owner(key)`` resolving the first point carrying a key, so a
+    caller builds at most one ``ConfigPoint`` per vertex.
+    """
+    idle_key = (idle.speedup, idle.cost_rate)
+    if idle_key not in carried:
+        keys_sorted = list(keys_sorted)
+        insort(keys_sorted, idle_key)
+    hull = _lower_hull_presorted(keys_sorted)
+    best_at = {
+        vertex: owner(vertex) if vertex in carried else idle for vertex in hull
+    }
+    # Published frozen (tuple hull, read-only mapping view): the
+    # envelope may be shared by every consumer until its points change,
+    # so in-place edits must be impossible.
+    return tuple(hull), MappingProxyType(best_at)
+
+
 def compute_envelope(
     points: Sequence[ConfigPoint],
     idle: ConfigPoint = IDLE_POINT,
@@ -286,11 +324,16 @@ class LearnedPoints:
     lower hull) from fresh ``qos_estimates()`` dictionaries on every
     step — ~130 dataclass constructions and two hull sorts per control
     interval.  A Q-learning update only touches the one or two
-    configurations that actually executed, so this view keeps the point
-    list materialized and patches exactly the entries whose estimates
-    changed (tracked by the learner's ``estimates_version`` counter and
-    per-config change log).  The lower envelope is likewise cached and
-    recomputed only when some estimate moved since it was last built.
+    configurations that actually executed, so this view keeps each
+    position's estimate as a float and patches exactly the entries
+    whose estimates changed (tracked by the learner's
+    ``estimates_version`` counter and per-config change log).  The
+    lower envelope is likewise cached and recomputed only when some
+    estimate moved since it was last built.  A position's
+    ``ConfigPoint`` is built only when something reads it — a hull
+    vertex's owner, :meth:`points` or iteration — and is cached until
+    that position's estimate changes.  Once :meth:`points` has read the
+    whole list, changes patch it in place until the next full rebuild.
 
     Points are expressed in *raw QoS units* (q̂_k, not ŝ_k) — the units
     the CASH runtime solves in — so changes to the base-speed estimate
@@ -313,6 +356,9 @@ class LearnedPoints:
             )
         if not configs:
             raise ValueError("need at least one configuration")
+        for rate in cost_rates:
+            if rate < 0:
+                raise ValueError(f"cost_rate must be non-negative, got {rate}")
         self._learner = learner
         self._configs = list(configs)
         self._cost_rates = list(cost_rates)
@@ -320,7 +366,13 @@ class LearnedPoints:
         for position, config in enumerate(self._configs):
             self._index.setdefault(config, position)
         self._version: Optional[int] = None
-        self._points: List[ConfigPoint] = []
+        # Per-position raw-QoS estimate, and the ConfigPoint built from
+        # it on first read (None until then).  Once ``points()`` has
+        # filled every position (``_whole``), changes patch the list in
+        # place, so a whole list is never handed out with holes.
+        self._speedups: List[float] = []
+        self._points: List[Optional[ConfigPoint]] = []
+        self._whole = False
         self._envelopes: Dict[tuple, tuple] = {}
         # Dedup-key index maintained across refreshes: the sorted list
         # of unique (speedup, cost_rate) keys and, per key, the point
@@ -333,35 +385,38 @@ class LearnedPoints:
     def __getstate__(self) -> Dict[str, object]:
         # The envelope cache holds read-only ``MappingProxyType`` views,
         # which cannot pickle (service checkpoints snapshot runtimes).
-        # It is a pure function of the point list, so dropping it only
+        # It is a pure function of the estimates, so dropping it only
         # costs a rebuild on the next solve — same hull, bit for bit.
         state = dict(self.__dict__)
         state["_envelopes"] = {}
         return state
 
+    def _estimate(self, config: VCoreConfig) -> float:
+        """The learner's estimate, checked as a ``ConfigPoint`` would."""
+        speedup = self._learner.qos_estimate(config)
+        if speedup < 0:
+            raise ValueError(f"speedup must be non-negative, got {speedup}")
+        return speedup
+
     def _rebuild_all(self) -> None:
-        learner = self._learner
-        self._points = [
-            ConfigPoint(
-                config=config,
-                speedup=learner.qos_estimate(config),
-                cost_rate=rate,
-            )
-            for config, rate in zip(self._configs, self._cost_rates)
-        ]
+        speedups = [self._estimate(config) for config in self._configs]
+        self._speedups = speedups
+        self._points = [None] * len(speedups)
+        self._whole = False
         positions: Dict[Tuple[float, float], List[int]] = {}
-        for position, point in enumerate(self._points):
-            positions.setdefault(
-                (point.speedup, point.cost_rate), []
-            ).append(position)
+        for position, key in enumerate(zip(speedups, self._cost_rates)):
+            positions.setdefault(key, []).append(position)
         self._key_positions = positions
         self._keys_sorted = sorted(positions)
 
-    def _apply_change(self, position: int, new_point: ConfigPoint) -> None:
-        old_point = self._points[position]
-        self._points[position] = new_point
-        old_key = (old_point.speedup, old_point.cost_rate)
-        new_key = (new_point.speedup, new_point.cost_rate)
+    def _apply_change(self, position: int, speedup: float) -> None:
+        rate = self._cost_rates[position]
+        old_key = (self._speedups[position], rate)
+        new_key = (speedup, rate)
+        self._speedups[position] = speedup
+        self._points[position] = None
+        if self._whole:
+            self._point_at(position)
         if old_key == new_key:
             return
         holders = self._key_positions[old_key]
@@ -384,11 +439,11 @@ class LearnedPoints:
             self._envelopes = {}
             self._version = None
             return
-        if self._version == version and self._points:
+        if self._version == version and self._speedups:
             return
         changed = (
             self._learner.changes_since(self._version)
-            if self._version is not None and self._points
+            if self._version is not None and self._speedups
             else None
         )
         if changed is None:
@@ -398,20 +453,28 @@ class LearnedPoints:
                 position = self._index.get(config)
                 if position is None:
                     continue
-                self._apply_change(
-                    position,
-                    ConfigPoint(
-                        config=config,
-                        speedup=self._learner.qos_estimate(config),
-                        cost_rate=self._cost_rates[position],
-                    ),
-                )
+                self._apply_change(position, self._estimate(config))
         self._envelopes = {}
         self._version = version
+
+    def _point_at(self, position: int) -> ConfigPoint:
+        point = self._points[position]
+        if point is None:
+            point = ConfigPoint(
+                config=self._configs[position],
+                speedup=self._speedups[position],
+                cost_rate=self._cost_rates[position],
+            )
+            self._points[position] = point
+        return point
 
     def points(self) -> List[ConfigPoint]:
         """The current operating points, patched up to date."""
         self._refresh()
+        if not self._whole:
+            for position in range(len(self._points)):
+                self._point_at(position)
+            self._whole = True
         return self._points
 
     def __len__(self) -> int:
@@ -429,30 +492,20 @@ class LearnedPoints:
         The rebuild runs the monotone chain over the incrementally
         maintained sorted key list — the same input (and so the same
         hull) :func:`compute_envelope` derives from scratch — and
-        resolves first-wins owners for hull vertices only (the solver
+        builds first-wins owners for hull vertices only (the solver
         never looks up points off the hull).
         """
         self._refresh()
         cache_key = (idle.config, idle.speedup, idle.cost_rate)
         cached = self._envelopes.get(cache_key)
         if cached is None:
-            idle_key = (idle.speedup, idle.cost_rate)
-            if idle_key in self._key_positions:
-                keys: Sequence[Tuple[float, float]] = self._keys_sorted
-            else:
-                keys = list(self._keys_sorted)
-                insort(keys, idle_key)
-            hull = _lower_hull_presorted(keys)
-            best_at: Dict[Tuple[float, float], ConfigPoint] = {}
-            for vertex in hull:
-                holders = self._key_positions.get(vertex)
-                best_at[vertex] = (
-                    self._points[min(holders)] if holders else idle
-                )
-            # Published frozen (tuple hull, read-only mapping view): the
-            # envelope is shared by every consumer until the next
-            # estimate change, so in-place edits must be impossible.
-            cached = (tuple(hull), MappingProxyType(best_at))
+            positions = self._key_positions
+            cached = _envelope_over_keys(
+                self._keys_sorted,
+                positions,
+                lambda key: self._point_at(min(positions[key])),
+                idle,
+            )
             self._envelopes[cache_key] = cached
         return cached
 

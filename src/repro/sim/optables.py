@@ -61,11 +61,19 @@ class OperatingPointTable:
 
     Behaves as a ``Sequence[ConfigPoint]`` (the harness hands it to
     allocators as ``true_points``), and additionally offers O(1) IPC
-    lookup by configuration, the table's maximum QoS, and a cached
-    lower convex envelope keyed by the idle point.
+    and point lookup by configuration, the table's maximum QoS, and a
+    cached lower convex envelope keyed by the idle point.
     """
 
-    __slots__ = ("points", "_ipc", "max_qos", "speedup_array", "_envelopes", "_sealed")
+    __slots__ = (
+        "points",
+        "_ipc",
+        "_by_config",
+        "max_qos",
+        "speedup_array",
+        "_envelopes",
+        "_sealed",
+    )
 
     def __init__(self, points: Tuple[ConfigPoint, ...]) -> None:
         if not points:
@@ -74,6 +82,10 @@ class OperatingPointTable:
         self._ipc: Mapping[VCoreConfig, float] = {
             point.config: point.speedup for point in self.points
         }
+        by_config: Dict[Optional[VCoreConfig], ConfigPoint] = {}
+        for point in self.points:
+            by_config.setdefault(point.config, point)
+        self._by_config: Mapping[Optional[VCoreConfig], ConfigPoint] = by_config
         self.speedup_array: np.ndarray = np.array(
             [point.speedup for point in self.points], dtype=np.float64
         )
@@ -95,6 +107,10 @@ class OperatingPointTable:
     def get_ipc(self, config: VCoreConfig) -> Optional[float]:
         """The table's QoS (IPC) for ``config``, or None if absent."""
         return self._ipc.get(config)
+
+    def point_for(self, config: VCoreConfig) -> Optional[ConfigPoint]:
+        """The first point carrying ``config`` (a scan's answer), or None."""
+        return self._by_config.get(config)
 
     def envelope(self, idle: ConfigPoint = IDLE_POINT) -> tuple:
         """Cached ``(hull, best_at)`` lower envelope for this table.
@@ -150,14 +166,16 @@ class OperatingPointTable:
     def seal(self) -> "OperatingPointTable":
         """Freeze the table for publication into a shared cache.
 
-        Marks the speedup ndarray read-only and replaces the IPC map
-        with a ``MappingProxyType`` view, so any later in-place write
-        through a cached table raises instead of silently corrupting
-        every other consumer.  Idempotent; returns ``self``.
+        Marks the speedup ndarray read-only and replaces the IPC and
+        point maps with ``MappingProxyType`` views, so any later
+        in-place write through a cached table raises instead of
+        silently corrupting every other consumer.  Idempotent; returns
+        ``self``.
         """
         if not self._sealed:
             self.speedup_array.setflags(write=False)
             self._ipc = MappingProxyType(dict(self._ipc))
+            self._by_config = MappingProxyType(dict(self._by_config))
             self._sealed = True
         return self
 
@@ -368,6 +386,10 @@ def _verify_published(table: OperatingPointTable, site: str) -> None:
     if not isinstance(table._ipc, MappingProxyType):
         sanitize.violation(
             "cache-publish", owner, site, "table IPC map is a bare dict"
+        )
+    if not isinstance(table._by_config, MappingProxyType):
+        sanitize.violation(
+            "cache-publish", owner, site, "table point map is a bare dict"
         )
 
 

@@ -21,14 +21,22 @@ from repro.experiments.stats import (
     seed_stability_report,
 )
 
-# One throughput app, one latency app, one phase-heavy app; all four
-# allocator kinds are exercised across the cells.
+# One phase-heavy throughput app and both latency apps under all four
+# allocator kinds (the latency simulator hands the oracle and race its
+# lazy point view on the fast path), plus one more throughput app.
 CELLS = (
     ("x264", "cash"),
     ("x264", "optimal"),
     ("x264", "race"),
     ("x264", "convex"),
     ("apache", "cash"),
+    ("apache", "optimal"),
+    ("apache", "race"),
+    ("apache", "convex"),
+    ("mailserver", "cash"),
+    ("mailserver", "optimal"),
+    ("mailserver", "race"),
+    ("mailserver", "convex"),
     ("mcf", "cash"),
 )
 

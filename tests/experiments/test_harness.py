@@ -178,6 +178,15 @@ class TestLatencySimulator:
             self._sim(target_latency_cycles=0)
         with pytest.raises(ValueError):
             self._sim(cycles_per_second=0)
+        # The settings ThroughputSimulator already rejects.
+        for interval_cycles in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="interval_cycles"):
+                self._sim(interval_cycles=interval_cycles)
+        with pytest.raises(ValueError, match="noise_std_frac"):
+            self._sim(noise_std_frac=-0.5)
+        for margin in (1.5, -0.1):
+            with pytest.raises(ValueError, match="violation_margin"):
+                self._sim(violation_margin=margin)
 
     def test_capacity_margin_one_is_latency_target(self):
         """q = 1 exactly when the M/M/1 latency equals the target."""

@@ -154,6 +154,21 @@ class TestIncrementalEnvelope:
         assert first is not second
         assert second == scratch_points(learner)
 
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_negative_estimate_is_rejected_on_read(self, fast):
+        # Points are built lazily, so the ConfigPoint speedup check runs
+        # where each estimate is read; its error must not change.
+        learner, _, view = make_view()
+        view.points()
+        learner._estimates[CONFIGS[2]].qos = -1.0
+        learner.invalidate_estimates()
+        message = "speedup must be non-negative, got -1.0"
+        with perf.fast_paths(fast):
+            with pytest.raises(ValueError, match=message):
+                view.points()
+            with pytest.raises(ValueError, match=message):
+                view.envelope(IDLE_POINT)
+
     def test_envelope_cache_reuse_without_updates(self):
         learner, _, view = make_view()
         learner.observe(CONFIGS[3], 2.5)

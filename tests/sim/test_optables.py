@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro import perf
 from repro.arch.cost import DEFAULT_COST_MODEL
 from repro.arch.vcore import ConfigurationSpace, DEFAULT_CONFIG_SPACE
-from repro.runtime.optimizer import compute_envelope
+from repro.runtime.optimizer import ConfigPoint, compute_envelope
 from repro.sim.optables import (
     OperatingPointTable,
     build_table_scalar,
@@ -100,6 +100,25 @@ class TestOperatingPointTable:
         space = ConfigurationSpace(slice_counts=(1,), l2_sizes_kb=(64,))
         small = build_table_scalar(make_x264().phases[0], MODEL, space)
         assert small.get_ipc(self.table[-1].config) is None
+
+    def test_point_for_is_the_first_wins_scan(self):
+        for point in self.table:
+            assert self.table.point_for(point.config) is next(
+                p for p in self.table if p.config == point.config
+            )
+        space = ConfigurationSpace(slice_counts=(1,), l2_sizes_kb=(64,))
+        small = build_table_scalar(make_x264().phases[0], MODEL, space)
+        assert small.point_for(self.table[-1].config) is None
+        first, second = self.table[0], self.table[1]
+        twice = OperatingPointTable(
+            (first, ConfigPoint(first.config, second.speedup, 1.0))
+        )
+        assert twice.point_for(first.config) is first
+
+    def test_seal_freezes_point_map(self):
+        table = build_table_scalar(make_x264().phases[0]).seal()
+        with pytest.raises(TypeError):
+            table._by_config[table[0].config] = table[1]
 
     def test_max_qos(self):
         assert self.table.max_qos == max(p.speedup for p in self.table)
