@@ -10,11 +10,11 @@ the PR 5 call graph, plus four rules that only fire inside the hot set.
 
 **The hot set.**  A function is *hot* when it is reachable on the call
 graph from a FAST engine entrypoint (:data:`HOT_ENTRYPOINTS` — the
-sweep workers, the event-driven cycle tier, the closed-list provider,
-the always-on service loop and its traffic generator, the trace generator,
-the operating-point build/publish paths) or from any
-function containing a ``perf.FAST`` split.  Two exemptions keep the
-scalar references out by construction:
+sweep workers, the batch cycle tier, the closed-list provider, the
+always-on service loop and its traffic generator, the trace
+generator's column path, the operating-point build/publish paths) or
+from any function containing a ``perf.FAST`` split.  Two exemptions
+keep the scalar references out by construction:
 
 * reachability does not follow call edges that occur only inside the
   scalar-twin region of a ``perf.FAST`` split (the call graph records
@@ -92,13 +92,11 @@ from repro.analysis.core import (
 HOT_ENTRYPOINTS: Tuple[Tuple[str, str], ...] = (
     ("experiments.stats", "run_cell"),
     ("experiments.stats", "run_cells"),
-    ("sim.pipeline", "MultiSlicePipeline._run_event_driven"),
     ("sim.batchpipe", "run_batch"),
     ("cloud.provider", "CloudProvider.run"),
     ("cloud.service", "ServiceEngine.run"),
     ("cloud.service", "ServiceEngine._run_event_driven"),
     ("cloud.traffic", "generate_traffic"),
-    ("sim.trace", "TraceGenerator.generate"),
     ("sim.trace", "TraceGenerator.generate_arrays"),
     ("sim.optables", "operating_point_table"),
     ("sim.optables", "ensure_surface"),
@@ -144,8 +142,9 @@ def is_entrypoint(summary: FunctionSummary) -> bool:
 def is_scalar_reference(summary: FunctionSummary) -> bool:
     """The ``*_reference`` naming protocol for scalar twins.
 
-    Fast paths may *call* their reference twin on irregular inputs (the
-    event-driven pipeline falls back for non-rectangular traces), so
+    Fast paths may *call* their reference twin outside any FAST split
+    (the batch tier's no-compiler fallback reaches
+    ``MultiSlicePipeline._run_reference`` through ``run``), so
     branch-position alone cannot exempt the twins; the suffix does.
     """
     return summary.name.endswith("_reference")

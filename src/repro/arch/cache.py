@@ -193,29 +193,6 @@ class CacheBank:
         ways.append(_CacheLine(tag=tag, dirty=is_write, last_use=self._clock))
         return False
 
-    def touch_resident(self, address: int, count: int) -> bool:
-        """Replay ``count`` repeated read hits on a resident line.
-
-        Leaves the bank in exactly the state ``count`` back-to-back
-        ``access(address, False)`` hit calls would: the clock advances
-        ``count`` ticks, the line's ``last_use`` lands on the final
-        tick, and ``hits`` grows by ``count``.  Returns ``False`` (and
-        changes nothing) if the line is not resident — the caller must
-        then fall back to real accesses, which may miss.
-        """
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        if address < 0:
-            raise ValueError(f"address must be non-negative, got {address}")
-        index, tag = self._index_and_tag(address)
-        for line in self._sets[index]:
-            if line.tag == tag:
-                self._clock += count
-                line.last_use = self._clock
-                self.hits += count
-                return True
-        return False
-
     def contains(self, address: int) -> bool:
         index, tag = self._index_and_tag(address)
         return any(line.tag == tag for line in self._sets[index])

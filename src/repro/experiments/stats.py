@@ -632,8 +632,9 @@ def record_bench_cloud(
 
 
 BENCH_CYCLE_PATH = "BENCH_CYCLE.json"
-"""Cycle-tier timings (event-driven engine and the tier-agreement
-sweep) live here, next to the other benchmark reports."""
+"""Cycle-tier timings (the native kernel against the per-cycle engine,
+and the tier-agreement sweep) live here, next to the other benchmark
+reports."""
 
 
 def record_bench_cycle(

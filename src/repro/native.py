@@ -6,10 +6,10 @@ pure interpreter overhead.  This module compiles ``sim/_batchcore.c``
 on demand with the host C compiler and loads it through :mod:`ctypes`,
 following the shape ROADMAP cites from ``subhft``'s ``rust_core``: an
 *optional* accelerated core behind a pure-Python contract, with the
-object-based pipeline retained as the always-runnable twin and
+per-cycle object pipeline retained as the always-runnable twin and
 bit-identity asserted in tests.  Nothing is installed: if no compiler
 is present (or ``REPRO_NATIVE`` disables the core) every caller falls
-back to the pure-Python path.
+back to that per-cycle pipeline — correct, but several times slower.
 
 Like :mod:`repro.cacheconf`, the host-level switches are read from the
 environment here, once, at the top of the package — the engine

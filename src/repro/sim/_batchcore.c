@@ -3,29 +3,44 @@
  * One exported entrypoint, repro_run_batch, advances many independent
  * pipeline cells in lockstep: every iteration of the outer loop steps
  * each still-active cell through exactly one processed cycle (an
- * "event epoch" -- the idle cycles in between are skipped exactly as
- * in the Python event-driven engine), with finished cells dropped
- * from the active list.
+ * "event epoch" -- the idle cycles in between are skipped), with
+ * finished cells dropped from the active list.
  *
- * The algorithm is a field-for-field port of
- * repro.sim.pipeline.MultiSlicePipeline._run_event_driven plus the
+ * Each cell is an event-driven twin of the per-cycle scalar engine,
+ * repro.sim.pipeline.MultiSlicePipeline._run_reference, plus the
  * MemorySystem / CacheBank / ComposedL2 semantics it drives:
  *
  *   - same fetch/steer/capacity/misprediction ordering;
  *   - same issue arbitration (one ALU + one LSU per Slice per cycle,
  *     lowest op id first, MSHR cap on in-flight loads);
- *   - same in-order commit with per-cycle budget and the
- *     commit-wakeup ready-time relaxation for remote operands;
- *   - same LRU set-associative cache model, bank hashing, prewarm
- *     and bulk L1I replay on skipped cycles.
+ *   - same in-order commit with per-cycle budget;
+ *   - same LRU set-associative cache model, bank hashing and prewarm.
+ *
+ * The invariants that keep the event-driven schedule bit-identical to
+ * the per-cycle scan:
+ *
+ *   - an op enters its Slice's ready heap only once all producers
+ *     have known completion times; its ready cycle is
+ *     max(fetched_at, completion + operand_delay) over the producers
+ *     still in flight -- exactly the reference's ready_at;
+ *   - a committed producer drops out of the reference's readiness
+ *     scan, which can only matter when the operand delay is >= 2, so
+ *     only those consumers register for a commit wakeup that relaxes
+ *     their ready time;
+ *   - the next processed cycle is never later than the earliest cycle
+ *     at which the reference could fetch, issue, commit or release an
+ *     MSHR, so skipped cycles are provably dead;
+ *   - skipped cycles still count toward the per-Slice CYCLES counter,
+ *     and the L1I hits a capacity-stalled front end would take on
+ *     them are replayed in bulk.
  *
  * Heap pops compare full packed values and every key in flight is
  * distinct (or duplicates are exact value duplicates), so any correct
- * binary heap reproduces CPython's heapq behaviour bit for bit; the
- * wake lists preserve append order via tail pointers.  Python-side
- * parity tests assert bit-identical PipelineResult, per-slice
- * counters and memory stats against MultiSlicePipeline.run for every
- * cell.
+ * binary heap pops ready ops in the op-id order the reference's
+ * sorted scan visits them; the wake lists preserve append order via
+ * tail pointers.  Python-side parity tests assert bit-identical
+ * PipelineResult, per-slice counters and memory stats against
+ * MultiSlicePipeline.run for every cell.
  *
  * All inputs are flat little-endian int64/int8 buffers prepared by
  * repro.sim.batchpipe from TraceArrays (see repro.sim.soa); -1 is the

@@ -10,15 +10,17 @@ amortizes across the whole batch.  Genuinely irregular state — cache
 tag arrays, wakeup lists, release heaps — is held per cell inside the
 kernel rather than forced into rectangular form.
 
-The object-based event-driven pipeline is untouched and remains the
-twin: for every cell, :func:`run_batch` returns a bit-identical
+The per-cycle object pipeline, ``MultiSlicePipeline.run``, is the
+scalar twin: for every cell, :func:`run_batch` returns a bit-identical
 :class:`~repro.sim.pipeline.PipelineResult`, per-Slice counter block
-and memory-system stats versus ``MultiSlicePipeline.run`` on the same
-trace (the parity suite asserts this over the whole tier-agreement
-grid).  When the compiled core is unavailable — no host compiler,
+and memory-system stats versus that engine on the same trace (the
+parity suite asserts this over the whole tier-agreement grid).  When
+the compiled core is unavailable — no host compiler,
 ``REPRO_NATIVE=0``, or a cell outside the kernel's envelope — the
 batch API transparently runs each cell through the object pipeline,
 so callers never need a compiler to be correct, only to be fast.
+Both the tier grid and :class:`~repro.sim.ssim.SSim`'s single cells
+run here.
 
 Scope: the kernel implements the scripted-mispredict front end only
 (``dynamic_branches`` stays object-path territory) and requires the
@@ -180,7 +182,7 @@ def run_batch(
     With :data:`repro.perf.FAST` enabled and the compiled core
     available, all cells advance in lockstep through the native
     struct-of-arrays kernel; otherwise each cell runs through the
-    object-based ``MultiSlicePipeline`` twin.  Both paths produce
+    per-cycle ``MultiSlicePipeline`` twin.  Both paths produce
     bit-identical results, counters and memory stats.
     """
     cells = list(cells)

@@ -135,30 +135,6 @@ class MemorySystem:
             level="memory", cycles=total + self.slice_params.memory_delay
         )
 
-    def refetch_resident(
-        self, slice_id: int, code_address: int, count: int
-    ) -> bool:
-        """Replay ``count`` repeated L1I fetch hits on a resident line.
-
-        The cycle tier's event-driven engine uses this when it skips
-        cycles during which a capacity-stalled front end would re-fetch
-        the same head-of-trace instruction every cycle: each of those
-        fetches is an L1I hit (the line was installed or hit by the
-        last real fetch and nothing else touches that L1I in between).
-        Replaying them in bulk leaves the memory system bit-identical
-        to ``count`` individual :meth:`fetch` calls.  Returns ``False``
-        without side effects if the line is not resident.
-        """
-        if not 0 <= slice_id < len(self.l1i):
-            raise ValueError(
-                f"slice_id {slice_id} out of range for "
-                f"{len(self.l1i)}-Slice virtual core"
-            )
-        if not self.l1i[slice_id].touch_resident(code_address, count):
-            return False
-        self.l1i_hits += count
-        return True
-
     def stats(self) -> Dict[str, int]:
         l2_stats = self.l2.stats()
         return {

@@ -21,30 +21,20 @@ demonstrate the CASH mechanisms (composition scaling, distance-priced
 cache, reconfiguration stalls) at cycle fidelity and to sanity-check
 the fast analytic tier, not a validated microarchitectural twin.
 
-Two implementations execute the same machine:
-
-* :meth:`MultiSlicePipeline._run_reference` — the scalar reference: one
-  loop iteration per simulated cycle, re-scanning every in-flight op.
-* :meth:`MultiSlicePipeline._run_event_driven` — the
-  :data:`repro.perf.FAST` twin: an incremental wakeup scoreboard (ops
-  enter a per-Slice ready heap only when their last producer's
-  completion time is known), min-heaps for MSHR release times, and
-  cycle skipping that jumps simulated time to the next event while
-  accounting per-Slice ``CYCLES`` counters — and the L1I touches of a
-  capacity-stalled front end — exactly.  The equivalence suite asserts
-  bit-identical :class:`PipelineResult`, counters, and memory state.
+This module is the cycle tier's scalar engine: one loop iteration per
+simulated cycle, re-scanning every in-flight op
+(:meth:`MultiSlicePipeline._run_reference`).  The fast engine is the
+compiled lockstep kernel behind :func:`repro.sim.batchpipe.run_batch`;
+the parity suite asserts that it returns a bit-identical
+:class:`PipelineResult`, per-Slice counters and memory state for every
+trace this engine runs.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro import perf
 from repro.arch.counters import CounterKind, PerformanceCounters
 from repro.arch.params import CacheParams, SliceParams
 from repro.arch.params import DEFAULT_CACHE_PARAMS, DEFAULT_SLICE_PARAMS
@@ -52,7 +42,6 @@ from repro.arch.vcore import VCoreConfig
 from repro.sim.isa import MicroOp, OpKind
 from repro.sim.branch import FrontEndPredictor
 from repro.sim.memsys import MemorySystem
-from repro.sim.soa import ordered_unique
 
 _FRONT_END_DEPTH = 7
 """Fetch/decode/rename depth: the redirect penalty after a mispredict
@@ -127,42 +116,25 @@ class MultiSlicePipeline:
     def _prewarm(self, trace: Sequence[MicroOp]) -> None:
         """Install the trace's code footprint (steady-state fetch).
 
-        Install order decides LRU state, so both dedup paths preserve
-        first-occurrence order: the FAST path through the SoA column
-        dedup (``np.unique`` + first-index re-sort), the scalar twin
-        through the seen-set loop.
+        Install order decides LRU state, so the dedup keeps each code
+        address at its first occurrence.
         """
-        if perf.FAST:
-            columns = np.fromiter(
-                (
-                    -1 if op.code_address is None else op.code_address
-                    for op in trace
-                ),
-                dtype=np.int64,
-                count=len(trace),
-            )
-            code = ordered_unique(columns).tolist()
-        else:
-            code = []
-            seen = set()
-            for op in trace:
-                if op.code_address is not None and op.code_address not in seen:
-                    seen.add(op.code_address)
-                    code.append(op.code_address)
+        code = []
+        seen = set()
+        for op in trace:
+            if op.code_address is not None and op.code_address not in seen:
+                seen.add(op.code_address)
+                code.append(op.code_address)
         if code:
             self.memory.prewarm_code(code)
 
     def run(self, trace: Sequence[MicroOp]) -> PipelineResult:
         """Execute the trace to completion; returns cycle-level results.
 
-        With :data:`repro.perf.FAST` enabled the event-driven engine
-        runs; otherwise (or for traces whose ``op_id``s are not the
-        positions the commit walk indexes by) the per-cycle scalar
-        reference does.  Both produce bit-identical results and leave
-        the memory system and counters in bit-identical states.
+        Runs the per-cycle scalar engine.  Its commit walk finds the
+        next op to retire by ``op_id``, so a trace must carry each id in
+        ``0..n-1`` exactly once.
         """
-        if perf.FAST:
-            return self._run_event_driven(trace)
         return self._run_reference(trace)
 
     def _run_reference(self, trace: Sequence[MicroOp]) -> PipelineResult:
@@ -389,469 +361,6 @@ class MultiSlicePipeline:
 
             for slice_counters in self.counters:
                 slice_counters.increment(CounterKind.CYCLES)
-
-        stats = self.memory.stats()
-        return PipelineResult(
-            cycles=cycle,
-            instructions=total,
-            config=self.config,
-            l1_hits=stats["l1_hits"],
-            l2_hits=stats["l2_hits"],
-            l2_misses=stats["l2_misses"],
-            mispredicts=mispredicts,
-            l1i_misses=stats["l1i_misses"],
-        )
-
-    def _run_event_driven(self, trace: Sequence[MicroOp]) -> PipelineResult:
-        """Event-driven twin of :meth:`_run_reference` (``perf.FAST``).
-
-        Replaces the per-cycle re-scan of the in-flight window with an
-        incremental wakeup scoreboard and skips cycles in which nothing
-        can happen.  The invariants that keep it bit-identical:
-
-        * an op enters its Slice's ready heap only once all producers
-          have known completion times; its ready cycle is
-          ``max(fetched_at, completion + operand_delay)`` over the
-          producers still in flight — exactly the reference's
-          ``ready_at``;
-        * a committed producer drops out of the reference's readiness
-          scan, which can only matter when the operand delay is >= 2
-          (for delay <= 1 the arrival bound is never later than
-          ``commit_cycle + 1``), so only those consumers register for a
-          commit wakeup that relaxes their ready time;
-        * issue picks the first ready ALU-class and first ready
-          MEM-class op in ``op_id`` order per Slice — the heap pops in
-          the same order the reference's ``sorted(...)`` scan visits;
-        * the next processed cycle is never later than the earliest
-          cycle at which the reference could fetch, issue, commit, or
-          release an MSHR, so skipped cycles are provably dead;
-        * skipped cycles still account per-Slice ``CYCLES`` (added in
-          bulk at the end) and the L1I re-touches of a capacity-stalled
-          front end (replayed in bulk via
-          :meth:`~repro.sim.memsys.MemorySystem.refetch_resident`, which
-          replicates hit bookkeeping exactly).
-        """
-        if not trace:
-            raise ValueError("cannot run an empty trace")
-        total = len(trace)
-        for index, op in enumerate(trace):
-            if op.op_id != index:
-                # The commit walk indexes in-flight ops by op_id ==
-                # position; irregular traces take the reference tier.
-                return self._run_reference(trace)
-        self._prewarm(trace)
-
-        params = self.slice_params
-        num_slices = self.config.slices
-        window_cap = params.issue_window
-        rob_cap = params.rob_size
-        steer_cap = max(window_cap // 4, 2)
-        fetch_budget_max = params.fetch_width * num_slices
-        commit_budget_max = params.commit_width * num_slices
-        max_loads = params.max_inflight_loads
-        operand_hops = self._operand_hops
-        memory = self.memory
-        counters = self.counters
-        dynamic = self.dynamic_branches
-        front_end = self.front_end
-        # Bound per-Slice L1I hit replays: `touch_resident(addr, 1)` is
-        # exactly one `access(addr, False)` hit, so a resident fetch
-        # can skip the full fetch path; misses fall through to it.
-        l1i_touch = [bank.touch_resident for bank in memory.l1i]
-        l1i_hit_tally = 0
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        load = OpKind.LOAD
-        store = OpKind.STORE
-        branch = OpKind.BRANCH
-
-        kinds = [op.kind for op in trace]
-        mem_flags = [op.is_memory for op in trace]
-
-        # Per-op scoreboard, indexed by op_id (== trace position).
-        slice_of = [0] * total
-        fetched_at = [-1] * total  # -1: not fetched yet
-        complete = [-1] * total  # -1: not issued yet
-        committed = bytearray(total)
-        issued = bytearray(total)
-        queued = bytearray(total)  # currently in a ready_now heap
-        waiting = [0] * total  # producers with unknown completion
-        ready_time = [0] * total
-        producers: List[Tuple[int, ...]] = [()] * total
-
-        wake_on_complete: Dict[int, List[int]] = {}
-        wake_on_commit: Dict[int, List[int]] = {}
-
-        ready_now: List[List[int]] = [[] for _ in range(num_slices)]
-        future: List[List[Tuple[int, int]]] = [[] for _ in range(num_slices)]
-        mshr: List[List[int]] = [[] for _ in range(num_slices)]
-
-        last_writer: Dict[int, int] = {}
-        rob_occupancy = [0] * num_slices
-        window_occupancy = [0] * num_slices
-
-        # Counter events accumulate in plain ints and land in the
-        # PerformanceCounters in one bulk increment per kind at the
-        # end — the counters only ever add, so the final state is
-        # identical to the reference's per-event increments.
-        l2_accesses_n = [0] * num_slices
-        l2_misses_n = [0] * num_slices
-        l1_misses_n = [0] * num_slices
-        branches_n = [0] * num_slices
-        branch_mispredicts_n = [0] * num_slices
-        committed_n = [0] * num_slices
-
-        fetch_index = 0
-        commit_index = 0
-        fetch_stalled_until = 0
-        mispredicts = 0
-        cycle = 0
-        max_cycles = 1000 * total + 100_000  # runaway guard
-        no_event = max_cycles + 2  # sentinel: no candidate event
-        # Per-Slice "why is ready work still pending" marker, refreshed
-        # each processed cycle: 0 (none), cycle + 1 (a unit was busy),
-        # or an MSHR release time (every leftover is a stuck load).
-        ready_events = [0] * num_slices
-
-        def resolve_ready(consumer: int) -> None:
-            """All producers known: queue the op at its ready cycle."""
-            ready_at = fetched_at[consumer]
-            consumer_slice = slice_of[consumer]
-            prods = producers[consumer]
-            if prods:
-                for producer_id in prods:
-                    if committed[producer_id]:
-                        continue  # already committed & drained
-                    delay = (
-                        0 if slice_of[producer_id] == consumer_slice
-                        else operand_hops
-                    )
-                    arrival = complete[producer_id] + delay
-                    if delay >= 2:
-                        # Committing the producer drops its constraint
-                        # from the reference scan one cycle later; only
-                        # a >= 2 hop delay can make that earlier than
-                        # ``arrival``.
-                        wake_on_commit.setdefault(producer_id, []).append(
-                            consumer
-                        )
-                    if arrival > ready_at:
-                        ready_at = arrival
-            ready_time[consumer] = ready_at
-            if ready_at <= cycle:
-                queued[consumer] = 1
-                heappush(ready_now[consumer_slice], consumer)
-            else:
-                heappush(future[consumer_slice], (ready_at, consumer))
-
-        while True:
-            cycle += 1
-            if cycle > max_cycles:  # pragma: no cover - defensive
-                raise RuntimeError("pipeline failed to make progress")
-
-            for slice_mshr in mshr:
-                while slice_mshr and slice_mshr[0] <= cycle:
-                    heappop(slice_mshr)
-
-            # ---- fetch & rename ------------------------------------
-            fetch_blocked_capacity = False
-            if cycle >= fetch_stalled_until:
-                budget = fetch_budget_max
-                while budget > 0 and fetch_index < total:
-                    op = trace[fetch_index]
-                    code_address = op.code_address
-                    if code_address is not None:
-                        target = fetch_index % num_slices
-                        if l1i_touch[target](code_address, 1):
-                            l1i_hit_tally += 1
-                        else:
-                            fetch_result = memory.fetch(target, code_address)
-                            if fetch_result.level != "l1":
-                                fetch_stalled_until = (
-                                    cycle + fetch_result.cycles
-                                )
-                                break
-                    prods = tuple(
-                        last_writer[reg]
-                        for reg in op.sources
-                        if reg in last_writer
-                    )
-                    # Steering: first in-flight producer's Slice if
-                    # uncongested, else the least-loaded Slice (first
-                    # minimum of (window, rob) occupancy — the order
-                    # ``min(range(...))`` resolves ties in).
-                    slice_id = -1
-                    for producer_id in prods:
-                        if not committed[producer_id]:
-                            candidate = slice_of[producer_id]
-                            if (
-                                rob_occupancy[candidate] < rob_cap
-                                and window_occupancy[candidate] < steer_cap
-                            ):
-                                slice_id = candidate
-                            break
-                    if slice_id < 0:
-                        slice_id = 0
-                        best_window = window_occupancy[0]
-                        best_rob = rob_occupancy[0]
-                        for candidate in range(1, num_slices):
-                            cand_window = window_occupancy[candidate]
-                            if cand_window > best_window:
-                                continue
-                            cand_rob = rob_occupancy[candidate]
-                            if cand_window < best_window or (
-                                cand_rob < best_rob
-                            ):
-                                slice_id = candidate
-                                best_window = cand_window
-                                best_rob = cand_rob
-                    if (
-                        rob_occupancy[slice_id] >= rob_cap
-                        or window_occupancy[slice_id] >= window_cap
-                    ):
-                        fetch_blocked_capacity = True
-                        break
-                    op_index = fetch_index
-                    slice_of[op_index] = slice_id
-                    fetched_at[op_index] = cycle
-                    producers[op_index] = prods
-                    pending = 0
-                    for producer_id in prods:
-                        if (
-                            not committed[producer_id]
-                            and complete[producer_id] < 0
-                        ):
-                            pending += 1
-                            wake_on_complete.setdefault(
-                                producer_id, []
-                            ).append(op_index)
-                    waiting[op_index] = pending
-                    if op.dest is not None:
-                        last_writer[op.dest] = op_index
-                    rob_occupancy[slice_id] += 1
-                    window_occupancy[slice_id] += 1
-                    fetch_index += 1
-                    budget -= 1
-                    if pending == 0:
-                        resolve_ready(op_index)
-                    if (
-                        not dynamic
-                        and kinds[op_index] is branch
-                        and op.mispredicted
-                    ):
-                        fetch_stalled_until = cycle + 10**9
-                        break
-
-            # ---- issue & execute -----------------------------------
-            activity = False
-            for slice_id in range(num_slices):
-                matured = future[slice_id]
-                heap = ready_now[slice_id]
-                while matured and matured[0][0] <= cycle:
-                    _, op_index = heappop(matured)
-                    if issued[op_index] or queued[op_index]:
-                        continue  # superseded by an earlier wakeup
-                    queued[op_index] = 1
-                    heappush(heap, op_index)
-                if not heap:
-                    ready_events[slice_id] = 0
-                    continue
-                alu_free = True
-                lsu_free = True
-                blocked_resource = False
-                blocked_mshr = False
-                stash: List[int] = []
-                slice_mshr = mshr[slice_id]
-                while heap:
-                    if not alu_free and not lsu_free:
-                        break
-                    op_index = heappop(heap)
-                    op = trace[op_index]
-                    if mem_flags[op_index]:
-                        if not lsu_free:
-                            stash.append(op_index)
-                            blocked_resource = True
-                            continue
-                        kind = kinds[op_index]
-                        if kind is load and len(slice_mshr) >= max_loads:
-                            stash.append(op_index)
-                            blocked_mshr = True
-                            continue
-                        result = memory.access(
-                            slice_id, op.address, kind is store
-                        )
-                        done = cycle + result.cycles
-                        complete[op_index] = done
-                        if kind is load:
-                            heappush(slice_mshr, done)
-                        l2_accesses_n[slice_id] += 1
-                        if result.level == "memory":
-                            l2_misses_n[slice_id] += 1
-                        if result.level != "l1":
-                            l1_misses_n[slice_id] += 1
-                        lsu_free = False
-                    else:
-                        if not alu_free:
-                            stash.append(op_index)
-                            blocked_resource = True
-                            continue
-                        complete[op_index] = cycle + 1
-                        alu_free = False
-                        if kinds[op_index] is branch:
-                            branches_n[slice_id] += 1
-                            if dynamic and op.taken is not None:
-                                redirect = front_end.resolve(
-                                    op.code_address or 0,
-                                    op.taken,
-                                    op.branch_target or 0,
-                                )
-                            else:
-                                redirect = op.mispredicted
-                            if redirect:
-                                mispredicts += 1
-                                branch_mispredicts_n[slice_id] += 1
-                                fetch_stalled_until = (
-                                    cycle + 1 + _FRONT_END_DEPTH
-                                )
-                    issued[op_index] = 1
-                    queued[op_index] = 0
-                    activity = True
-                    window_occupancy[slice_id] -= 1
-                    watchers = wake_on_complete.pop(op_index, None)
-                    if watchers:
-                        for consumer in watchers:
-                            remaining = waiting[consumer] - 1
-                            waiting[consumer] = remaining
-                            if remaining == 0:
-                                resolve_ready(consumer)
-                for op_index in stash:
-                    heappush(heap, op_index)
-                if heap:
-                    if blocked_mshr and not blocked_resource and len(
-                        stash
-                    ) == len(heap):
-                        # Every leftover is a load stuck on full MSHRs:
-                        # nothing can issue before the next release.
-                        ready_events[slice_id] = slice_mshr[0]
-                    else:
-                        ready_events[slice_id] = cycle + 1
-                else:
-                    ready_events[slice_id] = 0
-
-            # ---- commit --------------------------------------------
-            commit_budget = commit_budget_max
-            while commit_budget > 0 and commit_index < total:
-                op_index = commit_index
-                if fetched_at[op_index] < 0:
-                    break
-                done = complete[op_index]
-                if done < 0 or done > cycle:
-                    break
-                committed[op_index] = 1
-                slice_id = slice_of[op_index]
-                rob_occupancy[slice_id] -= 1
-                committed_n[slice_id] += 1
-                commit_index += 1
-                commit_budget -= 1
-                activity = True
-                watchers = wake_on_commit.pop(op_index, None)
-                if watchers:
-                    for consumer in watchers:
-                        if (
-                            issued[consumer]
-                            or queued[consumer]
-                            or waiting[consumer]
-                        ):
-                            continue
-                        previous = ready_time[consumer]
-                        if previous <= cycle + 1:
-                            continue
-                        consumer_slice = slice_of[consumer]
-                        relaxed = fetched_at[consumer]
-                        if cycle + 1 > relaxed:
-                            relaxed = cycle + 1
-                        for producer_id in producers[consumer]:
-                            if committed[producer_id]:
-                                continue
-                            delay = (
-                                0
-                                if slice_of[producer_id] == consumer_slice
-                                else operand_hops
-                            )
-                            arrival = complete[producer_id] + delay
-                            if arrival > relaxed:
-                                relaxed = arrival
-                        if relaxed < previous:
-                            ready_time[consumer] = relaxed
-                            heappush(
-                                future[consumer_slice], (relaxed, consumer)
-                            )
-
-            if commit_index >= total:
-                break
-
-            # ---- next event & cycle skip ---------------------------
-            earliest = no_event
-            if fetch_index < total:
-                if fetch_stalled_until > cycle:
-                    if fetch_stalled_until < earliest:
-                        earliest = fetch_stalled_until
-                elif not fetch_blocked_capacity or activity:
-                    # A capacity-blocked front end can only move again
-                    # after occupancies change; any issue or commit this
-                    # cycle may have unblocked (or re-steered) it.
-                    earliest = cycle + 1
-            for slice_id in range(num_slices):
-                event = ready_events[slice_id]
-                if event and event < earliest:
-                    earliest = event
-                matured = future[slice_id]
-                if matured and matured[0][0] < earliest:
-                    earliest = matured[0][0]
-            if fetched_at[commit_index] >= 0:
-                done = complete[commit_index]
-                if done >= 0:
-                    event = done if done > cycle else cycle + 1
-                    if event < earliest:
-                        earliest = event
-            if earliest >= no_event or earliest <= cycle + 1:
-                continue
-            skipped = earliest - 1 - cycle
-            if (
-                fetch_index < total
-                and fetch_stalled_until <= cycle
-                and fetch_blocked_capacity
-            ):
-                # The reference re-attempts fetch on every skipped
-                # cycle: the capacity-blocked head op re-hits the L1I
-                # each time.  Replay those hits in bulk.
-                code_address = trace[fetch_index].code_address
-                if code_address is not None:
-                    target = fetch_index % num_slices
-                    if not memory.refetch_resident(
-                        target, code_address, skipped
-                    ):  # pragma: no cover - line is resident by construction
-                        for _ in range(skipped):
-                            memory.fetch(target, code_address)
-            cycle = earliest - 1
-
-        memory.l1i_hits += l1i_hit_tally
-        # Counter events were tallied in plain ints; one bulk add per
-        # (Slice, kind) lands the exact per-event totals, and the bulk
-        # CYCLES add covers skipped cycles too.
-        for slice_id in range(num_slices):
-            slice_counters = counters[slice_id]
-            slice_counters.increment(CounterKind.CYCLES, cycle)
-            for kind_key, tally in (
-                (CounterKind.INSTRUCTIONS_COMMITTED, committed_n),
-                (CounterKind.L2_ACCESSES, l2_accesses_n),
-                (CounterKind.L2_MISSES, l2_misses_n),
-                (CounterKind.L1_MISSES, l1_misses_n),
-                (CounterKind.BRANCHES, branches_n),
-                (CounterKind.BRANCH_MISPREDICTS, branch_mispredicts_n),
-            ):
-                if tally[slice_id]:
-                    slice_counters.increment(kind_key, tally[slice_id])
 
         stats = self.memory.stats()
         return PipelineResult(

@@ -6,8 +6,10 @@ pooled, C-contiguous trace buffer (see :mod:`repro.sim.batchpipe`).
 ``None`` is encoded as ``-1`` throughout (registers, addresses and
 code addresses are non-negative by :class:`repro.sim.isa.MicroOp`
 validation, so the sentinel is unambiguous); ``taken`` is a ternary
-``int8`` (``-1`` = None, ``0`` = False, ``1`` = True).  The encoding
-is lossless: ``TraceArrays.from_ops(ops).to_ops() == ops``.
+``int8`` (``-1`` = None, ``0`` = False, ``1`` = True).  Op ids are not
+stored: op ``i`` is the op with ``op_id == i``, and ``from_ops`` rejects
+any other trace.  The encoding is lossless:
+``TraceArrays.from_ops(ops).to_ops() == ops``.
 
 All arrays are sealed (``writeable=False``) at construction, matching
 the engine-wide frozen-publish discipline, so a bundle can be shared
@@ -119,7 +121,11 @@ class TraceArrays:
 
     @classmethod
     def from_ops(cls, ops: Sequence[MicroOp]) -> "TraceArrays":
-        """Encode ``ops`` losslessly; ``to_ops`` inverts exactly."""
+        """Encode ``ops`` losslessly; ``to_ops`` inverts exactly.
+
+        Raises :class:`ValueError` unless every op's ``op_id`` equals
+        its position, since the columns keep positions, not ids.
+        """
         n = len(ops)
         width = 1
         for op in ops:
@@ -135,6 +141,11 @@ class TraceArrays:
         branch_targets = np.empty(n, dtype=np.int64)
         kind_code = _KIND_TO_CODE
         for i, op in enumerate(ops):
+            if op.op_id != i:
+                raise ValueError(
+                    f"op at position {i} has op_id {op.op_id}; "
+                    "TraceArrays needs op ids 0..n-1 in trace order"
+                )
             kinds[i] = kind_code[op.kind]
             for col, reg in enumerate(op.sources):
                 sources[i, col] = reg

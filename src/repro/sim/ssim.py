@@ -10,6 +10,11 @@ Exposes both tiers behind one object:
   overhead microbenchmark: Algorithm 1's loop body as an instruction
   stream, timed on 1..N-Slice virtual cores;
 * :meth:`SSim.compare_tiers` — agreement check between the two tiers.
+
+Cycle-tier runs go through :func:`repro.sim.batchpipe.run_batch` as a
+batch of one cell: the compiled kernel when it is available, the
+per-cycle :class:`~repro.sim.pipeline.MultiSlicePipeline` otherwise,
+with bit-identical results either way.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from repro.arch.vcore import VCoreConfig
 from repro.sim.isa import MicroOp
 from repro.sim.perfmodel import PerformanceModel
 from repro.sim.pipeline import MultiSlicePipeline, PipelineResult
+from repro.sim.soa import TraceArrays
 from repro.sim.trace import TraceGenerator
 from repro.workloads.phase import Phase
 
@@ -80,12 +86,18 @@ class SSim:
             slice_params=slice_params, cache_params=cache_params
         )
 
-    def build_pipeline(self, config: VCoreConfig) -> MultiSlicePipeline:
-        return MultiSlicePipeline(
-            config,
-            slice_params=self.slice_params,
-            cache_params=self.cache_params,
+    def _run_cell(
+        self, trace: TraceArrays, config: VCoreConfig
+    ) -> PipelineResult:
+        """Run one trace on ``config`` through the batch cycle tier."""
+        from repro.sim.batchpipe import BatchCell, run_batch
+
+        (outcome,) = run_batch(
+            [BatchCell(trace=trace, config=config)],
+            self.slice_params,
+            self.cache_params,
         )
+        return outcome.result
 
     def run_cycle_accurate(
         self,
@@ -95,14 +107,28 @@ class SSim:
         seed: int = 0,
         trace: Optional[Sequence[MicroOp]] = None,
     ) -> CycleResult:
-        """Run a synthetic trace of ``phase`` on the cycle tier."""
+        """Run a synthetic trace of ``phase`` on the cycle tier.
+
+        A caller's ``trace`` whose op ids are not ``0..n-1`` in order
+        cannot be encoded as :class:`TraceArrays`; it runs on
+        :class:`MultiSlicePipeline` directly.
+        """
         if trace is None:
             generator = TraceGenerator(
                 phase, self.slice_params.physical_registers, seed=seed
             )
-            trace = generator.generate(instructions)
-        pipeline = self.build_pipeline(config)
-        result = pipeline.run(trace)
+            trace_arrays = generator.generate_arrays(instructions)
+            result = self._run_cell(trace_arrays, config)
+        else:
+            try:
+                trace_arrays = TraceArrays.from_ops(trace)
+            except ValueError:
+                pipeline = MultiSlicePipeline(
+                    config, self.slice_params, self.cache_params
+                )
+                result = pipeline.run(trace)
+            else:
+                result = self._run_cell(trace_arrays, config)
         return CycleResult(
             pipeline=result,
             predicted_ipc=self.perf_model.ipc(phase, config),
@@ -133,10 +159,8 @@ class SSim:
         generator = TraceGenerator(
             _RUNTIME_PHASE, self.slice_params.physical_registers, seed=seed
         )
-        trace = generator.generate(RUNTIME_ITERATION_OPS * iterations)
-        pipeline = self.build_pipeline(config)
-        result = pipeline.run(trace)
-        return result.cycles / iterations
+        trace = generator.generate_arrays(RUNTIME_ITERATION_OPS * iterations)
+        return self._run_cell(trace, config).cycles / iterations
 
     def compare_tiers(
         self,

@@ -8,23 +8,23 @@ instruction, branch fraction), dependency structure targeting the
 phase's intrinsic ILP, mispredict rate, and memory reuse matching the
 working-set spectrum.  DESIGN.md §2 records this substitution.
 
-Generation has two implementations behind :data:`repro.perf.FAST`:
-
-* the scalar reference draws from :class:`random.Random` one call at a
-  time (``_generate_reference``);
-* the fast twin (``_generate_fast``) syncs a ``numpy`` MT19937 bit
-  generator to the *same* Mersenne Twister state, pulls raw 32-bit
-  words in bulk, and decodes CPython's ``random()`` / ``getrandbits``
-  layouts from that word stream — so it consumes the identical RNG
-  stream and emits the identical op sequence, then writes the advanced
-  state back into ``self.rng``.
+:meth:`TraceGenerator.generate` builds :class:`MicroOp` lists with the
+scalar reference (``_generate_reference``), one :class:`random.Random`
+call per draw.  :meth:`TraceGenerator.generate_arrays`, the cycle
+tier's entry, returns the same trace as :class:`TraceArrays` columns
+and has a :data:`repro.perf.FAST` twin (``_decode_fields``): it syncs a
+``numpy`` MT19937 bit generator to the *same* Mersenne Twister state,
+pulls raw 32-bit words in bulk, and decodes CPython's ``random()`` /
+``getrandbits`` layouts from that word stream — so it consumes the
+identical RNG stream and emits the identical columns, then writes the
+advanced state back into ``self.rng``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from collections import deque
 
@@ -53,6 +53,11 @@ _RECIP_53 = 1.0 / 9007199254740992.0
 """``2**-53`` — the scale CPython's ``random()`` applies to its 53-bit
 mantissa built from two MT output words."""
 
+_FLOAT_WORD_BITS = 27
+"""Top bits of MT word ``i`` that the decoded float at position ``i``
+carries; a ``_randbelow(n)`` draw wider than this cannot be read off
+it."""
+
 
 class _WordStream:
     """CPython-compatible draws decoded from a numpy MT19937 core.
@@ -71,7 +76,8 @@ class _WordStream:
       rejection-sampled until ``< n``; recovered as
       ``int(floats[i] * 2**53) >> (53 - k)``, since the precomputed
       float at position ``i`` carries the top 27 bits of word ``i`` in
-      its mantissa (every draw here needs at most 23 bits).
+      its mantissa.  The trace generator takes its scalar path when a
+      draw would need more than :data:`_FLOAT_WORD_BITS` bits.
 
     ``resync`` replays the consumed words on a fresh clone and writes
     the resulting state back into the ``random.Random`` instance, so a
@@ -327,21 +333,15 @@ class TraceGenerator:
         return (1 << 34) + self.rng.randrange(streaming_blocks) * _BLOCK_BYTES
 
     def generate(self, count: int) -> List[MicroOp]:
-        """Generate ``count`` micro-ops.
-
-        With :data:`repro.perf.FAST` enabled the draws are decoded from
-        bulk numpy MT19937 output; the op sequence and the generator's
-        RNG state afterwards are bit-identical to the scalar path.
-        """
+        """Generate ``count`` micro-ops (the scalar reference draws)."""
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
-        if perf.FAST:
-            return self._generate_fast(count)
         return self._generate_reference(count)
 
     def _generate_reference(self, count: int) -> List[MicroOp]:
         """Scalar reference generator: one ``random.Random`` call per
-        draw.  The FAST twin must replay this draw sequence exactly."""
+        draw.  ``_decode_fields`` must replay this draw sequence
+        exactly."""
         ops: List[MicroOp] = []
         for op_id in range(count):
             # The first source is the *critical* dependency, at a
@@ -422,307 +422,6 @@ class TraceGenerator:
                 )
         return ops
 
-    def _generate_fast(self, count: int) -> List[MicroOp]:
-        """FAST twin of :meth:`_generate_reference`.
-
-        Decodes the identical CPython draw sequence from batched numpy
-        MT19937 words (see :class:`_WordStream`) and builds the ops
-        without re-validating fields the construction already
-        guarantees.  All generator state (PC, hot set, sweep positions,
-        branch tables, RNG) is mirrored locally and written back only
-        on success, so the stream and every subsequent scalar draw stay
-        bit-identical.
-        """
-        stream = _WordStream(self.rng.getstate())
-        try:
-            ops, pc, hot = self._decode_ops(count, stream)
-        except IndexError:  # pragma: no cover - needs ~4096-word op
-            # One op overran the buffer margin (astronomically long
-            # rejection run).  Nothing on ``self`` was touched yet, so
-            # the scalar path can regenerate from the original state.
-            return self._generate_reference(count)
-        self._pc = pc
-        self._hot_blocks.clear()
-        self._hot_blocks.extend(hot)
-        stream.resync(self.rng)
-        return ops
-
-    def _decode_ops(self, count: int, stream: _WordStream):
-        """Decode ``count`` ops from ``stream``; returns (ops, pc, hot).
-
-        Every piece of generator state (sweep positions, branch tables,
-        PC, hot set) is mirrored locally; the sweep and branch tables
-        are written back just before returning, the rest is handed to
-        the caller — so an aborted decode leaves ``self`` untouched.
-        """
-        phase = self.phase
-        mem_fraction = phase.mem_refs_per_inst
-        branch_cut = mem_fraction + phase.branch_fraction
-        mispredict_rate = phase.mispredict_rate
-        l1_miss_rate = phase.l1_miss_rate
-        num_registers = self.num_registers
-        reg_shift = 53 - num_registers.bit_length()
-        code_blocks = self._code_blocks
-        code_shift = 53 - code_blocks.bit_length()
-        hard_fraction = self._hard_fraction
-        bias = dict(self._branch_bias)
-        branch_target = dict(self._branch_target)
-        sweep = list(self._sweep_position)
-        working_set = phase.working_set
-        region_blocks = [
-            max(size_kb * 1024 // _BLOCK_BYTES, 1)
-            for size_kb, _fraction in working_set
-        ]
-        streaming_blocks = (256 << 20) // _BLOCK_BYTES
-        pc = self._pc
-        hot = list(self._hot_blocks)
-        mean = max(phase.ilp, 1.0)
-        p_geo = 1.0 / (mean + 1.0)
-        code_base = 2 << 40
-        block_bytes = _BLOCK_BYTES
-        hot_cap = _HOT_SET_BLOCKS
-        micro_op = MicroOp
-
-        floats = stream.floats
-        cursor = stream.cursor
-        limit = stream.limit
-
-        new_op = object.__new__
-        set_dict = object.__setattr__
-        alu = OpKind.ALU
-        load = OpKind.LOAD
-        store = OpKind.STORE
-        branch = OpKind.BRANCH
-
-        ops: List[MicroOp] = []
-        append_op = ops.append
-        dests: List[Optional[int]] = []
-        append_dest = dests.append
-
-        for op_id in range(count):
-            if cursor > limit:
-                stream.cursor = cursor
-                stream.refill()
-                floats = stream.floats
-                cursor = stream.cursor
-                limit = stream.limit
-            # _dependency_distance: geometric via repeated random().
-            distance = 1
-            value = floats[cursor]
-            cursor += 2
-            while value > p_geo and distance < 64:
-                distance += 1
-                value = floats[cursor]
-                cursor += 2
-            producer = op_id - distance
-            src0 = dests[producer] if producer >= 0 else None
-            if src0 is None:
-                # randrange(num_registers): top-bits rejection sample.
-                src0 = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-                cursor += 1
-                while src0 >= num_registers:
-                    src0 = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-                    cursor += 1
-            src1 = -1
-            value = floats[cursor]
-            cursor += 2
-            if value < 0.6:
-                # randint(16, 64) == 16 + _randbelow(49).
-                step = int(floats[cursor] * 9007199254740992.0) >> 47
-                cursor += 1
-                while step >= 49:
-                    step = int(floats[cursor] * 9007199254740992.0) >> 47
-                    cursor += 1
-                stale = op_id - 16 - step
-                back = dests[stale] if stale >= 0 else None
-                if back is None:
-                    back = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-                    cursor += 1
-                    while back >= num_registers:
-                        back = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-                        cursor += 1
-                src1 = back
-            dest = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-            cursor += 1
-            while dest >= num_registers:
-                dest = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-                cursor += 1
-            draw = floats[cursor]
-            cursor += 2
-            # Triage ordered by frequency (ALU usually dominates); the
-            # _code_address taken-branch draw only happens for
-            # branches, exactly like the reference's short-circuit.
-            if draw >= branch_cut:
-                # ALU op.
-                code_address = code_base + pc * block_bytes
-                value = floats[cursor]
-                cursor += 2
-                if value < 1.0 / 16.0:
-                    pc = (pc + 1) % code_blocks
-                op = new_op(micro_op)
-                set_dict(
-                    op,
-                    "__dict__",
-                    {
-                        "op_id": op_id,
-                        "kind": alu,
-                        "sources": (src0,) if src1 < 0 else (src0, src1),
-                        "dest": dest,
-                        "address": None,
-                        "mispredicted": False,
-                        "code_address": code_address,
-                        "taken": None,
-                        "branch_target": None,
-                    },
-                )
-                append_dest(dest)
-            elif draw < mem_fraction:
-                code_address = code_base + pc * block_bytes
-                value = floats[cursor]
-                cursor += 2
-                if value < 1.0 / 16.0:
-                    pc = (pc + 1) % code_blocks
-                value = floats[cursor]
-                cursor += 2
-                is_load = value < 0.7
-                # _address: hot-set re-touch or cold sweep.
-                address = -1
-                if hot:
-                    value = floats[cursor]
-                    cursor += 2
-                    if value > l1_miss_rate:
-                        # choice(hot): _randbelow(len(hot)).
-                        size = len(hot)
-                        shift = 53 - size.bit_length()
-                        pick = int(floats[cursor] * 9007199254740992.0) >> shift
-                        cursor += 1
-                        while pick >= size:
-                            pick = int(floats[cursor] * 9007199254740992.0) >> shift
-                            cursor += 1
-                        address = hot[pick]
-                if address < 0:
-                    # _cold_address: working-set sweep or streaming.
-                    value = floats[cursor]
-                    cursor += 2
-                    cumulative = 0.0
-                    previous_fraction = 0.0
-                    base = 0
-                    for index, (_size_kb, fraction) in enumerate(working_set):
-                        cumulative += fraction - previous_fraction
-                        if value < cumulative:
-                            blocks = region_blocks[index]
-                            position = sweep[index]
-                            sweep[index] = (position + 1) % blocks
-                            address = base + position * block_bytes
-                            break
-                        previous_fraction = fraction
-                        base += 1 << 30
-                    else:
-                        block = int(floats[cursor] * 9007199254740992.0) >> 30
-                        cursor += 1
-                        while block >= streaming_blocks:
-                            block = int(floats[cursor] * 9007199254740992.0) >> 30
-                            cursor += 1
-                        address = (1 << 34) + block * block_bytes
-                    hot.append(address)
-                    if len(hot) > hot_cap:
-                        del hot[0]
-                if is_load:
-                    op = new_op(micro_op)
-                    set_dict(
-                        op,
-                        "__dict__",
-                        {
-                            "op_id": op_id,
-                            "kind": load,
-                            "sources": (src0,),
-                            "dest": dest,
-                            "address": address,
-                            "mispredicted": False,
-                            "code_address": code_address,
-                            "taken": None,
-                            "branch_target": None,
-                        },
-                    )
-                    append_dest(dest)
-                else:
-                    op = new_op(micro_op)
-                    set_dict(
-                        op,
-                        "__dict__",
-                        {
-                            "op_id": op_id,
-                            "kind": store,
-                            "sources": (src0,) if src1 < 0 else (src0, src1),
-                            "dest": None,
-                            "address": address,
-                            "mispredicted": False,
-                            "code_address": code_address,
-                            "taken": None,
-                            "branch_target": None,
-                        },
-                    )
-                    append_dest(None)
-            else:
-                # Branch: a taken branch may jump the PC before the
-                # code address is formed (_code_address).
-                value = floats[cursor]
-                cursor += 2
-                if value < 0.6:
-                    pc = int(floats[cursor] * 9007199254740992.0) >> code_shift
-                    cursor += 1
-                    while pc >= code_blocks:
-                        pc = int(floats[cursor] * 9007199254740992.0) >> code_shift
-                        cursor += 1
-                code_address = code_base + pc * block_bytes
-                value = floats[cursor]
-                cursor += 2
-                if value < 1.0 / 16.0:
-                    pc = (pc + 1) % code_blocks
-                # _branch_behaviour: first visit fixes bias + target.
-                branch_bias = bias.get(code_address)
-                if branch_bias is None:
-                    value = floats[cursor]
-                    cursor += 2
-                    branch_bias = 0.5 if value < hard_fraction else 0.97
-                    bias[code_address] = branch_bias
-                    block = int(floats[cursor] * 9007199254740992.0) >> code_shift
-                    cursor += 1
-                    while block >= code_blocks:
-                        block = int(floats[cursor] * 9007199254740992.0) >> code_shift
-                        cursor += 1
-                    branch_target[code_address] = (
-                        code_base + block * block_bytes
-                    )
-                value = floats[cursor]
-                cursor += 2
-                taken = value < branch_bias
-                value = floats[cursor]
-                cursor += 2
-                op = new_op(micro_op)
-                set_dict(
-                    op,
-                    "__dict__",
-                    {
-                        "op_id": op_id,
-                        "kind": branch,
-                        "sources": (src0,),
-                        "dest": None,
-                        "address": None,
-                        "mispredicted": value < mispredict_rate,
-                        "code_address": code_address,
-                        "taken": taken,
-                        "branch_target": branch_target[code_address],
-                    },
-                )
-                append_dest(None)
-            append_op(op)
-        stream.cursor = cursor
-        self._sweep_position[:] = sweep
-        self._branch_bias.update(bias)
-        self._branch_target.update(branch_target)
-        return ops, pc, hot
-
     def generate_arrays(self, count: int) -> TraceArrays:
         """Generate ``count`` micro-ops directly as :class:`TraceArrays`.
 
@@ -730,8 +429,8 @@ class TraceGenerator:
         (count))`` — same RNG draw sequence, same generator state
         afterwards — but the FAST path decodes straight into columns,
         skipping :class:`MicroOp` construction entirely.  This is the
-        entry the batch cycle tier uses, where per-object overhead
-        would dominate the whole run.
+        entry the cycle tier uses, where per-object overhead would
+        dominate the whole run.
         """
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
@@ -742,11 +441,14 @@ class TraceGenerator:
     def _generate_arrays_fast(self, count: int) -> TraceArrays:
         """FAST twin of the ``from_ops``-over-reference path.
 
-        Mirrors :meth:`_generate_fast`'s state handling exactly: decode
-        from a synced word stream, write back PC / hot set / RNG state
-        only on success, fall back to the scalar path when one op
-        overruns the refill margin.
+        Decodes from a synced word stream and writes back PC / hot set /
+        RNG state only on success.  The scalar path runs instead when a
+        register or code-block draw is wider than a decoded float
+        carries, or when one op overruns the refill margin.
         """
+        widest = max(self.num_registers, self._code_blocks).bit_length()
+        if widest > _FLOAT_WORD_BITS:
+            return TraceArrays.from_ops(self._generate_reference(count))
         stream = _WordStream(self.rng.getstate())
         try:
             columns, pc, hot = self._decode_fields(count, stream)
@@ -782,14 +484,16 @@ class TraceGenerator:
         )
 
     def _decode_fields(self, count: int, stream: _WordStream):
-        """Column-emitting variant of :meth:`_decode_ops`.
+        """Decode ``count`` ops from ``stream`` into columns.
 
-        Identical draw-for-draw decode, but each op appends nine scalar
-        column entries (kind code, two sources, dest, address,
-        mispredict, code address, taken, branch target — ``-1`` for
-        ``None``) instead of building a :class:`MicroOp`.  Returns
-        ``(columns, pc, hot)``; state write-back rules match
-        ``_decode_ops``.
+        Replays :meth:`_generate_reference` draw for draw, but each op
+        appends nine scalar column entries (kind code, two sources,
+        dest, address, mispredict, code address, taken, branch target —
+        ``-1`` for ``None``) instead of building a :class:`MicroOp`.
+        Returns ``(columns, pc, hot)``.  Every piece of generator state
+        is mirrored locally; the sweep and branch tables are written
+        back just before returning and the rest is handed to the
+        caller, so an aborted decode leaves ``self`` untouched.
         """
         phase = self.phase
         mem_fraction = phase.mem_refs_per_inst
@@ -891,7 +595,9 @@ class TraceGenerator:
                 cursor += 1
             draw = floats[cursor]
             cursor += 2
-            # Triage ordered by frequency, exactly like _decode_ops.
+            # Triage ordered by frequency (ALU usually dominates); the
+            # _code_address taken-branch draw only happens for
+            # branches, exactly like the reference's short-circuit.
             if draw >= branch_cut:
                 # ALU op.
                 code_address = code_base + pc * block_bytes

@@ -139,33 +139,32 @@ class TestHotSetMembership:
         assert "slow" not in names
 
     def test_reference_twin_is_exempt_even_when_called_from_fast(self):
-        # The event-driven pipeline falls back to its reference twin on
-        # irregular traces — a call *outside* any scalar branch.  The
-        # *_reference naming protocol still keeps the twin cold.
+        # The column trace generator falls back to its reference twin
+        # for draws wider than a decoded float carries — a call
+        # *outside* any scalar branch.  The *_reference naming protocol
+        # still keeps the twin cold.
         view = view_of(
             {
-                "src/repro/sim/pipeline.py": """
-                from repro import perf
+                "src/repro/sim/trace.py": """
+                class TraceGenerator:
+                    def generate_arrays(self, count):
+                        if self.num_registers > self.limit:
+                            return self._generate_reference(count)
+                        return count
 
-                class MultiSlicePipeline:
-                    def _run_event_driven(self, trace):
-                        if not trace:
-                            return self._run_reference(trace)
-                        return 1
+                    def _generate_reference(self, count):
+                        return self._tally(count)
 
-                    def _run_reference(self, trace):
-                        return self._tally(trace)
-
-                    def _tally(self, trace):
-                        return len(trace)
+                    def _tally(self, count):
+                        return count
                 """
             }
         )
         names = hot_qualnames(view)
-        assert "MultiSlicePipeline._run_event_driven" in names
-        assert "MultiSlicePipeline._run_reference" not in names
+        assert "TraceGenerator.generate_arrays" in names
+        assert "TraceGenerator._generate_reference" not in names
         # And nothing reachable only through the reference twin is hot.
-        assert "MultiSlicePipeline._tally" not in names
+        assert "TraceGenerator._tally" not in names
 
     def test_loop_depth_recorded_per_function(self):
         view = view_of(
@@ -532,26 +531,28 @@ class TestPR4RegressionInjection:
     """Reintroducing the PR 4 per-cycle window sort must fail lint."""
 
     def test_per_cycle_sorted_scan_fires(self, lint_program):
+        # The cycle tier's fast engine is entered through run_batch; a
+        # per-cycle window sort on that path is the regression pinned
+        # here.
         findings = lint_program(
             {
-                "src/repro/sim/pipeline.py": """
-                class MultiSlicePipeline:
-                    def _run_event_driven(self, trace):
-                        cycle = 0
-                        window = list(trace)
-                        while window:
-                            for op in sorted(window):
-                                if op <= cycle:
-                                    window.remove(op)
-                            cycle += 1
-                        return cycle
+                "src/repro/sim/batchpipe.py": """
+                def run_batch(trace):
+                    cycle = 0
+                    window = list(trace)
+                    while window:
+                        for op in sorted(window):
+                            if op <= cycle:
+                                window.remove(op)
+                        cycle += 1
+                    return cycle
                 """
             },
             rules=["loop-invariant"],
         )
         assert rules_of(findings) == {"loop-invariant"}
-        assert findings[0].path == "src/repro/sim/pipeline.py"
-        assert "MultiSlicePipeline._run_event_driven" in findings[0].message
+        assert findings[0].path == "src/repro/sim/batchpipe.py"
+        assert "run_batch" in findings[0].message
 
 
 class TestNumpyScalarLoop:
@@ -829,12 +830,7 @@ class TestRepoTipIsClean:
             for key in view.hot
         }
         assert ("repro.experiments.stats", "run_cell") in hot
-        assert (
-            "repro.sim.pipeline",
-            "MultiSlicePipeline._run_event_driven",
-        ) in hot
         assert ("repro.cloud.provider", "CloudProvider.run") in hot
-        assert ("repro.sim.trace", "TraceGenerator.generate") in hot
         assert ("repro.sim.optstore", "publish") in hot
         assert ("repro.sim.batchpipe", "run_batch") in hot
         assert (
@@ -847,10 +843,16 @@ class TestRepoTipIsClean:
             "ServiceEngine._run_event_driven",
         ) in hot
         assert ("repro.cloud.traffic", "generate_traffic") in hot
-        # The dense loop is the scalar twin: exempt by its name.
+        assert ("repro.sim.trace", "TraceGenerator._decode_fields") in hot
+        # The dense loop and the per-cycle pipeline are scalar twins:
+        # exempt by their names.
         assert (
             "repro.cloud.service",
             "ServiceEngine._run_dense_reference",
+        ) not in hot
+        assert (
+            "repro.sim.pipeline",
+            "MultiSlicePipeline._run_reference",
         ) not in hot
 
     def test_scalar_references_are_not_hot(self):

@@ -847,18 +847,17 @@ class TestHistoricalRegressionsFailTheGate:
     def test_pr4_per_cycle_sorted_scan_fails(self, tmp_path, capsys):
         write_module(
             tmp_path,
-            "pkg/sim/pipeline.py",
+            "pkg/sim/batchpipe.py",
             """
-            class MultiSlicePipeline:
-                def _run_event_driven(self, trace):
-                    cycle = 0
-                    window = list(trace)
-                    while window:
-                        for op in sorted(window):
-                            if op <= cycle:
-                                window.remove(op)
-                        cycle += 1
-                    return cycle
+            def run_batch(trace):
+                cycle = 0
+                window = list(trace)
+                while window:
+                    for op in sorted(window):
+                        if op <= cycle:
+                            window.remove(op)
+                    cycle += 1
+                return cycle
             """,
         )
         code, out = run_lint([str(tmp_path), "--no-baseline"], capsys)

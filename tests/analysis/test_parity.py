@@ -137,8 +137,9 @@ class TestFastParity:
         assert findings == []
 
     def test_dispatch_twin_methods_are_clean(self, lint_source):
-        """The pipeline/trace idiom: a public entry point dispatching
-        to a private fast twin, the reference twin on fall-through."""
+        """The engine idiom (``ServiceEngine.run``): a public entry
+        point dispatching to a private fast twin, the reference twin on
+        fall-through."""
         findings = lint_source(
             """
             from repro import perf
@@ -182,7 +183,7 @@ class TestFastParity:
 
 
 class TestEngineFilesClean:
-    """The real event-driven engine files lint clean, full suite."""
+    """The real cycle-tier engine files lint clean, full suite."""
 
     def test_pipeline_and_trace_have_zero_findings(self, lint_source):
         root = Path(__file__).resolve().parents[2]

@@ -223,8 +223,8 @@ class TestRngCheckpoints:
     def test_clean_generation_verifies_silently(self, fast):
         phase = get_app("x264").phases[0]
         generator = TraceGenerator(phase, seed=1234)
-        ops = generator.generate(5000)
-        assert len(ops) == 5000
+        trace = generator.generate_arrays(5000)
+        assert len(trace) == 5000
 
     def test_fast_and_scalar_agree_under_sanitizer(self):
         phase = get_app("x264").phases[0]
@@ -234,8 +234,8 @@ class TestRngCheckpoints:
             perf.set_fast_paths(mode)
             try:
                 generator = TraceGenerator(phase, seed=99)
-                ops = generator.generate(3000)
-                results[mode] = (ops, generator.rng.getstate())
+                trace = generator.generate_arrays(3000)
+                results[mode] = (trace.to_ops(), generator.rng.getstate())
             finally:
                 perf.set_fast_paths(previous)
         assert results[True][0] == results[False][0]

@@ -3,13 +3,15 @@
 Two layers: the dispatch plumbing (``TierBatchSpec`` through
 ``run_cell``, contiguous grouping in ``_group_tier_batches``,
 ``run_cells(tier_batch=True)`` flattening) and the acceptance
-criterion — the batched tier-agreement grid is bit-identical to the
-per-cell object-pipeline grid for *every* cell, at ``jobs`` 1 and 4,
-plain or ``REPRO_SANITIZE=1`` (CI runs this module in both modes).
+criterion — the tier-agreement grid, batched or per cell, is
+bit-identical to the per-cycle scalar engine's grid (fast paths off)
+for *every* cell, at ``jobs`` 1 and 4, plain or ``REPRO_SANITIZE=1``
+(CI runs this module in both modes).
 """
 
 import pytest
 
+from repro import perf
 from repro.arch.vcore import VCoreConfig
 from repro.experiments.scenarios import (
     run_tier_batch,
@@ -88,13 +90,23 @@ class TestTierBatchSpec:
 
 
 class TestGridParityAcceptance:
-    """The PR's acceptance bar: full-grid bit-identity, jobs 1 and 4."""
+    """Full-grid bit-identity against the per-cycle engine, jobs 1 and 4.
+
+    ``batch=False`` runs the same compiled kernel one cell at a time,
+    so the independent reference is the grid with fast paths off.
+    """
 
     @pytest.fixture(scope="class")
     def reference_grid(self):
-        results, timing = tier_agreement_grid(jobs=1, batch=False)
+        with perf.fast_paths(False):
+            results, timing = tier_agreement_grid(jobs=1, batch=False)
         assert timing["batch"] is False
         return results
+
+    def test_per_cell_grid_is_bit_identical(self, reference_grid):
+        results, timing = tier_agreement_grid(jobs=1, batch=False)
+        assert timing["batch"] is False
+        assert results == reference_grid
 
     def test_batched_grid_is_bit_identical_jobs1(self, reference_grid):
         results, timing = tier_agreement_grid(jobs=1, batch=True)

@@ -5,10 +5,12 @@ back *bit-identical* to ``MultiSlicePipeline.run`` on the same trace —
 the :class:`PipelineResult`, every per-Slice counter and the full
 memory-system stats — across random phase mixes, batch sizes
 {1, 3, 8} and Slice counts {1, 2, 4, 8}, whether the compiled kernel
-runs, the native core is disabled, or fast paths are off entirely.
+runs, the native core is disabled or cannot be built, or fast paths
+are off entirely.
 """
 
 import random
+import shutil
 
 import pytest
 
@@ -20,15 +22,17 @@ from repro.sim.batchpipe import BatchCell, run_batch
 from repro.sim.isa import MicroOp, OpKind
 from repro.sim.pipeline import MultiSlicePipeline
 from repro.sim.soa import TraceArrays
+from repro.sim.ssim import SSim
 from repro.sim.trace import TraceGenerator
 from repro.workloads.phase import Phase
 
 
 @pytest.fixture(autouse=True)
 def restore_switches():
+    fast, enabled = perf.FAST, native.native_enabled()
     yield
-    perf.set_fast_paths(True)
-    native.set_native_enabled(True)
+    perf.set_fast_paths(fast)
+    native.set_native_enabled(enabled)
 
 
 def make_phase(**overrides):
@@ -64,7 +68,7 @@ def generate_trace(phase, seed, instructions=500):
 
 
 def object_snapshot(cell):
-    """What the event-driven twin produces for one cell."""
+    """What the per-cycle twin produces for one cell."""
     pipeline = MultiSlicePipeline(cell.config)
     result = pipeline.run(cell.trace.to_ops())
     counters = [
@@ -138,7 +142,6 @@ class TestBitIdentity:
             native_outcomes = run_batch(cells)
             native.set_native_enabled(False)
             fallback_outcomes = run_batch(cells)
-            native.set_native_enabled(True)
         for via_native, via_objects in zip(native_outcomes, fallback_outcomes):
             assert via_native.result == via_objects.result
             assert via_native.memory_stats == via_objects.memory_stats
@@ -184,3 +187,48 @@ class TestDispatch:
         for cell, outcome in zip(cells, outcomes):
             assert outcome.result.config == cell.config
             assert outcome.result.instructions == len(cell.trace)
+
+
+class TestCompilerFailure:
+    """A missing or failing C compiler degrades to the per-cycle twin:
+    same answers, and :func:`native.batch_core_error` names the cause."""
+
+    @pytest.fixture
+    def empty_build_dir(self, tmp_path):
+        previous = native._BUILD_DIR
+        yield tmp_path
+        native.set_build_dir(previous)
+
+    @pytest.mark.parametrize(
+        "compiler,cause",
+        [(None, "no C compiler"), (shutil.which("false"), "failed")],
+        ids=["absent", "failing"],
+    )
+    def test_results_match_native(
+        self, empty_build_dir, monkeypatch, compiler, cause
+    ):
+        if compiler is None and cause == "failed":
+            pytest.skip("no `false` executable on PATH")
+        perf.set_fast_paths(True)
+        native.set_native_enabled(True)
+        if native.batch_core() is None:
+            pytest.skip("native kernel unavailable on this host")
+        cells = mixed_cells(3, seed=13)
+        phase = PHASES[1]
+        config = VCoreConfig(slices=2, l2_kb=128)
+        native_cells = run_batch(cells)
+        native_ssim = SSim().run_cycle_accurate(phase, config, 600, seed=4)
+
+        monkeypatch.setattr(native, "_find_compiler", lambda: compiler)
+        native.set_build_dir(empty_build_dir)
+        assert native.batch_core() is None
+        assert cause in native.batch_core_error()
+        assert list(empty_build_dir.iterdir()) == []
+        fallback_cells = run_batch(cells)
+        for via_native, via_objects in zip(native_cells, fallback_cells):
+            assert via_native.result == via_objects.result
+            assert via_native.memory_stats == via_objects.memory_stats
+        assert (
+            SSim().run_cycle_accurate(phase, config, 600, seed=4)
+            == native_ssim
+        )

@@ -1,17 +1,21 @@
-"""The event-driven cycle tier is an optimization, never a model change.
+"""The compiled cycle kernel is an optimization, never a model change.
 
-Every trace here runs twice through :class:`MultiSlicePipeline` — fast
-paths on (wakeup scoreboard, cycle skipping, the load-release heap) and
-off (the seed's per-cycle scalar scan) — and must produce *identical*
-results: the :class:`PipelineResult`, every per-Slice counter, and the
-full memory-hierarchy statistics.  Likewise the vectorized trace
-generator: same micro-op sequence, same RNG state afterwards, so a
-fixed-seed experiment is bit-for-bit reproducible with the switch in
-either position.
+Every trace here runs twice — through :func:`repro.sim.batchpipe.run_batch`
+on ``TraceArrays.from_ops(trace)`` (the native lockstep kernel when a
+compiler is available) and through the per-cycle scalar engine,
+``MultiSlicePipeline.run`` — and must produce *identical* results: the
+:class:`PipelineResult`, every per-Slice counter, and the full
+memory-hierarchy statistics.  Likewise the column trace generator:
+``generate_arrays`` with fast paths on (the numpy word-stream decoder)
+and off (the scalar reference) emits the same columns and leaves the
+same RNG state, so a fixed-seed experiment is bit-for-bit reproducible
+with the switch in either position.
 """
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +23,10 @@ from hypothesis import strategies as st
 from repro import perf
 from repro.arch.counters import CounterKind
 from repro.arch.vcore import VCoreConfig
+from repro.sim.batchpipe import BatchCell, run_batch
 from repro.sim.isa import MicroOp, OpKind
 from repro.sim.pipeline import MultiSlicePipeline
+from repro.sim.soa import TraceArrays
 from repro.sim.ssim import SSim
 from repro.sim.trace import TraceGenerator
 from repro.workloads.phase import Phase
@@ -28,8 +34,9 @@ from repro.workloads.phase import Phase
 
 @pytest.fixture(autouse=True)
 def restore_fast_paths():
+    previous = perf.FAST
     yield
-    perf.set_fast_paths(True)
+    perf.set_fast_paths(previous)
 
 
 def make_phase(**overrides):
@@ -47,30 +54,28 @@ def make_phase(**overrides):
     return Phase(**defaults)
 
 
-def run_both_ways(trace, config):
-    """Run ``trace`` with fast paths on and off; return both snapshots."""
-    snapshots = []
-    for enabled in (True, False):
-        with perf.fast_paths(enabled):
-            pipeline = MultiSlicePipeline(config)
-            result = pipeline.run(trace)
-        counters = [
-            {kind: c.value(kind) for kind in CounterKind}
-            for c in pipeline.counters
-        ]
-        snapshots.append((result, counters, pipeline.memory.stats()))
-    return snapshots
+def counter_snapshot(blocks):
+    return [{kind: c.value(kind) for kind in CounterKind} for c in blocks]
 
 
 def assert_identical(trace, config):
-    fast, reference = run_both_ways(trace, config)
-    assert fast[0] == reference[0]  # PipelineResult
-    assert fast[1] == reference[1]  # per-Slice counters
-    assert fast[2] == reference[2]  # memory-hierarchy stats
+    """``run_batch`` on the encoded trace equals the per-cycle engine."""
+    with perf.fast_paths(True):
+        (outcome,) = run_batch(
+            [BatchCell(trace=TraceArrays.from_ops(trace), config=config)]
+        )
+    pipeline = MultiSlicePipeline(config)
+    result = pipeline.run(trace)
+    assert outcome.result == result
+    assert counter_snapshot(outcome.counters) == counter_snapshot(
+        pipeline.counters
+    )
+    assert outcome.memory_stats == pipeline.memory.stats()
 
 
 class TestHandcraftedTraces:
-    """Targeted shapes: each exercises one event-driven mechanism."""
+    """Targeted shapes: each exercises one mechanism of the kernel's
+    event-driven schedule."""
 
     def test_dependent_alu_chain(self):
         # Serial chain: every wakeup comes through the scoreboard.
@@ -206,8 +211,7 @@ class TestGeneratedTraces:
             mispredict_rate=mispredict,
             working_set=((128, hit_fraction),),
         )
-        with perf.fast_paths(False):
-            trace = TraceGenerator(phase, seed=seed).generate(count)
+        trace = TraceGenerator(phase, seed=seed).generate(count)
         assert_identical(trace, VCoreConfig(slices, l2_kb))
 
 
@@ -222,16 +226,30 @@ def generator_state(generator):
     )
 
 
+COLUMNS = [field.name for field in dataclasses.fields(TraceArrays)]
+
+
+def assert_same_columns(fast, reference):
+    for name in COLUMNS:
+        left, right = getattr(fast, name), getattr(reference, name)
+        assert left.dtype == right.dtype, name
+        assert np.array_equal(left, right), name
+
+
+def generate_arrays(phase, seed, count, fast, **kwargs):
+    """``generate_arrays`` with fast paths on or off; returns the
+    columns and the generator."""
+    with perf.fast_paths(fast):
+        generator = TraceGenerator(phase, seed=seed, **kwargs)
+        return generator.generate_arrays(count), generator
+
+
 class TestTraceGeneratorFastVsReference:
     def test_same_ops_same_rng_state(self):
         phase = make_phase()
-        with perf.fast_paths(True):
-            fast_gen = TraceGenerator(phase, seed=11)
-            fast = fast_gen.generate(3000)
-        with perf.fast_paths(False):
-            ref_gen = TraceGenerator(phase, seed=11)
-            reference = ref_gen.generate(3000)
-        assert fast == reference
+        fast, fast_gen = generate_arrays(phase, 11, 3000, fast=True)
+        reference, ref_gen = generate_arrays(phase, 11, 3000, fast=False)
+        assert_same_columns(fast, reference)
         assert generator_state(fast_gen) == generator_state(ref_gen)
 
     def test_second_batch_continues_identically(self):
@@ -239,27 +257,21 @@ class TestTraceGeneratorFastVsReference:
         # where the scalar loop would have, so a later batch (in either
         # mode) continues the same stream.
         phase = make_phase()
-        with perf.fast_paths(True):
-            fast_gen = TraceGenerator(phase, seed=5)
-            first_fast = fast_gen.generate(700)
+        first_fast, fast_gen = generate_arrays(phase, 5, 700, fast=True)
         ref_gen = TraceGenerator(phase, seed=5)
         with perf.fast_paths(False):
-            first_ref = ref_gen.generate(700)
-            second_ref = ref_gen.generate(700)
-        assert first_fast == first_ref
+            first_ref = ref_gen.generate_arrays(700)
+            second_ref = ref_gen.generate_arrays(700)
+        assert_same_columns(first_fast, first_ref)
         with perf.fast_paths(True):
-            second_fast = fast_gen.generate(700)
-        assert second_fast == second_ref
+            second_fast = fast_gen.generate_arrays(700)
+        assert_same_columns(second_fast, second_ref)
 
     def test_rng_usable_after_fast_generate(self):
         phase = make_phase()
-        with perf.fast_paths(True):
-            gen = TraceGenerator(phase, seed=9)
-            gen.generate(500)
+        _, gen = generate_arrays(phase, 9, 500, fast=True)
+        _, ref_gen = generate_arrays(phase, 9, 500, fast=False)
         mirror = random.Random()
-        ref_gen = TraceGenerator(phase, seed=9)
-        with perf.fast_paths(False):
-            ref_gen.generate(500)
         mirror.setstate(ref_gen.rng.getstate())
         assert [gen.rng.random() for _ in range(8)] == [
             mirror.random() for _ in range(8)
@@ -281,21 +293,47 @@ class TestTraceGeneratorFastVsReference:
             l1_miss_rate=l1_miss,
             branch_fraction=branch_fraction,
         )
-        with perf.fast_paths(True):
-            fast_gen = TraceGenerator(phase, seed=seed)
-            fast = fast_gen.generate(count)
-        with perf.fast_paths(False):
-            ref_gen = TraceGenerator(phase, seed=seed)
-            reference = ref_gen.generate(count)
-        assert fast == reference
+        fast, fast_gen = generate_arrays(phase, seed, count, fast=True)
+        reference, ref_gen = generate_arrays(phase, seed, count, fast=False)
+        assert_same_columns(fast, reference)
+        assert generator_state(fast_gen) == generator_state(ref_gen)
+
+    @pytest.mark.parametrize(
+        "phase_overrides,kwargs",
+        [
+            ({}, {"num_registers": 2**27 - 1}),
+            ({}, {"num_registers": 2**27}),
+            ({"code_footprint_kb": 2**23 - 1}, {}),
+            ({"code_footprint_kb": 2**23}, {}),
+        ],
+        ids=[
+            "registers-27-bit",
+            "registers-28-bit",
+            "code-blocks-27-bit",
+            "code-blocks-28-bit",
+        ],
+    )
+    def test_wide_draws_match_on_both_sides_of_27_bits(
+        self, phase_overrides, kwargs
+    ):
+        # A decoded float carries only the top 27 bits of its MT word:
+        # a wider register or code-block draw must take the scalar path
+        # rather than come out wrong.
+        phase = make_phase(branch_fraction=0.3, **phase_overrides)
+        fast, fast_gen = generate_arrays(phase, 3, 400, fast=True, **kwargs)
+        reference, ref_gen = generate_arrays(
+            phase, 3, 400, fast=False, **kwargs
+        )
+        assert_same_columns(fast, reference)
         assert generator_state(fast_gen) == generator_state(ref_gen)
 
 
 class TestRuntimeIterationRegression:
     """Section VI-A microbenchmark values, pinned bit-exactly.
 
-    These are the numbers ``repro overheads`` prints; the event-driven
-    engine must reproduce them with the switch in either position.
+    These are the numbers ``repro overheads`` prints; the cycle tier
+    must reproduce them with the switch in either position (the
+    compiled kernel on, the per-cycle engine off).
     """
 
     PINNED = {1: 2020.4, 2: 1269.4, 3: 1074.6}

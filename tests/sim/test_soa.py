@@ -144,6 +144,12 @@ class TestRoundTrip:
             )
 
 
+    def test_op_ids_must_be_positions(self):
+        ops = [MicroOp(op_id=i, kind=OpKind.ALU) for i in (0, 2, 4)]
+        with pytest.raises(ValueError, match="position 1 has op_id 2"):
+            TraceArrays.from_ops(ops)
+
+
 class TestOrderedUnique:
     def test_first_occurrence_order_and_sentinel_skip(self):
         column = np.array([192, 64, -1, 64, 0, 192, -1, 0], dtype=np.int64)

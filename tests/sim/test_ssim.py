@@ -1,9 +1,13 @@
 """The SSim facade: overheads and tier agreement."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.arch.vcore import VCoreConfig
+from repro.sim.pipeline import MultiSlicePipeline
 from repro.sim.ssim import SSim
+from repro.sim.trace import TraceGenerator
 from repro.workloads.apps import make_x264
 
 
@@ -69,10 +73,28 @@ class TestTierAgreement:
         assert all(r.measured_ipc > 0 for r in results)
 
     def test_explicit_trace_reused(self, ssim):
-        from repro.sim.trace import TraceGenerator
-
         phase = make_x264().phases[0]
         trace = TraceGenerator(phase, seed=5).generate(1000)
         a = ssim.run_cycle_accurate(phase, VCoreConfig(1, 64), trace=trace)
         b = ssim.run_cycle_accurate(phase, VCoreConfig(1, 64), trace=trace)
         assert a.measured_ipc == b.measured_ipc
+
+    def test_explicit_trace_matches_generated_trace(self, ssim):
+        phase = make_x264().phases[0]
+        config = VCoreConfig(2, 128)
+        trace = TraceGenerator(
+            phase, ssim.slice_params.physical_registers, seed=5
+        ).generate(800)
+        given = ssim.run_cycle_accurate(phase, config, trace=trace)
+        generated = ssim.run_cycle_accurate(phase, config, 800, seed=5)
+        assert given == generated
+
+    def test_out_of_order_op_ids_run_on_the_pipeline(self, ssim):
+        # Swapping each adjacent pair of ids keeps them 0..n-1 but not
+        # in trace order, which TraceArrays cannot encode.
+        phase = make_x264().phases[0]
+        config = VCoreConfig(2, 128)
+        ops = TraceGenerator(phase, seed=5).generate(600)
+        trace = [replace(op, op_id=op.op_id ^ 1) for op in ops]
+        result = ssim.run_cycle_accurate(phase, config, trace=trace)
+        assert result.pipeline == MultiSlicePipeline(config).run(trace)
