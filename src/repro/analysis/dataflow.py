@@ -9,10 +9,10 @@ cannot prove correct:
   reads returns stale values for the unkeyed input — silently, and only
   under cache hits, so tests that build fresh state never see it.
 * **deterministically keyed RNG streams** — ``(seed, tenant_id)``
-  per-tenant traffic streams, MT19937 word-stream twins.  An RNG object
-  shared across items (or across the ``perf.FAST`` twin boundary)
-  couples draws that must be independent, breaking bit-identity the
-  moment iteration order changes.
+  per-tenant traffic streams, one seeded stream per trace generator.
+  An RNG object shared across items (or across the ``perf.FAST`` twin
+  boundary) couples draws that must be independent, breaking
+  bit-identity the moment iteration order changes.
 
 This module derives both properties statically.  The
 :class:`~repro.analysis.callgraph.ProgramGraph` gains per-function

@@ -8,7 +8,7 @@ sanitizer build flag) or programmatically via :func:`set_enabled` /
 :func:`sanitized` — the engine's hot paths guard every hook with a
 single ``if sanitize.ENABLED`` so the disabled cost is one global load.
 
-Three families of checks plug into the engine:
+Two families of checks plug into the engine:
 
 * **freeze-on-publish** — :func:`freeze` deep-converts a value about to
   enter a process-global cache into its immutable form (dict →
@@ -17,10 +17,7 @@ Three families of checks plug into the engine:
   value without rebuilding it;
 * **shadow recounts** — :func:`should_sample` drives sampled
   re-validation of incremental structures (the fabric free-index)
-  against a full recomputation;
-* **checkpoint verification** — the RNG word-stream decoder calls
-  :func:`violation` when a resync or checkpoint replay disagrees with
-  the reference stream.
+  against a full recomputation.
 
 Violations raise :class:`SanitizerViolation`, naming the rule, the
 owner site (who published/owns the state) and the mutation/check site.

@@ -825,10 +825,13 @@ def tier_agreement_grid(
     changes any result.
 
     ``batch`` (the default) folds the cells into per-worker slabs for
-    the struct-of-arrays batch tier (``repro figure tiers --batch``);
-    ``batch=False`` dispatches every cell singly through the object
-    pipeline path.  Either way the per-cell results are bit-identical
-    — the flag only moves the wall clock.
+    the struct-of-arrays batch tier (``repro figure tiers --batch``),
+    which generates one trace per phase and shares it across the
+    configuration ladder; ``batch=False`` dispatches every cell singly
+    through :func:`run_tier_cell`, one call of the same kernel per cell
+    (``SSim.run_cycle_accurate``) on a trace generated for that cell.
+    Either way the per-cell results are bit-identical — the flag only
+    moves the wall clock.
     """
     import time
 

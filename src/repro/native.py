@@ -1,15 +1,19 @@
-"""Optional compiled batch-stepping core for the cycle tier.
+"""Optional compiled core for the cycle tier.
 
-The struct-of-arrays batch kernel (:mod:`repro.sim.batchpipe`) has a
-hot inner loop — one event epoch per cell per step — whose cost is
-pure interpreter overhead.  This module compiles ``sim/_batchcore.c``
-on demand with the host C compiler and loads it through :mod:`ctypes`,
+The cycle tier's two hot loops — the struct-of-arrays batch kernel
+(:mod:`repro.sim.batchpipe`, one event epoch per cell per step) and
+the column trace generator (:meth:`repro.sim.trace.TraceGenerator.
+generate_arrays`, a handful of RNG draws per micro-op) — cost pure
+interpreter overhead in Python.  This module compiles
+``sim/_batchcore.c`` and ``sim/_tracegen.c`` on demand into one shared
+object with the host C compiler and loads it through :mod:`ctypes`,
 following the shape ROADMAP cites from ``subhft``'s ``rust_core``: an
 *optional* accelerated core behind a pure-Python contract, with the
-per-cycle object pipeline retained as the always-runnable twin and
-bit-identity asserted in tests.  Nothing is installed: if no compiler
-is present (or ``REPRO_NATIVE`` disables the core) every caller falls
-back to that per-cycle pipeline — correct, but several times slower.
+scalar twins — the per-cycle object pipeline and the reference trace
+generator — always runnable and bit-identity asserted in tests.
+Nothing is installed: if no compiler is present (or ``REPRO_NATIVE``
+disables the core) every caller falls back to those twins — correct,
+but several times slower.
 
 Like :mod:`repro.cacheconf`, the host-level switches are read from the
 environment here, once, at the top of the package — the engine
@@ -20,11 +24,11 @@ the ``env-read`` determinism rule:
 * ``REPRO_NATIVE_DIR=<path>`` overrides where the shared object is
   built (default: a per-user directory under the system temp root).
 
-The switch can never change a result — the compiled kernel is
-bit-identical to the object pipeline (enforced by the `fast-parity`
-twin tests) — it only selects how fast the batch tier runs.  Build
-artifacts are keyed by a content hash of the C source and compiler
-identity, written via temp-file + atomic rename, so concurrent
+The switch can never change a result — both entry points are
+bit-identical to their scalar twins (enforced by the `fast-parity`
+twin tests) — it only selects how fast the cycle tier runs.  Build
+artifacts are keyed by a content hash of the C sources, the compiler
+and its flags, written via temp-file + atomic rename, so concurrent
 processes and stale sources are both safe.
 """
 
@@ -38,7 +42,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Any, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +52,10 @@ _OFF_VALUES = frozenset({"0", "off", "none", "disabled"})
 #: Compile command prefix; the source and output paths are appended.
 _CFLAGS = ("-O2", "-fPIC", "-shared")
 
-_SOURCE_PATH = Path(__file__).parent / "sim" / "_batchcore.c"
+_SOURCE_PATHS = tuple(
+    Path(__file__).parent / "sim" / name
+    for name in ("_batchcore.c", "_tracegen.c")
+)
 
 _NATIVE_LOCK = threading.Lock()
 
@@ -70,34 +77,62 @@ _CORE: Optional["NativeBatchCore"] = None
 _CORE_TRIED: bool = False
 _CORE_ERROR: Optional[str] = None
 
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_I8P = ctypes.POINTER(ctypes.c_int8)
+
+def _buffers(*arrays: Tuple[str, np.ndarray, Any]) -> List[int]:
+    """Addresses of ``(name, array, dtype)`` buffers, after checking
+    each is a C-contiguous array of that dtype: the C side reads raw
+    memory, so anything else would be reinterpreted silently."""
+    addresses = []
+    for name, array, dtype in arrays:
+        if array.dtype != dtype or not array.flags.c_contiguous:
+            raise ValueError(
+                f"{name}: need C-contiguous {np.dtype(dtype).name}, "
+                f"got {array.dtype}"
+            )
+        addresses.append(array.ctypes.data)
+    return addresses
+
+
+#: ``repro_generate_trace``'s array arguments in order, with their
+#: dtypes (``sim/_tracegen.c`` documents the layouts): inputs, state
+#: carried in and out, then the nine ``TraceArrays`` columns.
+TRACE_BUFFERS: Tuple[Tuple[str, Any], ...] = (
+    ("iparams", np.int64),
+    ("fparams", np.float64),
+    ("state", np.int64),
+    ("mt_key", np.uint32),
+    ("hot", np.int64),
+    ("sweep", np.int64),
+    ("branch_keys", np.int64),
+    ("branch_bias", np.float64),
+    ("branch_targets", np.int64),
+    ("kinds", np.int8),
+    ("sources", np.int64),
+    ("dests", np.int64),
+    ("addresses", np.int64),
+    ("mispredicted", np.bool_),
+    ("code_addresses", np.int64),
+    ("taken", np.int8),
+    ("targets", np.int64),
+)
 
 
 class NativeBatchCore:
-    """ctypes wrapper around the compiled ``repro_run_batch`` entry."""
+    """ctypes wrapper around the compiled library's two entries:
+    ``repro_run_batch`` and ``repro_generate_trace``."""
 
     def __init__(self, library: ctypes.CDLL, path: Path) -> None:
         self.path = path
         fn = library.repro_run_batch
         fn.restype = ctypes.c_int64
-        fn.argtypes = [
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            _I64P,
-            _I64P,
-            _I8P,
-            _I8P,
-            _I8P,
-            _I64P,
-            _I64P,
-            _I64P,
-            _I64P,
-            _I64P,
-            _I64P,
-        ]
+        fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 11
         self._fn = fn
+        generate = library.repro_generate_trace
+        generate.restype = ctypes.c_int64
+        generate.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * len(
+            TRACE_BUFFERS
+        )
+        self._generate = generate
 
     def run_batch(
         self,
@@ -118,7 +153,7 @@ class NativeBatchCore:
     ) -> int:
         """Invoke the compiled lockstep kernel; returns its status code
         (0 = ok, negative = allocation failure)."""
-        for name, array, dtype in (
+        buffers = _buffers(
             ("params", params, np.int64),
             ("cell_conf", cell_conf, np.int64),
             ("kinds", kinds, np.int8),
@@ -130,30 +165,30 @@ class NativeBatchCore:
             ("warm", warm, np.int64),
             ("out_cell", out_cell, np.int64),
             ("out_slice", out_slice, np.int64),
-        ):
-            if array.dtype != dtype or not array.flags.c_contiguous:
-                raise ValueError(
-                    f"{name}: need C-contiguous {np.dtype(dtype).name}, "
-                    f"got {array.dtype}"
+        )
+        return int(self._fn(n_cells, max_slices, prod_width, *buffers))
+
+    def generate_trace(self, count: int, *arrays: np.ndarray) -> int:
+        """Invoke the compiled trace generator on :data:`TRACE_BUFFERS`,
+        in that order; returns its status code (0 = ok, negative =
+        allocation failure).  The C side trusts the hot-set, region and
+        branch-table sizes in ``iparams``, so every buffer is checked
+        against them first."""
+        buffers = _buffers(
+            *(
+                (name, array, dtype)
+                for (name, dtype), array in zip(
+                    TRACE_BUFFERS, arrays, strict=True
                 )
-        return int(
-            self._fn(
-                n_cells,
-                max_slices,
-                prod_width,
-                params.ctypes.data_as(_I64P),
-                cell_conf.ctypes.data_as(_I64P),
-                kinds.ctypes.data_as(_I8P),
-                is_mem.ctypes.data_as(_I8P),
-                mispredicted.ctypes.data_as(_I8P),
-                addresses.ctypes.data_as(_I64P),
-                code_addresses.ctypes.data_as(_I64P),
-                producers.ctypes.data_as(_I64P),
-                warm.ctypes.data_as(_I64P),
-                out_cell.ctypes.data_as(_I64P),
-                out_slice.ctypes.data_as(_I64P),
             )
         )
+        hot_cap, regions, branch_cap = (int(v) for v in arrays[0][3:6])
+        sizes = [6 + regions, 6 + regions, 5, 624, hot_cap, regions]
+        sizes += [branch_cap] * 3 + [count, 2 * count] + [count] * 6
+        actual = [array.size for array in arrays]
+        if actual != sizes:
+            raise ValueError(f"buffer sizes {actual}, layout needs {sizes}")
+        return int(self._generate(count, *buffers))
 
 
 def _find_compiler() -> Optional[str]:
@@ -169,12 +204,13 @@ def _build_and_load_locked() -> NativeBatchCore:
     compiler = _find_compiler()
     if compiler is None:
         raise RuntimeError("no C compiler on PATH (tried cc, gcc, clang)")
-    source = _SOURCE_PATH.read_bytes()
-    digest = hashlib.sha256(
-        source + compiler.encode() + " ".join(_CFLAGS).encode()
-    ).hexdigest()[:16]
+    hasher = hashlib.sha256()
+    for path in _SOURCE_PATHS:
+        hasher.update(path.read_bytes())
+    hasher.update(compiler.encode() + " ".join(_CFLAGS).encode())
+    digest = hasher.hexdigest()[:16]
     build_dir = _BUILD_DIR
-    artifact = build_dir / f"_batchcore-{digest}.so"
+    artifact = build_dir / f"_native-{digest}.so"
     if not artifact.exists():
         build_dir.mkdir(parents=True, exist_ok=True)
         handle, tmp_name = tempfile.mkstemp(
@@ -183,7 +219,7 @@ def _build_and_load_locked() -> NativeBatchCore:
         os.close(handle)
         try:
             result = subprocess.run(
-                [compiler, *_CFLAGS, "-o", tmp_name, str(_SOURCE_PATH)],
+                [compiler, *_CFLAGS, "-o", tmp_name, *map(str, _SOURCE_PATHS)],
                 capture_output=True,
                 text=True,
             )
@@ -203,7 +239,8 @@ def _build_and_load_locked() -> NativeBatchCore:
 
 
 def batch_core() -> Optional[NativeBatchCore]:
-    """The compiled batch core, or ``None`` when unavailable.
+    """The compiled core — the batch kernel and the trace generator,
+    one shared object — or ``None`` when unavailable.
 
     Builds and loads at most once per process; a failed build is
     remembered (see :func:`batch_core_error`) and not retried until

@@ -70,9 +70,9 @@ class TestUnseededRandom:
         assert findings == []
 
     def test_mt19937_bit_generator_is_clean(self, lint_source):
-        """The trace generator's word-stream decoder builds a raw
-        MT19937 bit generator and seeds it from an explicit CPython RNG
-        state — a seeded factory, not the legacy global generator."""
+        """A raw MT19937 bit generator seeded from an explicit CPython
+        RNG state is a seeded factory, not the legacy global
+        generator."""
         findings = lint_source(
             """
             import numpy as np

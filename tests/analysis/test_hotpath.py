@@ -843,7 +843,10 @@ class TestRepoTipIsClean:
             "ServiceEngine._run_event_driven",
         ) in hot
         assert ("repro.cloud.traffic", "generate_traffic") in hot
-        assert ("repro.sim.trace", "TraceGenerator._decode_fields") in hot
+        assert (
+            "repro.sim.trace",
+            "TraceGenerator._generate_arrays_native",
+        ) in hot
         # The dense loop and the per-cycle pipeline are scalar twins:
         # exempt by their names.
         assert (

@@ -2,8 +2,8 @@
 
 The acceptance claim for ``REPRO_SANITIZE=1``: the full engine runs
 with every runtime check armed — freeze-on-publish verification on the
-table cache, fabric shadow recounts, RNG checkpoint probes — without a
-single violation, and every output is bit-identical to the unsanitized
+table cache and fabric shadow recounts — without a single violation,
+and every output is bit-identical to the unsanitized
 run, across FAST on/off and ``jobs`` ∈ {1, 4}.
 
 Workers inherit the sanitizer through both the module flag (fork) and

@@ -9,9 +9,11 @@ runs, the native core is disabled or cannot be built, or fast paths
 are off entirely.
 """
 
+import dataclasses
 import random
 import shutil
 
+import numpy as np
 import pytest
 
 from repro import native, perf
@@ -189,9 +191,29 @@ class TestDispatch:
             assert outcome.result.instructions == len(cell.trace)
 
 
+def generated(phase, seed, count=900):
+    """``generate_arrays`` columns and the generator state after it."""
+    generator = TraceGenerator(phase, seed=seed)
+    trace = generator.generate_arrays(count)
+    columns = {
+        field.name: getattr(trace, field.name)
+        for field in dataclasses.fields(TraceArrays)
+    }
+    return columns, generator.rng.getstate()
+
+
+def assert_same_generation(left, right):
+    (left_columns, left_state), (right_columns, right_state) = left, right
+    for name, column in left_columns.items():
+        assert column.dtype == right_columns[name].dtype, name
+        assert np.array_equal(column, right_columns[name]), name
+    assert left_state == right_state
+
+
 class TestCompilerFailure:
-    """A missing or failing C compiler degrades to the per-cycle twin:
-    same answers, and :func:`native.batch_core_error` names the cause."""
+    """A missing or failing C compiler degrades to the scalar twins —
+    the per-cycle pipeline and the reference trace generator: same
+    answers, and :func:`native.batch_core_error` names the cause."""
 
     @pytest.fixture
     def empty_build_dir(self, tmp_path):
@@ -218,6 +240,7 @@ class TestCompilerFailure:
         config = VCoreConfig(slices=2, l2_kb=128)
         native_cells = run_batch(cells)
         native_ssim = SSim().run_cycle_accurate(phase, config, 600, seed=4)
+        native_trace = generated(PHASES[3], seed=8)
 
         monkeypatch.setattr(native, "_find_compiler", lambda: compiler)
         native.set_build_dir(empty_build_dir)
@@ -232,3 +255,71 @@ class TestCompilerFailure:
             SSim().run_cycle_accurate(phase, config, 600, seed=4)
             == native_ssim
         )
+        assert_same_generation(generated(PHASES[3], seed=8), native_trace)
+
+    def test_disabled_core_generates_through_the_reference(
+        self, monkeypatch
+    ):
+        perf.set_fast_paths(True)
+        native.set_native_enabled(False)
+        calls = []
+        reference = TraceGenerator._generate_reference
+
+        def counting(generator, count):
+            calls.append(count)
+            return reference(generator, count)
+
+        monkeypatch.setattr(TraceGenerator, "_generate_reference", counting)
+        TraceGenerator(PHASES[0], seed=1).generate_arrays(300)
+        assert calls == [300]
+
+    def test_native_generator_checks_buffer_sizes(self, monkeypatch):
+        perf.set_fast_paths(True)
+        native.set_native_enabled(True)
+        core = native.batch_core()
+        if core is None:
+            pytest.skip("native kernel unavailable on this host")
+        seen = []
+
+        class ShortColumns:
+            def generate_trace(self, count, *arrays):
+                seen.append(arrays)
+                return core.generate_trace(count + 1, *arrays)
+
+        monkeypatch.setattr(native, "batch_core", lambda: ShortColumns())
+        generator = TraceGenerator(PHASES[0], seed=2)
+        state = generator.rng.getstate()
+        with pytest.raises(ValueError, match="layout needs"):
+            generator.generate_arrays(50)
+        assert seen and generator.rng.getstate() == state
+
+    def test_failing_generator_raises_and_leaves_state(self, monkeypatch):
+        perf.set_fast_paths(True)
+
+        class FailingCore:
+            def generate_trace(self, count, *arrays):
+                # Scribble over every buffer first: none of it may
+                # reach the generator.
+                for array in arrays:
+                    array[...] = 1
+                return -1
+
+        def snapshot(generator):
+            return (
+                generator.rng.getstate(),
+                generator._pc,
+                list(generator._hot_blocks),
+                list(generator._sweep_position),
+                dict(generator._branch_bias),
+                dict(generator._branch_target),
+            )
+
+        monkeypatch.setattr(native, "batch_core", lambda: FailingCore())
+        generator = TraceGenerator(PHASES[3], seed=6)
+        with perf.fast_paths(False):
+            generator.generate_arrays(700)
+        before = snapshot(generator)
+        assert before[2] and before[4]
+        with pytest.raises(RuntimeError, match="allocation failure"):
+            generator.generate_arrays(500)
+        assert snapshot(generator) == before

@@ -6,10 +6,10 @@ compiler is available) and through the per-cycle scalar engine,
 ``MultiSlicePipeline.run`` — and must produce *identical* results: the
 :class:`PipelineResult`, every per-Slice counter, and the full
 memory-hierarchy statistics.  Likewise the column trace generator:
-``generate_arrays`` with fast paths on (the numpy word-stream decoder)
-and off (the scalar reference) emits the same columns and leaves the
-same RNG state, so a fixed-seed experiment is bit-for-bit reproducible
-with the switch in either position.
+``generate_arrays`` with fast paths on (the compiled port,
+``sim/_tracegen.c``) and off (the scalar reference) emits the same
+columns and leaves the same generator state, so a fixed-seed experiment
+is bit-for-bit reproducible with the switch in either position.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import perf
@@ -29,6 +29,7 @@ from repro.sim.pipeline import MultiSlicePipeline
 from repro.sim.soa import TraceArrays
 from repro.sim.ssim import SSim
 from repro.sim.trace import TraceGenerator
+from repro.workloads.apps import get_app
 from repro.workloads.phase import Phase
 
 
@@ -216,12 +217,13 @@ class TestGeneratedTraces:
 
 
 def generator_state(generator):
+    """Everything a later call reads; the branch tables in visit order."""
     return (
         generator._pc,
         list(generator._hot_blocks),
         list(generator._sweep_position),
-        dict(generator._branch_bias),
-        dict(generator._branch_target),
+        list(generator._branch_bias.items()),
+        list(generator._branch_target.items()),
         generator.rng.getstate(),
     )
 
@@ -253,9 +255,9 @@ class TestTraceGeneratorFastVsReference:
         assert generator_state(fast_gen) == generator_state(ref_gen)
 
     def test_second_batch_continues_identically(self):
-        # The word-stream resync must leave the CPython RNG exactly
-        # where the scalar loop would have, so a later batch (in either
-        # mode) continues the same stream.
+        # The compiled port must hand the CPython RNG back exactly
+        # where the scalar loop would have left it, so a later batch
+        # (in either mode) continues the same stream.
         phase = make_phase()
         first_fast, fast_gen = generate_arrays(phase, 5, 700, fast=True)
         ref_gen = TraceGenerator(phase, seed=5)
@@ -279,16 +281,28 @@ class TestTraceGeneratorFastVsReference:
 
     @settings(max_examples=15, deadline=None)
     @given(
+        ilp=st.floats(min_value=0.1, max_value=200.0),
         mem_refs=st.floats(min_value=0.0, max_value=0.6),
         l1_miss=st.floats(min_value=0.0, max_value=1.0),
         branch_fraction=st.floats(min_value=0.0, max_value=0.4),
         seed=st.integers(min_value=0, max_value=2**31),
         count=st.integers(min_value=1, max_value=2000),
     )
+    # A high ILP makes most dependency distances hit the cap of 64,
+    # where the reference still draws once before its bound stops it.
+    @example(
+        ilp=200.0,
+        mem_refs=0.3,
+        l1_miss=0.1,
+        branch_fraction=0.15,
+        seed=0,
+        count=500,
+    )
     def test_random_phase_sequences_match(
-        self, mem_refs, l1_miss, branch_fraction, seed, count
+        self, ilp, mem_refs, l1_miss, branch_fraction, seed, count
     ):
         phase = make_phase(
+            ilp=ilp,
             mem_refs_per_inst=mem_refs,
             l1_miss_rate=l1_miss,
             branch_fraction=branch_fraction,
@@ -316,14 +330,100 @@ class TestTraceGeneratorFastVsReference:
     def test_wide_draws_match_on_both_sides_of_27_bits(
         self, phase_overrides, kwargs
     ):
-        # A decoded float carries only the top 27 bits of its MT word:
-        # a wider register or code-block draw must take the scalar path
-        # rather than come out wrong.
+        # 27- and 28-bit register and code-block draws: one-word
+        # getrandbits draws whose width (n.bit_length()) and rejection
+        # loop must match _randbelow exactly.
         phase = make_phase(branch_fraction=0.3, **phase_overrides)
         fast, fast_gen = generate_arrays(phase, 3, 400, fast=True, **kwargs)
         reference, ref_gen = generate_arrays(
             phase, 3, 400, fast=False, **kwargs
         )
+        assert_same_columns(fast, reference)
+        assert generator_state(fast_gen) == generator_state(ref_gen)
+
+    @pytest.mark.parametrize(
+        "phase_overrides,kwargs",
+        [
+            ({}, {"num_registers": 2**32 - 1}),
+            ({}, {"num_registers": 2**32}),
+            ({}, {"num_registers": 2**32 + 1}),
+            ({}, {"num_registers": 2**63 - 1}),
+            ({"code_footprint_kb": 2**28}, {}),
+            ({"code_footprint_kb": 2**40 + 3}, {}),
+        ],
+        ids=[
+            "registers-32-bit",
+            "registers-33-bit",
+            "registers-33-bit-odd",
+            "registers-63-bit",
+            "code-blocks-33-bit",
+            "code-blocks-45-bit",
+        ],
+    )
+    def test_multi_word_draws_match(self, phase_overrides, kwargs):
+        # getrandbits past 32 bits fills two MT words, low word first,
+        # and shifts the second; _randbelow then rejects values >= n.
+        phase = make_phase(branch_fraction=0.3, **phase_overrides)
+        fast, fast_gen = generate_arrays(phase, 3, 400, fast=True, **kwargs)
+        reference, ref_gen = generate_arrays(
+            phase, 3, 400, fast=False, **kwargs
+        )
+        assert_same_columns(fast, reference)
+        assert generator_state(fast_gen) == generator_state(ref_gen)
+
+    def test_registers_past_int64_take_the_reference(self):
+        # 2**63 registers cannot cross ctypes' c_int64, so FAST runs
+        # the reference; every register it draws is below 2**63, so
+        # both switch positions give the same columns.
+        phase = make_phase()
+        fast, fast_gen = generate_arrays(
+            phase, 4, 300, fast=True, num_registers=2**63
+        )
+        reference, ref_gen = generate_arrays(
+            phase, 4, 300, fast=False, num_registers=2**63
+        )
+        assert int(reference.dests.max()) >= 2**62
+        assert_same_columns(fast, reference)
+        assert generator_state(fast_gen) == generator_state(ref_gen)
+
+    def test_code_addresses_past_int64_raise_the_same_error(self):
+        phase = make_phase(code_footprint_kb=2**58)
+        errors = []
+        for fast in (True, False):
+            with pytest.raises(OverflowError) as excinfo:
+                generate_arrays(phase, 4, 300, fast=fast)
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1]
+
+    def test_reference_native_reference_continuation(self):
+        # One generator alternates between the two paths: the compiled
+        # port must read the branch table and a full 96-entry hot set
+        # the reference built, and hand back state the reference
+        # continues from.
+        phase = make_phase(branch_fraction=0.25, l1_miss_rate=0.4)
+        mixed = TraceGenerator(phase, seed=21)
+        alone = TraceGenerator(phase, seed=21)
+        with perf.fast_paths(False):
+            mixed.generate_arrays(2000)
+        assert len(mixed._hot_blocks) == 96
+        assert mixed._branch_bias
+        chunks = []
+        for fast in (True, False):
+            with perf.fast_paths(fast):
+                chunks.append(mixed.generate_arrays(1500))
+        with perf.fast_paths(False):
+            alone.generate_arrays(2000)
+            for expected in chunks:
+                assert_same_columns(expected, alone.generate_arrays(1500))
+        assert generator_state(mixed) == generator_state(alone)
+
+    @pytest.mark.parametrize("app", ["x264", "apache", "mcf"])
+    def test_perfbench_sized_trace_matches(self, app):
+        # The shape of perfbench's tiers cells: 40,000 ops of a real
+        # phase on the default register file.
+        phase = get_app(app).phases[0]
+        fast, fast_gen = generate_arrays(phase, 1, 40_000, fast=True)
+        reference, ref_gen = generate_arrays(phase, 1, 40_000, fast=False)
         assert_same_columns(fast, reference)
         assert generator_state(fast_gen) == generator_state(ref_gen)
 

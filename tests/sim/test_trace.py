@@ -143,7 +143,6 @@ class TestGenerateArrays:
             fast = TraceGenerator(phase, seed=2).generate_arrays(800)
         with perf.fast_paths(False):
             reference = TraceGenerator(phase, seed=2).generate_arrays(800)
-        perf.set_fast_paths(True)
         assert fast.to_ops() == reference.to_ops()
 
     def test_rng_state_continues_identically(self):
