@@ -9,11 +9,9 @@ derived from the ASTs:
 
 * every module's **globals** are collected from module-level
   assignments and classified (mutable container, rebindable scalar —
-  i.e. some function declares it ``global`` — lock, cache).  Lock
-  classification covers both values built from lock factories
-  (``threading.Lock()`` and friends) and the ``*_LOCK`` naming
-  protocol: a global named ``..._LOCK`` is a lock slot even when it is
-  initialized to ``None`` and bound to a lock later;
+  i.e. some function declares it ``global`` — lock, cache).  A lock
+  is a global bound to a lock factory (``threading.Lock()`` and
+  friends);
 * every function gets a :class:`FunctionSummary` with its resolved
   **calls** (same-module names, ``from``-imports, module-alias
   attributes, ``self.method`` within a class), its **effect sites**
@@ -648,12 +646,6 @@ class _ModuleScanner:
                             info.lock_names.add(name)
                         elif _is_mutable_value(value):
                             var.mutable = True
-                    if name.endswith("_LOCK") and not var.mutable:
-                        # The *_LOCK naming protocol: also covers lock
-                        # slots initialized to None and bound to a
-                        # cross-process lock at store attach.
-                        var.is_lock = True
-                        info.lock_names.add(name)
                     if "CACHE" in name.upper() and not var.is_lock:
                         var.is_cache = True
                     if value is not None and is_rng_call(value):

@@ -45,12 +45,11 @@ on top of those, four whole-program rules:
     module counters, and never from loop indices *alone*.
 
 ``schema-drift``
-    A structural fingerprint of every serialized surface (checkpoint
-    payload dataclasses + engine state, the ``.npz`` cache layout) is
-    pinned in a committed
-    ``SCHEMA_FINGERPRINTS.json``.  Changing a field set without bumping
-    the owning ``SCHEMA_VERSION`` constant (and re-pinning via
-    ``repro lint --update-schema``) fails the gate.
+    A structural fingerprint of every serialized surface (the service
+    checkpoint's payload dataclasses + engine state) is pinned in a
+    committed ``SCHEMA_FINGERPRINTS.json``.  Changing a field set
+    without bumping the owning version constant (``CHECKPOINT_SCHEMA``)
+    and re-pinning via ``repro lint --update-schema`` fails the gate.
 
 ``repro lint --dataflow-report`` renders the underlying evidence — the
 per-cache key-vs-read-set table and per-stream provenance chains — from
@@ -949,12 +948,6 @@ SCHEMA_SURFACES: Tuple[SchemaSurface, ...] = (
         version_module_suffix="cloud.service",
         version_name="CHECKPOINT_SCHEMA",
     ),
-    SchemaSurface(
-        name="optable-npz",
-        module_suffix="sim.optstore",
-        version_module_suffix="cacheconf",
-        version_name="SCHEMA_VERSION",
-    ),
 )
 
 
@@ -1051,69 +1044,7 @@ def _surface_structure(
             },
             "engine_state": _init_state_attrs(tree, "ServiceEngine"),
         }
-    if surface.name == "optable-npz":
-        arrays: Set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = (
-                func.attr
-                if isinstance(func, ast.Attribute)
-                else func.id
-                if isinstance(func, ast.Name)
-                else None
-            )
-            if name in {"savez", "savez_compressed"}:
-                splats: Set[str] = set()
-                for keyword in node.keywords:
-                    if keyword.arg is not None:
-                        arrays.add(keyword.arg)
-                    elif isinstance(keyword.value, ast.Name):
-                        splats.add(keyword.value.id)
-                if splats:
-                    arrays.update(_dict_string_keys(tree, splats))
-        return {"arrays": sorted(arrays)}
     raise ValueError(f"unknown schema surface {surface.name!r}")
-
-
-def _dict_string_keys(tree: ast.Module, names: Set[str]) -> Set[str]:
-    """String keys statically visible in dicts splatted into ``savez``.
-
-    Covers the two shapes the store uses: a dict-literal assignment
-    (``arrays = {"speedups": ...}``) and keyed inserts
-    (``arrays["hull"] = ...``) anywhere in the module.
-    """
-    keys: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-            value: Optional[ast.expr] = node.value
-        elif isinstance(node, ast.Assign):
-            targets = list(node.targets)
-            value = node.value
-        else:
-            continue
-        for target in targets:
-            if (
-                isinstance(target, ast.Name)
-                and target.id in names
-                and isinstance(value, ast.Dict)
-            ):
-                for key in value.keys:
-                    if isinstance(key, ast.Constant) and isinstance(
-                        key.value, str
-                    ):
-                        keys.add(key.value)
-            elif (
-                isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Name)
-                and target.value.id in names
-                and isinstance(target.slice, ast.Constant)
-                and isinstance(target.slice.value, str)
-            ):
-                keys.add(target.slice.value)
-    return keys
 
 
 def _fingerprint(structure: Dict[str, object]) -> str:
@@ -1177,8 +1108,8 @@ class SchemaDriftRule(ProgramRule):
 
     id = "schema-drift"
     description = (
-        "a serialized surface (checkpoint dataclasses, .npz layout) "
-        "changed without bumping its SCHEMA_VERSION and re-pinning "
+        "a serialized surface (checkpoint dataclasses, engine state) "
+        "changed without bumping its version constant and re-pinning "
         "SCHEMA_FINGERPRINTS.json"
     )
 

@@ -14,10 +14,8 @@ summaries, police the engine's process-global mutable state:
 
 ``lock-discipline``
     A module that defines a lock (any module global bound to
-    ``threading.Lock()`` and friends, or following the ``*_LOCK``
-    naming protocol — including ``None``-initialized slots later bound
-    to a cross-process lock) has declared a protocol: its shared
-    mutable globals are lock-protected.  Every read *and* write of
+    ``threading.Lock()`` and friends) has declared a protocol: its
+    shared mutable globals are lock-protected.  Every read *and* write of
     such a global from function code must sit inside a ``with
     <lock>:`` block of one of the module's locks.  Helpers named
     ``*_locked`` assume the caller already holds the lock — their own

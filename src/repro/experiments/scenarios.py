@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.arch.cost import CostModel, DEFAULT_COST_MODEL
 from repro.arch.vcore import ConfigurationSpace, VCoreConfig, DEFAULT_CONFIG_SPACE
 from repro.baselines.convex import ConvexOptimizationAllocator, average_points
 from repro.baselines.heterogeneous import (
@@ -439,49 +438,6 @@ def provider_mix(
             policy = policy_mix
         pairs.append((app_name, policy))
     return tuple(pairs)
-
-
-def warm_app_surfaces(
-    app_name: str,
-    slice_counts: Optional[Sequence[int]] = None,
-    l2_sizes_kb: Optional[Sequence[int]] = None,
-    model: PerformanceModel = DEFAULT_PERF_MODEL,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-) -> Tuple[Tuple[str, str, str], ...]:
-    """Warm every phase surface of one application into the disk tier.
-
-    The cell body behind :class:`~repro.experiments.stats.WarmCellSpec`
-    and ``repro cache warm``: publishes each phase's speedup grid and
-    default-idle hull through
-    :func:`~repro.sim.optables.ensure_surface`, constructing no
-    ``ConfigPoint`` when the surface is already on disk.  ``None`` grid
-    axes mean the default configuration space.  Returns one
-    ``(phase_name, digest, fingerprint)`` triple per phase — the
-    fingerprints are bit-stable across cold and warm passes, which is
-    what the warm-sweep benchmark asserts.
-    """
-    from repro.sim.optables import ensure_surface
-
-    space = DEFAULT_CONFIG_SPACE
-    if slice_counts is not None or l2_sizes_kb is not None:
-        space = ConfigurationSpace(
-            slice_counts=tuple(
-                slice_counts
-                if slice_counts is not None
-                else DEFAULT_CONFIG_SPACE.slice_counts
-            ),
-            l2_sizes_kb=tuple(
-                l2_sizes_kb
-                if l2_sizes_kb is not None
-                else DEFAULT_CONFIG_SPACE.l2_sizes_kb
-            ),
-        )
-    app = get_app(app_name)
-    surfaces = []
-    for phase in app.phases:
-        digest, fingerprint = ensure_surface(phase, model, space, cost_model)
-        surfaces.append((phase.name, digest, fingerprint))
-    return tuple(surfaces)
 
 
 def run_provider_mix(

@@ -12,7 +12,7 @@ unit for this reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -182,6 +182,12 @@ class PhasedApplication:
                 f"{name}: latency applications need a positive "
                 "instructions_per_request"
             )
+        # The harness and the oracle key per-phase state by phase name.
+        seen: Set[str] = set()
+        for phase in phases:
+            if phase.name in seen:
+                raise ValueError(f"{name}: phase name {phase.name!r} repeats")
+            seen.add(phase.name)
         self.name = name
         self.phases: Tuple[Phase, ...] = tuple(phases)
         self.qos_kind = qos_kind

@@ -167,21 +167,9 @@ class TestEffects:
 
 
 class TestStoreIdioms:
-    """Conventions the tiered operating-point store relies on."""
-
-    def test_lock_named_none_slot_classified_as_lock(self):
-        info = analyze_module(
-            module(
-                "src/repro/sim/demo.py",
-                """
-                _CREATE_LOCK = None
-                _TABLE = {}
-                """,
-            )
-        )
-        assert info.globals["_CREATE_LOCK"].is_lock
-        assert not info.globals["_CREATE_LOCK"].shared_mutable
-        assert info.lock_names == {"_CREATE_LOCK"}
+    """Shared-state conventions the call graph understands: sealing an
+    ndarray in place with ``setflags(write=False)`` and ``*_locked``
+    caller-holds-the-lock helpers."""
 
     def test_setflags_write_false_records_a_seal(self):
         info = analyze_module(

@@ -221,39 +221,9 @@ class TestLockDiscipline:
 
 
 class TestStoreLockConventions:
-    """The tiered-store idioms the analyzer understands: ``*_LOCK``
-    named slots (even ``None``-initialized cross-process ones),
-    ``*_locked`` caller-holds-the-lock helpers, and sealing an ndarray
-    in place with ``setflags(write=False)`` before publishing it."""
-
-    def test_none_initialized_lock_slot_declares_the_protocol(
-        self, lint_source
-    ):
-        findings = lint_source(
-            """
-            _CREATE_LOCK = None
-            _TABLE = {}
-
-            def publish(key, value):
-                _TABLE[key] = value
-            """,
-            rules=["lock-discipline"],
-        )
-        assert rules_of(findings) == {"lock-discipline"}
-
-    def test_with_block_on_named_lock_slot_passes(self, lint_source):
-        findings = lint_source(
-            """
-            _CREATE_LOCK = None
-            _TABLE = {}
-
-            def publish(key, value):
-                with _CREATE_LOCK:
-                    _TABLE[key] = value
-            """,
-            rules=["lock-discipline"],
-        )
-        assert findings == []
+    """Shared-state idioms the analyzer understands: ``*_locked``
+    caller-holds-the-lock helpers, and sealing an ndarray in place with
+    ``setflags(write=False)`` before publishing it."""
 
     def test_locked_helper_own_effects_pass(self, lint_source):
         findings = lint_source(

@@ -831,7 +831,6 @@ class TestRepoTipIsClean:
         }
         assert ("repro.experiments.stats", "run_cell") in hot
         assert ("repro.cloud.provider", "CloudProvider.run") in hot
-        assert ("repro.sim.optstore", "publish") in hot
         assert ("repro.sim.batchpipe", "run_batch") in hot
         assert (
             "repro.sim.trace",

@@ -118,7 +118,7 @@ class TestViolationPickling:
         import pickle
 
         original = SanitizerViolation(
-            "cache-publish", "repro.sim.optables", "disk load", "bare dict"
+            "cache-publish", "repro.sim.optables", "publish", "bare dict"
         )
         clone = pickle.loads(pickle.dumps(original))
         assert isinstance(clone, SanitizerViolation)

@@ -1,19 +1,17 @@
-"""The operating-point store's tiers never change a result.
+"""The operating-point store never changes a result.
 
 Every cell set here is run against the scalar reference (fast paths
-off, serial) and must match record-for-record from every tier state —
-cold, disk-warm — at any job count, sanitized or not.  With fast paths
-off the tiers must not even be consulted.  A pooled sweep's store
-counters reach the parent through the pool's result pipe.
+off, serial) and must match record-for-record from a cold store at any
+job count.  With fast paths off the store must not even be consulted.
+A pooled sweep's store counters reach the parent through the pool's
+result pipe.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro import cacheconf, perf
-from repro.analysis import sanitize
-from repro.experiments.scenarios import warm_app_surfaces
+from repro import perf
 from repro.experiments.stats import CellSpec, run_cells
 from repro.sim import optstore
 from repro.sim.optables import cache_clear, cache_info
@@ -26,22 +24,17 @@ SPECS = tuple(
         ("apache", "cash", 0),
     )
 )
-APPS = tuple(sorted({spec.app_name for spec in SPECS}))
 
 
 @pytest.fixture(autouse=True)
 def pristine_tiers():
     previous = perf.FAST
-    previous_sanitize = sanitize.ENABLED
     perf.set_fast_paths(True)
     cache_clear()
     optstore.reset_counters(fleet=True)
-    cacheconf.set_cache_dir(None)
     yield
     cache_clear()
     optstore.reset_counters(fleet=True)
-    cacheconf.set_cache_dir(None)
-    sanitize.set_enabled(previous_sanitize)
     perf.set_fast_paths(previous)
 
 
@@ -68,36 +61,14 @@ class TestTierStatesMatchReference:
     def test_cold(self, jobs, reference):
         assert_identical(run_cells(SPECS, jobs=jobs), reference)
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_disk_warm(self, jobs, reference, tmp_path):
-        cacheconf.set_cache_dir(tmp_path)
-        for app in APPS:
-            warm_app_surfaces(app)
-        cache_clear()  # drop L1: only the disk tier stays warm
-        optstore.reset_counters(fleet=True)
-        assert_identical(run_cells(SPECS, jobs=jobs), reference)
-        assert optstore.counters_fleet()["l3_hits"] >= 1
-        assert optstore.counters_fleet()["builds"] == 0
-
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_sanitized_warm(self, jobs, reference, tmp_path):
-        cacheconf.set_cache_dir(tmp_path)
-        with sanitize.sanitized(True):
-            for app in APPS:
-                warm_app_surfaces(app)
-            cache_clear()
-            assert_identical(run_cells(SPECS, jobs=jobs), reference)
-
 
 class TestReferenceModeBypassesTiers:
-    def test_fast_off_touches_no_tier(self, tmp_path, reference):
-        cacheconf.set_cache_dir(tmp_path)
+    def test_fast_off_touches_no_tier(self, reference):
         with perf.fast_paths(False):
             assert_identical(run_cells(SPECS, jobs=1), reference)
         counts = optstore.counters_local()
         assert all(value == 0 for value in counts.values())
         assert cache_info()["size"] == 0
-        assert list(tmp_path.iterdir()) == []
 
 
 def _shm_store_entries():

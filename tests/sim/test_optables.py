@@ -1,8 +1,14 @@
 """Memoized operating-point tables and the vectorized kernel."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro import perf
 from repro.arch.cost import DEFAULT_COST_MODEL
 from repro.arch.vcore import ConfigurationSpace, DEFAULT_CONFIG_SPACE
@@ -182,3 +188,31 @@ class TestTableCache:
         assert first is not second
         assert tuple(first) == tuple(second)
         assert cache_info()["size"] == 0
+
+
+class TestNoDiskTier:
+    def test_cache_dir_variable_is_inert(self, tmp_path):
+        # The store is in-process only: the retired disk tier's
+        # variable writes nothing, and cacheconf still reports no tier.
+        script = (
+            "from repro import cacheconf\n"
+            "from repro.sim.optables import operating_point_table\n"
+            "from repro.workloads.apps import APP_NAMES, get_app\n"
+            "for name in APP_NAMES:\n"
+            "    for phase in get_app(name).phases:\n"
+            "        operating_point_table(phase)\n"
+            "print(cacheconf.cache_dir())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path), PYTHONPATH=path)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "None"
+        assert list(tmp_path.iterdir()) == []

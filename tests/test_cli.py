@@ -81,47 +81,20 @@ class TestCommands:
 class TestCacheCommands:
     @pytest.fixture(autouse=True)
     def pristine_store(self):
-        from repro import cacheconf
         from repro.sim import optstore
         from repro.sim.optables import cache_clear
 
         yield
         cache_clear()
         optstore.reset_counters(fleet=True)
-        cacheconf.set_cache_dir(None)
-
-    def test_cache_info_is_json(self, capsys):
-        import json
-
-        assert main(["cache", "info"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"l1", "local", "fleet", "disk"}
-
-    def test_cache_warm_then_clear(self, tmp_path, capsys):
-        code = main(
-            ["cache", "warm", "--apps", "x264", "--jobs", "1",
-             "--cache-dir", str(tmp_path)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "warmed" in out
-        assert "optable store:" in out
-        assert list(tmp_path.glob("*.npz"))
-
-        code = main(["cache", "clear", "--cache-dir", str(tmp_path)])
-        assert code == 0
-        assert "removed" in capsys.readouterr().out
-        assert not list(tmp_path.glob("*.npz"))
 
     def test_sweep_prints_store_summary(self, tmp_path, capsys):
         code = main(
             ["sweep", "--apps", "x264", "--allocators", "cash",
              "--seeds", "0", "--intervals", "30", "--jobs", "1",
-             "--cache-dir", str(tmp_path / "cache"),
              "--bench-out", str(tmp_path / "BENCH_PERF.json")]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "optable store:" in out
-        assert "disk cache" in out
         assert (tmp_path / "BENCH_PERF.json").exists()

@@ -109,6 +109,18 @@ class TestPhasedApplication:
         with pytest.raises(ValueError):
             PhasedApplication(name="x", phases=[make_phase()], qos_kind="latency")
 
+    def test_rejects_repeated_phase_name(self):
+        # Per-phase tables are keyed by name: a repeat would be
+        # simulated with the first phase's table.
+        with pytest.raises(ValueError, match="'a'"):
+            PhasedApplication(
+                name="x",
+                phases=[
+                    make_phase(name="a", instructions_m=10),
+                    make_phase(name="a", instructions_m=20, ilp=1.5),
+                ],
+            )
+
     def test_total_instructions(self):
         assert self._app().total_instructions == 30e6
 
