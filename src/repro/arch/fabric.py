@@ -16,11 +16,12 @@ free-count and allocation queries from per-kind boolean free-tile
 masks indexed by flat row-major tile id (updated on every
 allocate/release) instead of rescanning all tiles.  ``np.flatnonzero``
 of a mask lists the free tiles in the scalar scan's row-major order,
-seed selection gathers an int16 all-pairs distance table, and the
-region is picked in closed form: the nearest free tiles of each kind
-in the ``(distance, x, y)`` order in which region growth pops them.
-The scalar full-scan seed search and :meth:`Fabric._grow_region`
-remain the reference path, and both modes are bit-identical.
+seed selection counts free tiles in Manhattan diamonds from a prefix
+sum over the fabric rotated by 45°, and the region is picked in closed
+form: the nearest free tiles of each kind in the ``(distance, x, y)``
+order in which region growth pops them.  The scalar full-scan seed
+search and :meth:`Fabric._grow_region` remain the reference path, and
+both modes are bit-identical.
 """
 
 from __future__ import annotations
@@ -48,34 +49,50 @@ class FabricError(RuntimeError):
     """Raised when an allocation request cannot be satisfied."""
 
 
-#: Process-wide cache of all-pairs Manhattan distance matrices, keyed by
-#: fabric geometry.  The matrix depends only on (width, height), so one
-#: copy serves every fabric of that shape and never enters checkpoints.
-_DISTANCE_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
-_DISTANCE_LOCK = threading.Lock()
+#: Process-wide cache of each fabric shape's rotated-grid layout (see
+#: :func:`_rotated_layout`), keyed by geometry.  The layout depends only
+#: on (width, height), so one copy serves every fabric of that shape
+#: and never enters checkpoints.
+_ROTATED_CACHE: Dict[
+    Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]
+] = {}
+_ROTATED_LOCK = threading.Lock()
+
+#: :meth:`Fabric._best_seed` counts both tile kinds with one prefix sum
+#: by weighting a free Slice 1 and a free bank ``1 << _BANK_SHIFT``:
+#: the low bits of a count hold the Slices, the high bits the banks.
+#: Exact in int64 for any fabric of fewer than 2**31 tiles.
+_BANK_SHIFT = 32
+_SLICE_BITS = (1 << _BANK_SHIFT) - 1
 
 
-def _distance_matrix(width: int, height: int) -> np.ndarray:
-    """All-pairs Manhattan distances between flat tile indices.
+def _rotated_layout(
+    width: int, height: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each flat tile id sits on the fabric rotated by 45°.
 
-    Flat index ``y * width + x`` matches the row-major order tiles are
-    created in, so gathering rows/columns of this matrix for the free
-    set reproduces the distances the scalar scan computes pairwise.
-    Entries are int16 whenever the largest distance, ``width + height
-    - 2``, fits (a quarter of int64's gather traffic), else int32.
+    Tile ``(x, y)`` maps to ``u = x + y`` and ``v = x - y + height -
+    1`` on a ``side x side`` grid, ``side = width + height - 1``.  Two
+    tiles lie within Manhattan distance ``r`` of each other exactly
+    when their ``u`` and their ``v`` each differ by at most ``r``, so
+    a seed's diamond of radius ``r`` is an axis-aligned box there.
+    Returns ``(u, v, cell)`` indexed by flat id ``y * width + x``;
+    ``cell`` is the id's flat index into a ``(side + 1) x (side + 1)``
+    grid whose first row and column stay empty (the zero border of an
+    inclusive prefix sum).  The arrays are read-only.
     """
     key = (width, height)
-    with _DISTANCE_LOCK:
-        cached = _DISTANCE_CACHE.get(key)
+    with _ROTATED_LOCK:
+        cached = _ROTATED_CACHE.get(key)
         if cached is None:
-            fits = width + height - 2 <= np.iinfo(np.int16).max
-            dtype = np.int16 if fits else np.int32
             ys, xs = np.divmod(np.arange(width * height), width)
-            xs, ys = xs.astype(dtype), ys.astype(dtype)
-            cached = np.abs(xs[:, None] - xs[None, :]) + np.abs(
-                ys[:, None] - ys[None, :]
-            )
-            _DISTANCE_CACHE[key] = cached
+            u = xs + ys
+            v = xs - ys + height - 1
+            cell = (u + 1) * (width + height) + v + 1
+            for array in (u, v, cell):
+                array.setflags(write=False)
+            cached = (u, v, cell)
+            _ROTATED_CACHE[key] = cached
         return cached
 
 
@@ -291,37 +308,53 @@ class Fabric:
             return self._positions(self._free_ids(kind))
         return self._scan_free_positions(kind)
 
-    def _best_seed(
-        self, need_slices: int, need_banks: int
-    ) -> Optional[Coordinate]:
+    def _best_seed(self, need_slices: int, need_banks: int) -> Coordinate:
         """FAST seed search: the scalar scan's winner without growing.
 
         Region growth traverses occupied tiles, so the region a seed
-        produces is simply the nearest free tiles of each kind and its
-        span is ``max(k-th smallest Manhattan distance to free Slices,
-        m-th smallest to free banks)`` — an integer computable for all
-        seeds at once.  The distance rows of the free Slices are
-        gathered once and their Slice and bank columns taken from them.
-        ``argmin`` returns the first minimal entry and the seeds are in
-        row-major scan order, so the winner is bit-identical to the
-        scalar loop's first strictly-best seed.
+        produces is simply the nearest free tiles of each kind, and its
+        span is the smallest radius whose Manhattan diamond around the
+        seed holds ``need_slices`` free Slices and ``need_banks`` free
+        banks.  On the rotated grid of :func:`_rotated_layout` that
+        diamond is a box, so one inclusive prefix sum of the free tiles
+        (both kinds packed into one integer, see :data:`_BANK_SHIFT`)
+        counts it for every seed with four lookups.  Radii are tried
+        upward from the smallest diamond with room for the request
+        (``2r² + 2r + 1`` tiles), all seeds at once; the first seed in
+        row-major order that fits at the first radius where any fits
+        is the scalar loop's first strictly-best seed.  The caller has
+        checked both free counts, so some seed fits by radius ``width
+        + height - 2``, whose diamond covers the fabric.
         """
+        u_of, v_of, cell = _rotated_layout(self.width, self.height)
+        side = self.width + self.height - 1
+        stride = side + 1
         seed_ids = self._free_ids(TileKind.SLICE)
-        if len(seed_ids) < need_slices:
-            return None
-        rows = _distance_matrix(self.width, self.height)[seed_ids]
-        spans = np.partition(rows[:, seed_ids], need_slices - 1, axis=1)[
-            :, need_slices - 1
-        ]
-        if need_banks:
-            bank_ids = self._free_ids(TileKind.L2_BANK)
-            if len(bank_ids) < need_banks:
-                return None
-            bank_spans = np.partition(
-                rows[:, bank_ids], need_banks - 1, axis=1
-            )[:, need_banks - 1]
-            spans = np.maximum(spans, bank_spans)
-        y, x = divmod(int(seed_ids[np.argmin(spans)]), self.width)
+        grid = np.zeros(stride * stride, dtype=np.int64)
+        grid[cell[seed_ids]] = 1
+        grid[cell[self._free_ids(TileKind.L2_BANK)]] = 1 << _BANK_SHIFT
+        prefix = grid.reshape(stride, stride).cumsum(axis=0).cumsum(axis=1)
+        prefix = prefix.ravel()
+        u = u_of[seed_ids]
+        v = v_of[seed_ids]
+        radius = 0
+        while 2 * radius * (radius + 1) + 1 < need_slices + need_banks:
+            radius += 1
+        while True:
+            low_u = np.maximum(u - radius, 0) * stride
+            high_u = np.minimum(u + radius + 1, side) * stride
+            low_v = np.maximum(v - radius, 0)
+            high_v = np.minimum(v + radius + 1, side)
+            counts = (prefix[high_u + high_v] - prefix[low_u + high_v]) - (
+                prefix[high_u + low_v] - prefix[low_u + low_v]
+            )
+            fits = ((counts & _SLICE_BITS) >= need_slices) & (
+                (counts >> _BANK_SHIFT) >= need_banks
+            )
+            if fits.any() or radius >= side - 1:
+                break
+            radius += 1
+        y, x = divmod(int(seed_ids[np.argmax(fits)]), self.width)
         return (x, y)
 
     def _nearest_region(
@@ -337,18 +370,16 @@ class Fabric:
         ``need_slices`` free Slices and ``need_banks`` free banks in
         ``(distance, x, y)`` order: one ``lexsort`` per kind.
         """
-        width = self.width
         x, y = seed
-        seed_row = _distance_matrix(width, self.height)[y * width + x]
         region: List[List[Coordinate]] = []
         for kind, need in (
             (TileKind.SLICE, need_slices),
             (TileKind.L2_BANK, need_banks),
         ):
-            ids = self._free_ids(kind)
-            ys, xs = np.divmod(ids, width)
-            order = np.lexsort((ys, xs, seed_row[ids]))
-            region.append(self._positions(ids[order[:need]]))
+            ys, xs = np.divmod(self._free_ids(kind), self.width)
+            distance = np.abs(xs - x) + np.abs(ys - y)
+            pick = np.lexsort((ys, xs, distance))[:need]
+            region.append(list(zip(xs[pick].tolist(), ys[pick].tolist())))
         slices, banks = region
         return slices, banks
 
@@ -408,12 +439,11 @@ class Fabric:
                 f"need {need_banks} free banks, have "
                 f"{self.count_free(TileKind.L2_BANK)}"
             )
-        best: Optional[Tuple[List[Coordinate], List[Coordinate]]] = None
         if perf.FAST:
             seed = self._best_seed(need_slices, need_banks)
-            if seed is not None:
-                best = self._nearest_region(seed, need_slices, need_banks)
+            slices, banks = self._nearest_region(seed, need_slices, need_banks)
         else:
+            best: Optional[Tuple[List[Coordinate], List[Coordinate]]] = None
             best_span = None
             for seed in self._free_positions(TileKind.SLICE):
                 region = self._grow_region(seed, need_slices, need_banks)
@@ -427,12 +457,7 @@ class Fabric:
                     best, best_span = region, span
                     if span <= 1:
                         break
-        if best is None:
-            raise FabricError(
-                f"fabric too fragmented for {config}; rescheduling of "
-                "existing virtual cores is required"
-            )
-        slices, banks = best
+            slices, banks = best
         for position in slices + banks:
             tile = self._tiles[position]
             tile.owner_vcore = vcore_id

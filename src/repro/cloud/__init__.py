@@ -17,10 +17,10 @@ top of the architecture and runtime layers:
 * :mod:`repro.cloud.service` — the one tenant-stepping engine: tenants
   share one :class:`~repro.arch.fabric.Fabric`; in each interval with
   work a tenant's runtime picks a schedule, the engine places the peak
-  footprint spatially (defragmenting when fragmentation blocks a
-  resize) and bills by area-time.  One min-heap of (interval, kind,
-  tenant) events, idle stretches skipped exactly, streaming metrics and
-  checkpoint/restore for long horizons;
+  footprint spatially (defragmenting when a resize fails) and bills
+  by area-time.  One min-heap of (interval, kind, tenant) events, idle
+  stretches skipped exactly, streaming metrics and checkpoint/restore
+  for long horizons;
 * :mod:`repro.cloud.provider` — the closed-list front end: a fixed
   tenant roster run on the service engine.
 

@@ -13,8 +13,8 @@ CASH runtime, or a race-to-idle reservation) decides a schedule
 against the tenant's private phase trajectory; the engine resizes the
 tenant's spatial allocation to the schedule's *peak footprint* (time
 multiplexing within the quantum happens inside the tenant's own
-tiles), defragmenting the fabric when fragmentation blocks a resize,
-and bills the tenant by area-time while tracking its QoS.
+tiles), defragmenting the fabric when a resize fails, and bills the
+tenant by area-time while tracking its QoS.
 
 The engine runs behind the usual FAST/scalar-twin discipline:
 
@@ -489,8 +489,12 @@ class ServiceEngine:
                 self.fabric.reallocate(tenant_id, target)
             return True
         except FabricError:
-            # Fragmentation: reschedule everyone (Section III-A) and
-            # retry once.
+            # The fabric refuses only when a tile kind's free count is
+            # short (growth walks through occupied tiles), and
+            # rescheduling everyone (Section III-A) cannot change a free
+            # count, so this retry never succeeds.  It stays because the
+            # defragmentation moves tiles that later exact re-seats
+            # read: dropping it would change seeded outputs.
             self.defragmentations += 1
             try:
                 self.fabric.defragment()
@@ -500,8 +504,9 @@ class ServiceEngine:
                     self.fabric.allocate(tenant_id, target)
                 return True
             except FabricError:
-                # The resize failed; if the tenant still holds its old
-                # allocation it can keep running there.
+                # The resize failed.  ``reallocate`` releases before it
+                # allocates, so the tenant holds no tiles by now and
+                # this returns False.
                 held_now = self.fabric.allocation_for(tenant_id)
                 return held_now is not None and (
                     held_now.config.slices >= config.slices

@@ -1,10 +1,10 @@
 """Spatial allocation on the 2D fabric (Fig. 3)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.arch.fabric import Fabric, FabricError, TileKind, _distance_matrix
+from repro import perf
+from repro.arch.fabric import Fabric, FabricError, TileKind, _rotated_layout
 from repro.arch.network import manhattan
 from repro.arch.vcore import VCoreConfig
 
@@ -154,8 +154,11 @@ class TestDefragmentation:
             assert allocation.config == VCoreConfig(2, 128)
 
     def test_defragment_enables_large_allocation(self):
-        """After fragmentation, rescheduling makes room — 'fixing
-        fragmentation problems is as simple as rescheduling Slices'."""
+        """Rescheduling Slices (Section III-A) keeps the fabric's free
+        tiles usable: after punching holes and defragmenting, a large
+        core still fits.  Growth walks through occupied tiles, so the
+        allocation would succeed without ``defragment()`` too; what
+        this pins is that defragmenting never takes room away."""
         fabric = Fabric(width=8, height=8)
         for vcore_id in range(8):
             fabric.allocate(vcore_id, VCoreConfig(2, 128))
@@ -165,6 +168,113 @@ class TestDefragmentation:
         # 16 free slices exist; a big core must now fit.
         allocation = fabric.allocate(99, VCoreConfig(8, 512))
         assert allocation.config.slices == 8
+
+
+L2_KB = [64 << i for i in range(8)]
+"""The service's L2 menu, 64 KB to 8 MB (1-128 banks)."""
+
+
+def _occupy(fabric, taken):
+    """Mark the tiles whose flat ids are in ``taken`` as owned."""
+    for (x, y), tile in fabric.tiles.items():
+        if y * fabric.width + x in taken:
+            tile.owner_vcore = -1
+            fabric._mark_free(tile, False)
+
+
+def _scalar_best_seed(fabric, need_slices, need_banks):
+    """The scalar scan's first strictly-best seed: grow a region from
+    every free Slice in row-major order and keep the first smallest
+    span."""
+    best, best_span = None, None
+    for seed in fabric._scan_free_positions(TileKind.SLICE):
+        slices, banks = fabric._grow_region(seed, need_slices, need_banks)
+        span = max(manhattan(seed, position) for position in slices + banks)
+        if best_span is None or span < best_span:
+            best, best_span = seed, span
+    return best
+
+
+@st.composite
+def free_masks(draw, geometries):
+    """A fabric from ``geometries`` with a random set of tiles taken."""
+    width, height = draw(geometries)
+    bank_ratio = draw(st.sampled_from([1, 2, 3]))
+    fabric = Fabric(width=width, height=height, bank_ratio=bank_ratio)
+    taken = draw(
+        st.lists(st.booleans(), min_size=width * height, max_size=width * height)
+    )
+    _occupy(fabric, {tile_id for tile_id, bit in enumerate(taken) if bit})
+    return fabric
+
+
+class TestSeedSearch:
+    """The diamond-count seed search against the scalar scan."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fabric=free_masks(
+            st.one_of(
+                st.tuples(st.just(1), st.integers(1, 40)),
+                st.tuples(st.integers(1, 40), st.just(1)),
+                st.just((31, 17)),
+            )
+        ),
+        data=st.data(),
+    )
+    def test_best_seed_is_the_scalar_scans_first_best(self, fabric, data):
+        free_slices = fabric.count_free(TileKind.SLICE)
+        free_banks = fabric.count_free(TileKind.L2_BANK)
+        assume(free_slices >= 1 and free_banks >= 1)
+        need_slices = data.draw(st.integers(1, min(8, free_slices)))
+        need_banks = data.draw(
+            st.one_of(
+                st.integers(1, min(128, free_banks)),
+                st.just(free_banks),
+            )
+        )
+        # Plus every request that exactly fills a diamond of radius 1
+        # or 2, which the search's first radius must not skip.
+        requests = {(need_slices, need_banks)} | {
+            (slices, tiles - slices)
+            for tiles in (5, 13)
+            for slices in range(1, min(8, tiles - 1, free_slices) + 1)
+            if tiles - slices <= free_banks
+        }
+        for slices, banks in sorted(requests):
+            with perf.fast_paths(True):
+                seed = fabric._best_seed(slices, banks)
+            assert seed == _scalar_best_seed(fabric, slices, banks), (
+                slices,
+                banks,
+            )
+
+    @pytest.mark.parametrize("fast", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fabric=free_masks(
+            st.tuples(st.integers(1, 12), st.integers(1, 12))
+        ),
+        slices=st.integers(1, 8),
+        l2_kb=st.sampled_from(L2_KB),
+    )
+    def test_allocate_fails_only_on_a_count_shortage(
+        self, fast, fabric, slices, l2_kb
+    ):
+        config = VCoreConfig(slices, l2_kb)
+        fits = (
+            fabric.count_free(TileKind.SLICE) >= config.slices
+            and fabric.count_free(TileKind.L2_BANK) >= config.l2_banks
+        )
+        with perf.fast_paths(fast):
+            try:
+                allocation = fabric.allocate(1, config)
+            except FabricError:
+                assert not fits
+            else:
+                assert fits
+                assert len(allocation.slice_positions) == config.slices
+                assert len(allocation.bank_positions) == config.l2_banks
 
 
 class TestFreeIndexConsistency:
@@ -208,37 +318,47 @@ class TestFreeIndexConsistency:
         except FabricError as error:
             return f"FabricError: {error}"
 
+    OPS = st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("alloc"),
+                st.integers(0, 5),
+                st.integers(1, 8),
+                st.sampled_from(L2_KB),
+            ),
+            st.tuples(
+                st.just("realloc"),
+                st.integers(0, 5),
+                st.integers(1, 8),
+                st.sampled_from(L2_KB),
+            ),
+            st.tuples(st.just("release"), st.integers(0, 5)),
+            st.tuples(st.just("reseat"), st.integers(0, 5)),
+            st.tuples(st.just("defrag")),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+
     @pytest.mark.parametrize(
         "width,height,bank_ratio",
         [(8, 8, 1), (7, 5, 1), (1, 12, 1), (9, 6, 2), (12, 20, 3)],
     )
     @settings(max_examples=30, deadline=None)
-    @given(
-        ops=st.lists(
-            st.one_of(
-                st.tuples(
-                    st.just("alloc"),
-                    st.integers(0, 5),
-                    st.integers(1, 4),
-                    st.sampled_from([64, 128, 256, 512]),
-                ),
-                st.tuples(
-                    st.just("realloc"),
-                    st.integers(0, 5),
-                    st.integers(1, 4),
-                    st.sampled_from([64, 128, 256, 512]),
-                ),
-                st.tuples(st.just("release"), st.integers(0, 5)),
-                st.tuples(st.just("reseat"), st.integers(0, 5)),
-                st.tuples(st.just("defrag")),
-            ),
-            min_size=1,
-            max_size=20,
-        )
-    )
+    @given(ops=OPS)
     def test_index_matches_full_scan(self, width, height, bank_ratio, ops):
-        from repro import perf
+        self._check_replay(width, height, bank_ratio, ops)
 
+    @settings(max_examples=8, deadline=None)
+    @given(ops=OPS)
+    def test_service_geometry_matches_full_scan(self, ops):
+        """The service's 24x24 fabric, where 64-128-bank requests need
+        spans up to ~21: the seed search runs several radii there and
+        its rotated boxes clip at the border.  Fewer examples, because
+        the scalar search is quadratic in tiles."""
+        self._check_replay(24, 24, 1, ops)
+
+    def _check_replay(self, width, height, bank_ratio, ops):
         replays = {}
         for fast in (True, False):
             fabric = Fabric(width=width, height=height, bank_ratio=bank_ratio)
@@ -283,20 +403,35 @@ class TestFreeIndexConsistency:
             (min(slices, free_slices), min(banks, free_banks))
             for slices, banks in ((1, 1), (2, 4), (4, 8), (9, 3))
         } | {(free_slices, free_banks)}
-        for seed in self._scan_free(fabric, TileKind.SLICE):
+        seeds = self._scan_free(fabric, TileKind.SLICE)
+        # Every free seed on the small fabrics, about 32 on the 24x24
+        # one: growing the whole fabric from each of ~300 seeds there
+        # would take most of a second per example.
+        for seed in seeds[:: max(1, len(seeds) // 32)]:
             for need_slices, need_banks in needs:
                 assert fabric._nearest_region(
                     seed, need_slices, need_banks
                 ) == fabric._grow_region(seed, need_slices, need_banks)
 
-    def test_distance_table_is_pairwise_manhattan(self):
-        fabric = Fabric(width=7, height=5)
-        positions = list(fabric.tiles)
-        table = _distance_matrix(7, 5)
-        assert table.tolist() == [
-            [manhattan(a, b) for b in positions] for a in positions
-        ]
-        assert _distance_matrix(24, 24).dtype == np.int16
+    def test_rotated_layout_turns_diamonds_into_boxes(self):
+        """Two tiles are within Manhattan distance r exactly when their
+        rotated coordinates each differ by at most r."""
+        width, height = 7, 5
+        u, v, cell = _rotated_layout(width, height)
+        positions = list(Fabric(width=width, height=height).tiles)
+        assert [y * width + x for x, y in positions] == list(range(35))
+        for a, (ax, ay) in enumerate(positions):
+            for b, (bx, by) in enumerate(positions):
+                assert max(abs(u[a] - u[b]), abs(v[a] - v[b])) == manhattan(
+                    (ax, ay), (bx, by)
+                )
+        side = width + height - 1
+        assert u.min() == v.min() == 0 and u.max() == v.max() == side - 1
+        # Distinct cells, none in the zero border row or column.
+        assert len(set(cell.tolist())) == len(cell)
+        assert (cell // (side + 1)).min() == (cell % (side + 1)).min() == 1
+        assert _rotated_layout(width, height) is _rotated_layout(width, height)
+        assert not (u.flags.writeable or v.flags.writeable or cell.flags.writeable)
 
     def test_kind_totals_are_invariant(self):
         fabric = Fabric(width=8, height=8)
