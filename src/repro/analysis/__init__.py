@@ -35,11 +35,9 @@ against):
   dependence summaries and a transitive-input fixpoint: cache keys
   must cover everything the cached computation reads
   (``cache-key-incomplete``), RNG streams must stay per-item and
-  per-twin (``rng-stream-shared``), seeds must derive from frozen spec
-  fields (``seed-derivation``), and serialized surfaces must not drift
-  from their pinned ``SCHEMA_FINGERPRINTS.json`` without a version
-  bump (``schema-drift``); also the ``repro lint --dataflow-report``
-  evidence tables.
+  per-twin (``rng-stream-shared``), and seeds must derive from frozen
+  spec fields (``seed-derivation``); also the ``repro lint
+  --dataflow-report`` evidence tables.
 
 The framework lives in :mod:`repro.analysis.core`; the committed
 findings baseline that lets CI gate only *new* violations lives in

@@ -31,12 +31,7 @@ from repro.analysis.core import (
     load_contexts,
     scan_paths,
 )
-from repro.analysis.dataflow import (
-    SCHEMA_PIN_FILENAME,
-    SchemaDriftRule,
-    dataflow_report,
-    write_schema_pins,
-)
+from repro.analysis.dataflow import dataflow_report
 from repro.analysis.hotpath import HotReportEntry, hot_report
 
 
@@ -97,20 +92,14 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--dataflow-report",
         action="store_true",
         help="instead of linting, print the dataflow evidence tables "
-        "(per-cache key-vs-read sets, per-stream seed provenance, "
-        "schema-surface fingerprints); honors --format text/json",
+        "(per-cache key-vs-read sets, per-stream seed provenance); "
+        "honors --format text/json",
     )
     parser.add_argument(
         "--changed-only",
         action="store_true",
         help="run per-file rules only on files changed vs git HEAD "
         "(plus untracked); program rules still scan the whole tree",
-    )
-    parser.add_argument(
-        "--update-schema",
-        action="store_true",
-        help=f"regenerate {SCHEMA_PIN_FILENAME} from the scanned "
-        "surfaces and exit 0",
     )
 
 
@@ -245,15 +234,13 @@ def _emit_dataflow_report(
     """Render the dataflow evidence tables as text or JSON."""
     report = dataflow_report(contexts)
     if fmt == "json":
-        json.dump({"version": 1, **report}, stream, indent=2)
+        json.dump({"version": 2, **report}, stream, indent=2)
         stream.write("\n")
         return
     caches = report["caches"]
     streams = report["streams"]
-    schema = report["schema"]
     assert isinstance(caches, list)
     assert isinstance(streams, list)
-    assert isinstance(schema, dict)
     stream.write(f"caches ({len(caches)}):\n")
     for row in caches:
         status = (
@@ -277,12 +264,6 @@ def _emit_dataflow_report(
             f"{'  -> return' if row['returned'] else ''}\n"
             f"      seed:  {', '.join(row['seed']) or '-'}\n"
             f"      sinks: {', '.join(row['sinks']) or '-'}\n"
-        )
-    stream.write(f"schema surfaces ({len(schema)}):\n")
-    for name, entry in schema.items():
-        stream.write(
-            f"  {name}  v{entry['schema_version']}  "
-            f"{entry['fingerprint']}\n"
         )
 
 
@@ -336,21 +317,6 @@ def run_lint(
         print(f"repro lint: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
     root = Path(args.root) if args.root else Path.cwd()
-    for rule in ALL_RULES:
-        if isinstance(rule, SchemaDriftRule):
-            rule.pin_path = root / SCHEMA_PIN_FILENAME
-    if args.update_schema:
-        contexts, errors = load_contexts(paths, root=root)
-        if errors:
-            for finding in errors:
-                print(finding.render(), file=sys.stderr)
-            return 2
-        surfaces = write_schema_pins(contexts, root / SCHEMA_PIN_FILENAME)
-        print(
-            f"pinned {len(surfaces)} surface(s) to {SCHEMA_PIN_FILENAME}",
-            file=out,
-        )
-        return 0
     if args.hot_report or args.dataflow_report:
         contexts, errors = load_contexts(paths, root=root)
         if errors:

@@ -18,7 +18,7 @@ This module derives both properties statically.  The
 :class:`~repro.analysis.callgraph.ProgramGraph` gains per-function
 parameter-read and return-dependence summaries plus a transitive-input
 fixpoint (:meth:`~repro.analysis.callgraph.ProgramGraph.return_param_dependence`);
-on top of those, four whole-program rules:
+on top of those, three whole-program rules:
 
 ``cache-key-incomplete``
     A memoized/cached function (``functools`` caches, module-global
@@ -44,13 +44,6 @@ on top of those, four whole-program rules:
     parameters / frozen spec fields or literals — never from rebindable
     module counters, and never from loop indices *alone*.
 
-``schema-drift``
-    A structural fingerprint of every serialized surface (the service
-    checkpoint's payload dataclasses + engine state) is pinned in a
-    committed ``SCHEMA_FINGERPRINTS.json``.  Changing a field set
-    without bumping the owning version constant (``CHECKPOINT_SCHEMA``)
-    and re-pinning via ``repro lint --update-schema`` fails the gate.
-
 ``repro lint --dataflow-report`` renders the underlying evidence — the
 per-cache key-vs-read-set table and per-stream provenance chains — from
 the same :func:`~repro.analysis.core.shared_analysis` memo the rules
@@ -60,11 +53,8 @@ use, so the report costs one extra traversal, not one extra analysis.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (
     Dict,
     FrozenSet,
@@ -98,10 +88,6 @@ from repro.analysis.core import (
 )
 from repro.analysis.determinism import ENGINE_DIRS
 from repro.analysis.effects import WORKER_ENTRYPOINTS
-
-#: Committed pin file for serialized-surface fingerprints, repo-root
-#: relative (``repro lint --update-schema`` regenerates it).
-SCHEMA_PIN_FILENAME = "SCHEMA_FINGERPRINTS.json"
 
 #: Engine switches that select an implementation, never a result value;
 #: reading them inside a memoized function is not a key-coverage gap.
@@ -928,303 +914,6 @@ class SeedDerivationRule(ProgramRule):
 
 
 # ---------------------------------------------------------------------------
-# Schema fingerprinting
-
-
-@dataclass(frozen=True)
-class SchemaSurface:
-    """One serialized surface whose structure is pinned."""
-
-    name: str
-    module_suffix: str
-    version_module_suffix: str
-    version_name: str
-
-
-SCHEMA_SURFACES: Tuple[SchemaSurface, ...] = (
-    SchemaSurface(
-        name="service-checkpoint",
-        module_suffix="cloud.service",
-        version_module_suffix="cloud.service",
-        version_name="CHECKPOINT_SCHEMA",
-    ),
-)
-
-
-def _find_context_by_suffix(
-    contexts: Sequence[FileContext], suffix: str
-) -> Optional[FileContext]:
-    for context in contexts:
-        dotted = module_dotted(context.display_path)
-        if dotted == suffix or dotted.endswith("." + suffix):
-            return context
-    return None
-
-
-def _module_constant(
-    tree: ast.Module, name: str
-) -> Tuple[Optional[int], Optional[ast.AST]]:
-    for statement in tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(statement, ast.Assign):
-            targets = list(statement.targets)
-            value = statement.value
-        elif isinstance(statement, ast.AnnAssign):
-            targets = [statement.target]
-            value = statement.value
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == name:
-                if isinstance(value, ast.Constant) and isinstance(
-                    value.value, int
-                ):
-                    return value.value, statement
-                return None, statement
-    return None, None
-
-
-def _dataclass_fields(tree: ast.Module) -> Dict[str, List[str]]:
-    classes: Dict[str, List[str]] = {}
-    for statement in tree.body:
-        if not isinstance(statement, ast.ClassDef):
-            continue
-        if not any(
-            _decorator_terminal(decorator) == "dataclass"
-            for decorator in statement.decorator_list
-        ):
-            continue
-        fields: List[str] = []
-        for item in statement.body:
-            if isinstance(item, ast.AnnAssign) and isinstance(
-                item.target, ast.Name
-            ):
-                fields.append(item.target.id)
-        classes[statement.name] = fields
-    return classes
-
-
-def _init_state_attrs(tree: ast.Module, class_name: str) -> List[str]:
-    for statement in tree.body:
-        if not isinstance(statement, ast.ClassDef):
-            continue
-        if statement.name != class_name:
-            continue
-        for item in statement.body:
-            if (
-                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and item.name == "__init__"
-            ):
-                attrs: Set[str] = set()
-                for node in ast.walk(item):
-                    targets: List[ast.expr] = []
-                    if isinstance(node, ast.Assign):
-                        targets = list(node.targets)
-                    elif isinstance(node, ast.AnnAssign):
-                        targets = [node.target]
-                    for target in targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            attrs.add(target.attr)
-                return sorted(attrs)
-    return []
-
-
-def _surface_structure(
-    surface: SchemaSurface, context: FileContext
-) -> Dict[str, object]:
-    tree = context.tree
-    if surface.name == "service-checkpoint":
-        return {
-            "dataclasses": {
-                name: fields
-                for name, fields in sorted(_dataclass_fields(tree).items())
-            },
-            "engine_state": _init_state_attrs(tree, "ServiceEngine"),
-        }
-    raise ValueError(f"unknown schema surface {surface.name!r}")
-
-
-def _fingerprint(structure: Dict[str, object]) -> str:
-    canonical = json.dumps(structure, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def _flatten(structure: object, prefix: str = "") -> Set[str]:
-    leaves: Set[str] = set()
-    if isinstance(structure, dict):
-        for key, value in structure.items():
-            leaves.update(_flatten(value, f"{prefix}{key}."))
-    elif isinstance(structure, (list, tuple)):
-        for value in structure:
-            leaves.update(_flatten(value, prefix))
-    else:
-        leaves.add(f"{prefix}{structure}")
-    return leaves
-
-
-def compute_schema_surfaces(
-    contexts: Sequence[FileContext],
-) -> Dict[str, Dict[str, object]]:
-    """Structure + fingerprint of every schema surface present in the
-    scan (absent surfaces are skipped, so partial scans stay quiet)."""
-    surfaces: Dict[str, Dict[str, object]] = {}
-    for surface in SCHEMA_SURFACES:
-        context = _find_context_by_suffix(contexts, surface.module_suffix)
-        version_context = _find_context_by_suffix(
-            contexts, surface.version_module_suffix
-        )
-        if context is None or version_context is None:
-            continue
-        version, _ = _module_constant(
-            version_context.tree, surface.version_name
-        )
-        structure = _surface_structure(surface, context)
-        surfaces[surface.name] = {
-            "schema_version": version,
-            "fingerprint": _fingerprint(structure),
-            "structure": structure,
-        }
-    return surfaces
-
-
-def write_schema_pins(
-    contexts: Sequence[FileContext], pin_path: Path
-) -> Dict[str, Dict[str, object]]:
-    """Regenerate ``SCHEMA_FINGERPRINTS.json`` from the scan."""
-    surfaces = compute_schema_surfaces(contexts)
-    payload = {"version": 1, "surfaces": surfaces}
-    pin_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return surfaces
-
-
-class SchemaDriftRule(ProgramRule):
-    """Serialized surfaces change only alongside a version bump."""
-
-    id = "schema-drift"
-    description = (
-        "a serialized surface (checkpoint dataclasses, engine state) "
-        "changed without bumping its version constant and re-pinning "
-        "SCHEMA_FINGERPRINTS.json"
-    )
-
-    def __init__(self) -> None:
-        #: Set by the CLI to ``<root>/SCHEMA_FINGERPRINTS.json``; the
-        #: default resolves against the working directory.
-        self.pin_path: Optional[Path] = None
-
-    def _load_pins(self) -> Optional[Dict[str, Dict[str, object]]]:
-        path = self.pin_path or Path(SCHEMA_PIN_FILENAME)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        surfaces = payload.get("surfaces")
-        if not isinstance(surfaces, dict):
-            return None
-        pins: Dict[str, Dict[str, object]] = {}
-        for name, entry in surfaces.items():
-            if isinstance(name, str) and isinstance(entry, dict):
-                pins[name] = {str(key): value for key, value in entry.items()}
-        return pins
-
-    def check_program(
-        self, contexts: Sequence[FileContext]
-    ) -> Iterator[Finding]:
-        current = compute_schema_surfaces(contexts)
-        if not current:
-            return
-        pinned = self._load_pins()
-        for name in sorted(current):
-            surface = next(
-                item for item in SCHEMA_SURFACES if item.name == name
-            )
-            context = _find_context_by_suffix(
-                contexts, surface.module_suffix
-            )
-            if context is None:
-                continue
-            version_context = _find_context_by_suffix(
-                contexts, surface.version_module_suffix
-            )
-            anchor: ast.AST = context.tree
-            if version_context is context:
-                _, version_node = _module_constant(
-                    context.tree, surface.version_name
-                )
-                if version_node is not None:
-                    anchor = version_node
-            entry = current[name]
-            pin = pinned.get(name) if pinned is not None else None
-            if pin is None:
-                yield context.finding(
-                    self,
-                    anchor,
-                    f"serialized surface '{name}' has no pinned "
-                    f"fingerprint; run `repro lint --update-schema` and "
-                    f"commit {SCHEMA_PIN_FILENAME}",
-                )
-                continue
-            if entry["fingerprint"] == pin.get("fingerprint"):
-                if entry["schema_version"] != pin.get("schema_version"):
-                    yield context.finding(
-                        self,
-                        anchor,
-                        f"surface '{name}' pins schema_version "
-                        f"{pin.get('schema_version')} but the module "
-                        f"declares {entry['schema_version']}; re-pin with "
-                        "`repro lint --update-schema`",
-                    )
-                continue
-            added, removed = self._structure_diff(
-                pin.get("structure"), entry["structure"]
-            )
-            detail = "; ".join(
-                part
-                for part in (
-                    f"added {', '.join(added)}" if added else "",
-                    f"removed {', '.join(removed)}" if removed else "",
-                )
-                if part
-            )
-            if entry["schema_version"] == pin.get("schema_version"):
-                yield context.finding(
-                    self,
-                    anchor,
-                    f"serialized surface '{name}' changed "
-                    f"({detail or 'structure differs'}) without bumping "
-                    f"{surface.version_name}; bump it and re-pin with "
-                    "`repro lint --update-schema`",
-                )
-            else:
-                yield context.finding(
-                    self,
-                    anchor,
-                    f"serialized surface '{name}' changed with a "
-                    f"{surface.version_name} bump; refresh "
-                    f"{SCHEMA_PIN_FILENAME} with "
-                    "`repro lint --update-schema`",
-                )
-
-    @staticmethod
-    def _structure_diff(
-        old: object, new: object
-    ) -> Tuple[List[str], List[str]]:
-        old_leaves = _flatten(old) if isinstance(old, dict) else set()
-        new_leaves = _flatten(new) if isinstance(new, dict) else set()
-        added = sorted(new_leaves - old_leaves)[:4]
-        removed = sorted(old_leaves - new_leaves)[:4]
-        return added, removed
-
-
-# ---------------------------------------------------------------------------
 # Report
 
 
@@ -1235,8 +924,8 @@ def dataflow_report(contexts: Sequence[FileContext]) -> Dict[str, object]:
     dependence set next to the parameter/global read set, and whatever
     the rules flagged as missing.  ``streams`` — one row per RNG-stream
     construction: seed provenance and the calls the stream flows into.
-    ``schema`` — current surface fingerprints.  All rows are sorted, so
-    the JSON form is byte-stable for CI artifacts.
+    All rows are sorted, so the JSON form is byte-stable for CI
+    artifacts.
     """
     view = dataflow_view(contexts)
     caches: List[Dict[str, object]] = []
@@ -1274,19 +963,11 @@ def dataflow_report(contexts: Sequence[FileContext]) -> Dict[str, object]:
             }
         )
     streams.sort(key=lambda row: (str(row["path"]), int(str(row["line"]))))
-    schema = {
-        name: {
-            "schema_version": entry["schema_version"],
-            "fingerprint": entry["fingerprint"],
-        }
-        for name, entry in sorted(compute_schema_surfaces(contexts).items())
-    }
-    return {"caches": caches, "streams": streams, "schema": schema}
+    return {"caches": caches, "streams": streams}
 
 
 RULES: Tuple[Rule, ...] = (
     CacheKeyRule(),
     RngStreamRule(),
     SeedDerivationRule(),
-    SchemaDriftRule(),
 )

@@ -51,8 +51,7 @@ class FabricError(RuntimeError):
 
 #: Process-wide cache of each fabric shape's rotated-grid layout (see
 #: :func:`_rotated_layout`), keyed by geometry.  The layout depends only
-#: on (width, height), so one copy serves every fabric of that shape
-#: and never enters checkpoints.
+#: on (width, height), so one copy serves every fabric of that shape.
 _ROTATED_CACHE: Dict[
     Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]
 ] = {}

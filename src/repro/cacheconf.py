@@ -4,7 +4,7 @@ The operating-point store is the per-process table cache of
 :mod:`repro.sim.optables` alone: no table is written to disk, and no
 environment variable or flag configures a disk tier.  This module
 remains only because the benchmark harness (``perfbench/rep.py``)
-imports it to report that no disk tier is on; ROADMAP item 6 queues
+imports it to report that no disk tier is on; ROADMAP item 8 queues
 dropping that read, and then this module.
 """
 

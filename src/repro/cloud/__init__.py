@@ -19,8 +19,7 @@ top of the architecture and runtime layers:
   work a tenant's runtime picks a schedule, the engine places the peak
   footprint spatially (defragmenting when a resize fails) and bills
   by area-time.  One min-heap of (interval, kind, tenant) events, idle
-  stretches skipped exactly, streaming metrics and checkpoint/restore
-  for long horizons;
+  stretches skipped exactly, and streaming metrics for long horizons;
 * :mod:`repro.cloud.provider` — the closed-list front end: a fixed
   tenant roster run on the service engine.
 

@@ -42,27 +42,21 @@ The engine runs behind the usual FAST/scalar-twin discipline:
 The dense twin lives on as :meth:`ServiceEngine._run_dense_reference`
 (scalar mode); fixed-seed reports are bit-identical in both modes.
 
-Two operational features make week-long simulated horizons practical:
-a bounded ring / JSONL streaming metrics sink (:class:`MetricsSink`)
-replaces end-of-run-only reporting, and schema-versioned,
-content-checksummed checkpoints (:meth:`ServiceEngine.checkpoint` /
-:meth:`ServiceEngine.restore`) snapshot fabric + residents + RNG +
-heaps so a horizon can resume across runs.
+A bounded ring / JSONL streaming metrics sink (:class:`MetricsSink`)
+replaces end-of-run-only reporting over long simulated horizons, and
+:meth:`ServiceEngine.run` advances in segments (``until=``) within one
+process.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
 import heapq
 import json
-import os
-import pickle
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import perf
 from repro.arch.cost import CostModel, DEFAULT_COST_MODEL
@@ -85,16 +79,6 @@ _EVENT_DEPART = 0
 _EVENT_ARRIVE = 1
 _EVENT_STEP = 2
 
-CHECKPOINT_SCHEMA = 3
-"""Bump when the pickled engine state changes shape."""
-
-_CHECKPOINT_MAGIC = b"CASHSVC1"
-_DIGEST_BYTES = 32  # sha256
-
-
-class CheckpointError(RuntimeError):
-    """A service checkpoint could not be validated or restored."""
-
 
 def build_tenant_allocator(
     tenant: Tenant,
@@ -109,12 +93,15 @@ def build_tenant_allocator(
             qos_goal=tenant.qos_goal,
             cost_model=cost_model,
         )
-    # The tenant's menu is bounded by its admitted reservation:
-    # admission guaranteed capacity for the worst-case virtual
-    # core, so every configuration within it is placeable by
-    # construction (only fragmentation can interfere, and
-    # defragmentation fixes that).  Bursting beyond the reservation
-    # when the fabric has slack is a possible extension.
+    # The tenant's menu is bounded by its admitted reservation.
+    # Admission caps the sum of reservations at each tile kind's
+    # total times the overcommit factor, so at overcommit 1 every
+    # configuration within the reservation is placeable.  Above 1 the
+    # tenants' peaks can outgrow a kind's free count; ``Fabric.
+    # allocate`` then fails (a short free count is the only way it
+    # fails), and defragmentation cannot change a count.  Bursting
+    # beyond the reservation when the fabric has slack is a possible
+    # extension.
     menu = [
         config
         for config in space
@@ -831,8 +818,8 @@ class ServiceEngine:
         """Advance the service to ``until`` (default: the full horizon).
 
         Resumable: successive calls continue where the previous one
-        stopped, and a restored checkpoint continues identically to an
-        engine that never paused.
+        stopped, identically to an engine that never paused, provided
+        every call runs in the same engine mode.
         """
         horizon = self.scenario.spec.horizon
         target = horizon if until is None else until
@@ -881,54 +868,3 @@ class ServiceEngine:
             fabric_tiles=len(self.fabric.tiles),
             defragmentations=self.defragmentations,
         )
-
-    # ------------------------------------------------------------------
-    # checkpoint / restore
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> bytes:
-        """Serialize the whole service: fabric, residents, RNG, heaps.
-
-        Layout: 8-byte magic, 32-byte sha256 of the payload, pickled
-        ``{"schema": CHECKPOINT_SCHEMA, "engine": self}``.  The digest
-        catches torn or corrupted snapshots before unpickling.
-        """
-        payload = pickle.dumps(
-            {"schema": CHECKPOINT_SCHEMA, "engine": self},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        return _CHECKPOINT_MAGIC + hashlib.sha256(payload).digest() + payload
-
-    @classmethod
-    def restore(cls, data: bytes) -> "ServiceEngine":
-        if data[: len(_CHECKPOINT_MAGIC)] != _CHECKPOINT_MAGIC:
-            raise CheckpointError("not a service checkpoint (bad magic)")
-        body = data[len(_CHECKPOINT_MAGIC) :]
-        digest, payload = body[:_DIGEST_BYTES], body[_DIGEST_BYTES:]
-        if hashlib.sha256(payload).digest() != digest:
-            raise CheckpointError("checksum mismatch: checkpoint corrupted")
-        state = pickle.loads(payload)
-        schema = state.get("schema")
-        if schema != CHECKPOINT_SCHEMA:
-            raise CheckpointError(
-                f"unsupported checkpoint schema {schema!r} "
-                f"(engine speaks {CHECKPOINT_SCHEMA})"
-            )
-        engine = state.get("engine")
-        if not isinstance(engine, cls):
-            raise CheckpointError(
-                f"checkpoint payload is {type(engine).__name__}, "
-                "not a ServiceEngine"
-            )
-        return engine
-
-    def save_checkpoint(self, path: Union[str, Path]) -> Path:
-        """Atomically write :meth:`checkpoint` to ``path``."""
-        target = Path(path)
-        scratch = target.with_name(target.name + ".tmp")
-        scratch.write_bytes(self.checkpoint())
-        os.replace(scratch, target)
-        return target
-
-    @classmethod
-    def load_checkpoint(cls, path: Union[str, Path]) -> "ServiceEngine":
-        return cls.restore(Path(path).read_bytes())

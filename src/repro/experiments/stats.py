@@ -495,6 +495,23 @@ def sweep(
     return grouped, timing
 
 
+def _load_report(target: Path) -> Dict[str, object]:
+    """The sections of the report at ``target``, or a ``ValueError``."""
+    try:
+        data = json.loads(target.read_text())
+    except ValueError as error:
+        raise ValueError(
+            f"{target} is not valid JSON ({error}); fix or delete it, "
+            "then record again"
+        ) from error
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{target} is not a JSON object of sections; fix or delete "
+            "it, then record again"
+        )
+    return data
+
+
 def record_bench_perf(
     section: str,
     payload: Dict[str, object],
@@ -508,6 +525,10 @@ def record_bench_perf(
     atomic rename — so parallel benchmark runs writing different
     sections interleave cleanly instead of one clobbering the other's
     keys, and a reader never observes a half-written file.
+
+    A missing file starts a fresh report.  An existing one that is not
+    a JSON object raises :class:`ValueError` and stays untouched:
+    writing only the new section would drop every other one.
     """
     target = Path(path)
     lock_path = target.with_name(target.name + ".lock")
@@ -518,10 +539,7 @@ def record_bench_perf(
     try:
         data: Dict[str, object] = {}
         if target.exists():
-            try:
-                data = json.loads(target.read_text())
-            except (OSError, ValueError):
-                data = {}
+            data = _load_report(target)
         data[section] = payload
         handle, scratch_name = tempfile.mkstemp(
             prefix=target.name + ".", suffix=".tmp", dir=str(target.parent)

@@ -102,16 +102,10 @@ class KalmanEstimator:
         self.last_innovation = innovation
         return self._b_hat
 
-    def reset(self, base: float, error_variance: Optional[float] = None) -> None:
+    def reset(self, base: float) -> None:
         if base <= 0:
             raise ValueError(f"base must be positive, got {base}")
         self._b_hat = base
-        if error_variance is not None:
-            if error_variance <= 0:
-                raise ValueError(
-                    f"error_variance must be positive, got {error_variance}"
-                )
-            self._error_variance = error_variance
 
 
 @dataclass(frozen=True)

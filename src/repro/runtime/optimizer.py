@@ -382,15 +382,6 @@ class LearnedPoints:
         self._key_positions: Dict[Tuple[float, float], List[int]] = {}
         self._keys_sorted: List[Tuple[float, float]] = []
 
-    def __getstate__(self) -> Dict[str, object]:
-        # The envelope cache holds read-only ``MappingProxyType`` views,
-        # which cannot pickle (service checkpoints snapshot runtimes).
-        # It is a pure function of the estimates, so dropping it only
-        # costs a rebuild on the next solve — same hull, bit for bit.
-        state = dict(self.__dict__)
-        state["_envelopes"] = {}
-        return state
-
     def _estimate(self, config: VCoreConfig) -> float:
         """The learner's estimate, checked as a ``ConfigPoint`` would."""
         speedup = self._learner.qos_estimate(config)

@@ -137,7 +137,9 @@ class SpeedupLearner:
         """Force incremental consumers to rebuild (external mutation).
 
         Call after touching ``_estimates`` through any path the tracked
-        mutators don't cover — checkpoint restore, estimate smoothing.
+        mutators don't cover, as
+        :class:`~repro.runtime.correlated.GridSmoothingLearner`'s
+        neighbourhood propagation does.
         """
         self._record_change(None)
 

@@ -1,12 +1,10 @@
 """The interprocedural dataflow rules: cache-key-incomplete,
-rng-stream-shared, seed-derivation, schema-drift.
+rng-stream-shared, seed-derivation.
 
-Every rule gets a trigger case and a no-trigger twin, plus the
-injected-regression acceptance tests the issue calls for: strip a key
-component from the real optable key helper, hoist the real tenant RNG
-out of its keyed factory, and edit a real checkpoint dataclass field
-without bumping ``CHECKPOINT_SCHEMA`` — each must fail the gate, and
-the unmodified tip must not.
+Every rule gets a trigger case and a no-trigger twin, plus injected
+regressions on the real sources: strip a key component from the
+optable key helper, or hoist the tenant RNG out of its keyed factory —
+each must fail the gate, and the unmodified tip must not.
 """
 
 import json
@@ -20,10 +18,7 @@ from repro.analysis.core import FileContext, check_program, scan_paths
 from repro.analysis.dataflow import (
     CacheKeyRule,
     RngStreamRule,
-    SchemaDriftRule,
-    SeedDerivationRule,
     dataflow_report,
-    write_schema_pins,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -536,87 +531,6 @@ class TestSeedDerivation:
         assert findings == []
 
 
-SERVICE_SRC = """
-from dataclasses import dataclass
-
-CHECKPOINT_SCHEMA = 1
-
-@dataclass
-class ServiceAccount:
-    tenant_id: int
-    cost: float
-
-class ServiceEngine:
-    def __init__(self):
-        self.clock = 0
-        self.accounts = {}
-"""
-
-
-def service_contexts(source=SERVICE_SRC):
-    return [FileContext("src/repro/cloud/service.py", source)]
-
-
-class TestSchemaDrift:
-    def pinned_rule(self, tmp_path, contexts):
-        pin = tmp_path / "SCHEMA_FINGERPRINTS.json"
-        write_schema_pins(contexts, pin)
-        rule = SchemaDriftRule()
-        rule.pin_path = pin
-        return rule
-
-    def test_unpinned_surface_fires(self, tmp_path):
-        rule = SchemaDriftRule()
-        rule.pin_path = tmp_path / "SCHEMA_FINGERPRINTS.json"
-        findings = check_program(service_contexts(), [rule])
-        assert rules_of(findings) == {"schema-drift"}
-        assert "no pinned fingerprint" in findings[0].message
-
-    def test_pinned_surface_is_clean(self, tmp_path):
-        contexts = service_contexts()
-        rule = self.pinned_rule(tmp_path, contexts)
-        assert check_program(contexts, [rule]) == []
-
-    def test_field_change_without_version_bump_fires(self, tmp_path):
-        rule = self.pinned_rule(tmp_path, service_contexts())
-        changed = service_contexts(
-            SERVICE_SRC.replace(
-                "cost: float", "cost: float\n    shard_hint: int"
-            )
-        )
-        findings = check_program(changed, [rule])
-        assert rules_of(findings) == {"schema-drift"}
-        assert "without bumping CHECKPOINT_SCHEMA" in findings[0].message
-        assert "shard_hint" in findings[0].message
-
-    def test_field_change_with_bump_still_requires_repin(self, tmp_path):
-        rule = self.pinned_rule(tmp_path, service_contexts())
-        changed = service_contexts(
-            SERVICE_SRC.replace(
-                "cost: float", "cost: float\n    shard_hint: int"
-            ).replace("CHECKPOINT_SCHEMA = 1", "CHECKPOINT_SCHEMA = 2")
-        )
-        findings = check_program(changed, [rule])
-        assert rules_of(findings) == {"schema-drift"}
-        assert "refresh" in findings[0].message
-
-    def test_repin_after_bump_is_clean(self, tmp_path):
-        rule = self.pinned_rule(tmp_path, service_contexts())
-        changed = service_contexts(
-            SERVICE_SRC.replace(
-                "cost: float", "cost: float\n    shard_hint: int"
-            ).replace("CHECKPOINT_SCHEMA = 1", "CHECKPOINT_SCHEMA = 2")
-        )
-        write_schema_pins(changed, rule.pin_path)
-        assert check_program(changed, [rule]) == []
-
-    def test_absent_surfaces_keep_partial_scans_quiet(self, tmp_path):
-        rule = SchemaDriftRule()
-        rule.pin_path = tmp_path / "SCHEMA_FINGERPRINTS.json"
-        contexts = [FileContext("src/repro/sim/other.py", "x = 1\n")]
-        assert check_program(contexts, [rule]) == []
-
-
 def real_context(relative, transform=None):
     source = (REPO_ROOT / relative).read_text(encoding="utf-8")
     if transform is not None:
@@ -667,32 +581,6 @@ class TestInjectedRegressions:
         contexts = [real_context("src/repro/cloud/traffic.py")]
         assert check_program(contexts, [RngStreamRule()]) == []
 
-    def test_checkpoint_field_edit_without_bump_fires(self):
-        rule = SchemaDriftRule()
-        rule.pin_path = REPO_ROOT / "SCHEMA_FINGERPRINTS.json"
-        contexts = [
-            real_context(
-                "src/repro/cloud/service.py",
-                lambda src: src.replace(
-                    "    tenant_id: int",
-                    "    tenant_id: int\n    shard_hint: int = 0",
-                    1,
-                ),
-            )
-        ]
-        findings = check_program(contexts, [rule])
-        assert rules_of(findings) == {"schema-drift"}
-        assert any(
-            "without bumping CHECKPOINT_SCHEMA" in f.message
-            for f in findings
-        )
-
-    def test_unmodified_service_matches_committed_pins(self):
-        rule = SchemaDriftRule()
-        rule.pin_path = REPO_ROOT / "SCHEMA_FINGERPRINTS.json"
-        contexts = [real_context("src/repro/cloud/service.py")]
-        assert check_program(contexts, [rule]) == []
-
 
 class TestDataflowReport:
     def test_report_tables_carry_key_and_seed_evidence(self):
@@ -738,16 +626,13 @@ class TestDataflowReport:
         report = dataflow_report(contexts)
         assert report["caches"], "expected the real memo sites"
         assert all(row["missing"] == [] for row in report["caches"])
-        assert set(report["schema"]) == {"service-checkpoint"}
+        assert set(report) == {"caches", "streams"}
 
 
 class TestAcceptance:
     def test_repo_tip_scans_clean_and_fast(self):
         """Tip acceptance + the lint-suite self-performance guard: the
         full-repo scan with every rule stays clean and under 60 s."""
-        for rule in ALL_RULES:
-            if isinstance(rule, SchemaDriftRule):
-                rule.pin_path = REPO_ROOT / "SCHEMA_FINGERPRINTS.json"
         started = time.monotonic()
         findings = scan_paths(
             [REPO_ROOT / "src"], ALL_RULES, root=REPO_ROOT

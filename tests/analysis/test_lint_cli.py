@@ -742,31 +742,6 @@ class TestChangedOnly:
 
 
 class TestDataflowCLI:
-    def test_update_schema_writes_the_pin_file(self, tmp_path, capsys):
-        write_module(
-            tmp_path,
-            "pkg/cloud/service.py",
-            """
-            from dataclasses import dataclass
-
-            CHECKPOINT_SCHEMA = 1
-
-            @dataclass
-            class ServiceAccount:
-                tenant_id: int
-            """,
-        )
-        code, out = run_lint(
-            [str(tmp_path), "--update-schema", "--root", str(tmp_path)],
-            capsys,
-        )
-        assert code == 0
-        assert "pinned 1 surface(s)" in out
-        payload = json.loads(
-            (tmp_path / "SCHEMA_FINGERPRINTS.json").read_text()
-        )
-        assert "service-checkpoint" in payload["surfaces"]
-
     def test_dataflow_report_text_and_json(self, tmp_path, capsys):
         write_module(
             tmp_path,
@@ -817,7 +792,8 @@ class TestDataflowCLI:
         assert code == 0
         report = json.loads(out)
         assert all(row["missing"] == [] for row in report["caches"])
-        assert report["schema"]
+        assert report["version"] == 2
+        assert set(report) == {"version", "caches", "streams"}
 
 
 class TestHistoricalRegressionsFailTheGate:

@@ -3,23 +3,15 @@
 Covers the engine's behavioral surface: report accounting sanity,
 convergence hibernation (decide steps < active steps), idle-tenant
 parking, the streaming metrics sink, incremental ``run(until)``
-segments, mode locking, and the schema-versioned checksummed
-checkpoint/restore format (tier-1: a round-trip must continue
-bit-identically to the uninterrupted run).
+segments (tier-1: in both engine modes a segmented run must equal the
+uninterrupted one bit for bit), and mode locking.
 """
-
-import pickle
 
 import pytest
 
 from repro import perf
 from repro.arch.fabric import Fabric
-from repro.cloud.service import (
-    CHECKPOINT_SCHEMA,
-    CheckpointError,
-    MetricsSink,
-    ServiceEngine,
-)
+from repro.cloud.service import MetricsSink, ServiceEngine
 from repro.cloud.tenant import Tenant
 from repro.cloud.traffic import (
     TenantTraffic,
@@ -115,12 +107,14 @@ class TestReportAccounting:
 
 
 class TestRunSegments:
-    def test_run_until_is_resumable(self):
-        straight = build_engine().run()
-        engine = build_engine()
-        engine.run(until=50)
-        engine.run(until=110)
-        segmented = engine.run()
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_run_until_is_resumable(self, fast):
+        with perf.fast_paths(fast):
+            straight = build_engine().run()
+            engine = build_engine()
+            engine.run(until=50)
+            engine.run(until=110)
+            segmented = engine.run()
         assert segmented == straight
 
     def test_until_must_advance(self):
@@ -170,74 +164,3 @@ class TestMetricsSink:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             MetricsSink(capacity=0)
-
-
-class TestCheckpoint:
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_round_trip_continues_bit_identically(self, fast):
-        with perf.fast_paths(fast):
-            straight = build_engine().run()
-            engine = build_engine()
-            engine.run(until=60)
-            blob = engine.checkpoint()
-            resumed = ServiceEngine.restore(blob).run()
-        assert resumed == straight
-
-    def test_restore_does_not_disturb_original(self):
-        with perf.fast_paths(True):
-            engine = build_engine()
-            engine.run(until=60)
-            blob = engine.checkpoint()
-            ServiceEngine.restore(blob)
-            continued = engine.run()
-            straight = build_engine().run()
-        assert continued == straight
-
-    def test_save_and_load_paths(self, tmp_path):
-        path = tmp_path / "svc.ckpt"
-        engine = build_engine()
-        engine.run(until=40)
-        engine.save_checkpoint(path)
-        straight = build_engine().run()
-        assert ServiceEngine.load_checkpoint(path).run() == straight
-
-    def test_bad_magic_rejected(self):
-        engine = build_engine()
-        blob = engine.checkpoint()
-        with pytest.raises(CheckpointError, match="magic"):
-            ServiceEngine.restore(b"NOTMAGIC" + blob[8:])
-
-    def test_corruption_rejected(self):
-        engine = build_engine()
-        blob = bytearray(engine.checkpoint())
-        blob[-1] ^= 0xFF
-        with pytest.raises(CheckpointError, match="checksum"):
-            ServiceEngine.restore(bytes(blob))
-
-    def test_truncation_rejected(self):
-        engine = build_engine()
-        blob = engine.checkpoint()
-        with pytest.raises(CheckpointError):
-            ServiceEngine.restore(blob[:20])
-
-    @pytest.mark.parametrize(
-        "schema",
-        [CHECKPOINT_SCHEMA - 1, CHECKPOINT_SCHEMA + 1],
-        ids=["older", "newer"],
-    )
-    def test_wrong_schema_rejected(self, schema):
-        import hashlib
-
-        from repro.cloud import service
-
-        payload = pickle.dumps(
-            {"schema": schema, "engine": None},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        blob = (
-            service._CHECKPOINT_MAGIC
-            + hashlib.sha256(payload).digest()
-            + payload
-        )
-        with pytest.raises(CheckpointError, match="schema"):
-            ServiceEngine.restore(blob)

@@ -1,6 +1,10 @@
 """The sharded tier-agreement sweep: specs, dispatch, and the report."""
 
+import errno
 import json
+import os
+
+import pytest
 
 from repro.arch.vcore import VCoreConfig
 from repro.experiments.report import tier_table
@@ -123,3 +127,48 @@ class TestRecordBenchCycle:
         record_bench_cycle("second", {"b": 2}, path=str(target))
         data = json.loads(target.read_text())
         assert data == {"first": {"a": 1}, "second": {"b": 2}}
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda text: text[:-5], lambda text: f"[{text}]"],
+        ids=["truncated", "not-an-object"],
+    )
+    def test_unreadable_report_is_refused_and_kept(self, tmp_path, damage):
+        # What a merge conflict or a hand edit can leave: merging into
+        # it must not drop the sections it still holds.
+        target = tmp_path / "BENCH_CYCLE.json"
+        record_bench_cycle("first", {"a": 1}, path=str(target))
+        record_bench_cycle("second", {"b": 2}, path=str(target))
+        target.write_text(damage(target.read_text()))
+        before = target.read_bytes()
+        with pytest.raises(ValueError, match="BENCH_CYCLE.json.*delete"):
+            record_bench_cycle("third", {"c": 3}, path=str(target))
+        assert target.read_bytes() == before
+
+    def test_full_disk_keeps_report_and_leaves_no_scratch(
+        self, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "BENCH_CYCLE.json"
+        record_bench_cycle("first", {"a": 1}, path=str(target))
+        before = target.read_bytes()
+
+        class FullDisk:
+            def __init__(self, fd, *args, **kwargs):
+                self.fd = fd
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                os.close(self.fd)
+                return False
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "fdopen", FullDisk)
+        with pytest.raises(OSError) as raised:
+            record_bench_cycle("second", {"b": 2}, path=str(target))
+        assert raised.value.errno == errno.ENOSPC
+        assert target.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []

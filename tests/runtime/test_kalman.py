@@ -38,9 +38,10 @@ class TestValidation:
 
     def test_reset(self):
         estimator = make_estimator()
-        estimator.reset(2.5, error_variance=0.1)
+        variance = estimator.error_variance
+        estimator.reset(2.5)
         assert estimator.estimate == 2.5
-        assert estimator.error_variance == 0.1
+        assert estimator.error_variance == variance
         with pytest.raises(ValueError):
             estimator.reset(0.0)
 
