@@ -49,7 +49,6 @@ from repro.analysis.callgraph import (
     Effect,
     FunctionSummary,
     ModuleInfo,
-    ProgramGraph,
     analyze_module,
     shared_graph,
     _terminal_name,

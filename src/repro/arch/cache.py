@@ -12,8 +12,8 @@ runtime must navigate (Section II).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 

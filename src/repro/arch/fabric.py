@@ -29,8 +29,8 @@ from __future__ import annotations
 import enum
 import heapq
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -98,6 +98,12 @@ def _rotated_layout(
 class TileKind(enum.Enum):
     SLICE = "slice"
     L2_BANK = "l2_bank"
+
+
+#: ``TileKind.SLICE`` as a module global: the per-tile mask updates
+#: pick a mask by identity with it, and an attribute lookup on an Enum
+#: class costs several times a global's.
+_SLICE_KIND = TileKind.SLICE
 
 
 @dataclass
@@ -170,11 +176,11 @@ class Fabric:
         # over flat row-major ids (``y * width + x``), kept in lockstep
         # with every ownership change, plus immutable per-kind totals.
         # The masks are only *consulted* under perf.FAST; the scalar
-        # full-scan paths stay the reference.
-        self._free_index: Dict[TileKind, np.ndarray] = {
-            TileKind.SLICE: np.zeros(width * height, dtype=bool),
-            TileKind.L2_BANK: np.zeros(width * height, dtype=bool),
-        }
+        # full-scan paths stay the reference.  Two attributes, not a
+        # dict keyed by TileKind: the allocate/release path picks one
+        # by identity instead of hashing an enum per tile.
+        self._free_slices = np.zeros(width * height, dtype=bool)
+        self._free_banks = np.zeros(width * height, dtype=bool)
         # Sanitizer shadow-recount sampling counter (REPRO_SANITIZE=1).
         self._sanitize_ticks = 0
         self._kind_totals: Dict[TileKind, int] = {
@@ -201,7 +207,7 @@ class Fabric:
                     self._tiles[position] = Tile(  # lint: allow(hot-alloc)
                         kind=TileKind.SLICE, position=position, slice_unit=unit
                     )
-                    self._free_index[TileKind.SLICE][tile_id] = True
+                    self._free_slices[tile_id] = True
                     self._kind_totals[TileKind.SLICE] += 1
                     next_slice += 1
                 else:
@@ -213,7 +219,7 @@ class Fabric:
                     self._tiles[position] = Tile(  # lint: allow(hot-alloc)
                         kind=TileKind.L2_BANK, position=position, bank=bank
                     )
-                    self._free_index[TileKind.L2_BANK][tile_id] = True
+                    self._free_banks[tile_id] = True
                     self._kind_totals[TileKind.L2_BANK] += 1
                     next_bank += 1
 
@@ -231,9 +237,19 @@ class Fabric:
         """How many tiles of ``kind`` the fabric has (free or not)."""
         return self._kind_totals[kind]
 
+    def _free_mask(self, kind: TileKind) -> np.ndarray:
+        """The free-tile mask of ``kind``."""
+        return self._free_slices if kind is _SLICE_KIND else self._free_banks
+
+    @staticmethod
+    def _mask_label(kind: TileKind) -> str:
+        """Sanitizer owner label of ``kind``'s free-tile mask."""
+        name = "_free_slices" if kind is _SLICE_KIND else "_free_banks"
+        return f"repro.arch.fabric.Fabric.{name}"
+
     def count_free(self, kind: TileKind) -> int:
         if perf.FAST:
-            count = int(np.count_nonzero(self._free_index[kind]))
+            count = int(np.count_nonzero(self._free_mask(kind)))
             if sanitize.ENABLED:
                 self._sanitize_ticks += 1
                 if sanitize.should_sample(self._sanitize_ticks):
@@ -245,7 +261,7 @@ class Fabric:
                     if count != reference:
                         sanitize.violation(
                             "shadow-recount",
-                            "repro.arch.fabric.Fabric._free_index",
+                            self._mask_label(kind),
                             "count_free",
                             f"{kind.name}: index says {count} free, "
                             f"full scan says {reference}",
@@ -266,7 +282,10 @@ class Fabric:
     def _mark_free(self, tile: Tile, free: bool) -> None:
         """Set ``tile``'s bit in its kind's free-tile mask."""
         x, y = tile.position
-        self._free_index[tile.kind][y * self.width + x] = free
+        if tile.kind is _SLICE_KIND:
+            self._free_slices[y * self.width + x] = free
+        else:
+            self._free_banks[y * self.width + x] = free
 
     def _free_ids(self, kind: TileKind) -> np.ndarray:
         """Flat ids of the free ``kind`` tiles, ascending.
@@ -277,7 +296,7 @@ class Fabric:
         through here, so this is where the sanitizer's sampled shadow
         recount compares them against a full scan.
         """
-        ids = np.flatnonzero(self._free_index[kind])
+        ids = np.flatnonzero(self._free_mask(kind))
         if sanitize.ENABLED:
             self._sanitize_ticks += 1
             if sanitize.should_sample(self._sanitize_ticks):
@@ -288,7 +307,7 @@ class Fabric:
                     missing = sorted(set(reference) - set(positions))
                     sanitize.violation(
                         "shadow-recount",
-                        "repro.arch.fabric.Fabric._free_index",
+                        self._mask_label(kind),
                         "_free_ids",
                         f"{kind.name}: index diverged from full scan "
                         f"(stale={extra[:4]!r}, missing="
@@ -540,7 +559,9 @@ class Fabric:
         equals per-interval accumulation bit for bit.
         """
         if perf.FAST:
-            free = sum(self.count_free(kind) for kind in self._free_index)
+            free = self.count_free(TileKind.SLICE) + self.count_free(
+                TileKind.L2_BANK
+            )
             return len(self._tiles) - free
         return sum(1 for tile in self._tiles.values() if not tile.is_free)
 

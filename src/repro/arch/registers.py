@@ -18,8 +18,8 @@ logical registers (Section III-B1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.arch.params import SliceParams, DEFAULT_SLICE_PARAMS
 

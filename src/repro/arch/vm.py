@@ -19,9 +19,8 @@ cores (TLP) decision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 

@@ -17,8 +17,7 @@ online (no Kalman filter) nor learns per-configuration speedups
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro import perf
 from repro.arch.cost import CostModel, DEFAULT_COST_MODEL

@@ -16,7 +16,7 @@ the two fixed cores), FineGrain-race, and CASH.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.arch.vcore import ConfigurationSpace, VCoreConfig
 

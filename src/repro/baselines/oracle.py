@@ -12,16 +12,15 @@ so no allocator can beat it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro import perf
 from repro.arch.cost import CostModel, DEFAULT_COST_MODEL
-from repro.arch.vcore import ConfigurationSpace, VCoreConfig, DEFAULT_CONFIG_SPACE
+from repro.arch.vcore import ConfigurationSpace, DEFAULT_CONFIG_SPACE
 from repro.runtime.optimizer import (
     ConfigPoint,
     Schedule,
     ScheduleEntry,
-    IDLE_POINT,
     lower_envelope_cost,
 )
 from repro.sim.optables import operating_point_table

@@ -69,7 +69,7 @@ from repro.cloud.traffic import TenantTraffic, TrafficScenario
 from repro.experiments.harness import Allocator, CASHAllocator, _PhaseWalker
 from repro.runtime.cash import LegObservation, QoSMeasurement
 from repro.runtime.optimizer import ConfigPoint, Schedule, ScheduleEntry
-from repro.sim.optables import operating_point_table
+from repro.sim.optables import OperatingPointTable, operating_point_table
 from repro.sim.perfmodel import PerformanceModel, DEFAULT_PERF_MODEL
 from repro.workloads.phase import Phase
 
@@ -258,6 +258,11 @@ class _ServiceResident:
     """The exact region released at the last park, kept so the next
     burst can re-seat on the same tiles in O(region) instead of paying
     the fabric's seed search again."""
+    tables: Dict[str, OperatingPointTable] = field(default_factory=dict)
+    """The tenant's operating-point tables by phase name, resolved at
+    admission under FAST (empty in the scalar twin, which asks the
+    model every step).  A step reads its phase's table here instead of
+    looking it up in the process-wide cache."""
 
 
 def _noise_stream(seed: int, tenant_id: int) -> random.Random:
@@ -357,17 +362,21 @@ class ServiceEngine:
             self._rejected += 1
             return False
         self._admitted += 1
+        tables: Dict[str, OperatingPointTable] = {}
         if perf.FAST:
-            # Prefetch the tenant's phase tables at admission: warm
-            # surfaces arrive from the store in one guarded lookup per
-            # phase, instead of lazy first-touches spread across the
-            # tenant's first control intervals.  Tables are
-            # value-keyed, so this changes when they are built, never
-            # what they contain.
+            # Resolve the tenant's phase tables once, at admission, and
+            # keep them on the resident: each step then reads its
+            # phase's table by name instead of hashing a value key in
+            # the process-wide cache.  Tables are value-keyed and
+            # sealed, so this changes when a table is looked up, never
+            # what a step reads.
             for phase in tenant.app.phases:
-                operating_point_table(
+                tables[phase.name] = operating_point_table(
                     phase, self.model, self.space, self.cost_model
                 )
+            # PhasedApplication rejects repeated phase names, so the
+            # name keys every phase's table.
+            assert len(tables) == len(tenant.app.phases)
         self._residents[tenant.tenant_id] = _ServiceResident(
             traffic=traffic,
             allocator=build_tenant_allocator(
@@ -376,6 +385,7 @@ class ServiceEngine:
             walker=_PhaseWalker(tenant.app),
             account=ServiceAccount(tenant_id=tenant.tenant_id),
             rng=_noise_stream(self.noise_seed, tenant.tenant_id),
+            tables=tables,
         )
         return True
 
@@ -390,14 +400,14 @@ class ServiceEngine:
     # ------------------------------------------------------------------
     # per-step machinery (shared verbatim by both engine modes)
     # ------------------------------------------------------------------
-    def _true_points(self, phase: Phase) -> Sequence[ConfigPoint]:
+    def _true_points(
+        self, resident: _ServiceResident, phase: Phase
+    ) -> Sequence[ConfigPoint]:
         if perf.FAST:
-            # The memoized table carries the same points (bit-identical
-            # speedups, same order); every tenant in the same phase of
-            # the same application shares one table process-wide.
-            return operating_point_table(
-                phase, self.model, self.space, self.cost_model
-            )
+            # The admission-time table carries the same points
+            # (bit-identical speedups, same order); every tenant in the
+            # same phase of the same application shares one table.
+            return resident.tables[phase.name]
         return [
             ConfigPoint(
                 config=config,
@@ -407,12 +417,12 @@ class ServiceEngine:
             for config in self.space
         ]
 
-    def _ipc_of(self, phase: Phase, config: VCoreConfig) -> float:
-        """Model IPC, served from the operating-point table when fast."""
+    def _ipc_of(
+        self, resident: _ServiceResident, phase: Phase, config: VCoreConfig
+    ) -> float:
+        """Model IPC, served from the tenant's phase table when fast."""
         if perf.FAST:
-            ipc = operating_point_table(
-                phase, self.model, self.space, self.cost_model
-            ).get_ipc(config)
+            ipc = resident.tables[phase.name].get_ipc(config)
             if ipc is not None:
                 return ipc
         return self.model.ipc(phase, config)
@@ -524,7 +534,7 @@ class ServiceEngine:
                 assert resident.last_schedule is not None
                 return resident.last_schedule, True
         self._decide_steps += 1
-        points = self._true_points(phase)
+        points = self._true_points(resident, phase)
         schedule = resident.allocator.decide(resident.measurement, points)
         if resident.last_schedule is not None and schedule == resident.last_schedule:
             resident.stable_steps += 1
@@ -602,7 +612,7 @@ class ServiceEngine:
             config = entry.point.config
             executed, used, crossed = resident.walker.run_cycles(
                 leg_cycles,
-                lambda p, config=config: self._ipc_of(p, config),
+                lambda p, config=config: self._ipc_of(resident, p, config),
                 stop_at_boundary=True,
             )
             total_instructions += executed

@@ -9,7 +9,7 @@ Used by the ``python -m repro export`` CLI command.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
 from repro.arch.vcore import DEFAULT_CONFIG_SPACE
 from repro.experiments.harness import RunResult

@@ -17,10 +17,9 @@ time-weighted mean cost rate × 1 hour.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from repro import perf
@@ -31,7 +30,6 @@ from repro.runtime.cash import (
     CASHRuntime,
     LegObservation,
     QoSMeasurement,
-    RuntimeDecision,
 )
 from repro.runtime.optimizer import (
     IDLE_POINT,

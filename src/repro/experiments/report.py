@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping
 
 from repro.experiments.harness import RunResult
 from repro.experiments.scenarios import geometric_mean

@@ -25,7 +25,6 @@ from repro.arch.vcore import ConfigurationSpace, VCoreConfig, DEFAULT_CONFIG_SPA
 from repro.baselines.convex import ConvexOptimizationAllocator, average_points
 from repro.baselines.heterogeneous import (
     BIG_CONFIG,
-    LITTLE_CONFIG,
     coarse_grain_configs,
 )
 from repro.baselines.oracle import OracleAllocator

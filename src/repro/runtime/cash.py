@@ -21,8 +21,8 @@ cycles per iteration possible (Section VI-A).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro import perf
 from repro.arch.vcore import VCoreConfig
@@ -33,7 +33,6 @@ from repro.runtime.optimizer import (
     LearningOptimizer,
     Schedule,
     ScheduleEntry,
-    IDLE_POINT,
 )
 from repro.runtime.qlearning import ExplorationPolicy, SpeedupLearner
 
@@ -179,7 +178,9 @@ class CASHRuntime:
         self._signature_ref: Optional[Tuple[float, ...]] = None
         self._signature_streak = 0
         self._phase_entry_base = initial_base_qos
-        self.decisions: List[RuntimeDecision] = []
+        # The decision the latest step returned; the next step reads
+        # whether it explored.  Only the last one is kept.
+        self.last_decision: Optional[RuntimeDecision] = None
 
     @property
     def last_schedule(self) -> Optional[Schedule]:
@@ -283,30 +284,32 @@ class CASHRuntime:
             # cached envelope) replaces per-step dict materialization.
             # Identical floats flow through an identical solve.
             points = self.learned_points
-
-            def solve(target: float) -> Tuple[float, Schedule]:
-                return self.optimizer.optimal_cost_points(points, target)
-
-            def fallback(target: float) -> Schedule:
-                return self.optimizer.schedule_points(points, target)
-
             believed_max = self.learner.max_qos_estimate()
+
+            def plan(target: float) -> Schedule:
+                # The envelope's rightmost vertex is the largest
+                # estimate, so the envelope solve raises exactly when
+                # the target clears it: take the fallback clamp
+                # directly instead of building an envelope nobody reads.
+                if target > believed_max + 1e-12:
+                    return self.optimizer.schedule_points(points, target)
+                try:
+                    return self.optimizer.optimal_cost_points(points, target)[1]
+                except ValueError:
+                    return self.optimizer.schedule_points(points, target)
         else:
             # Reference path: the seed's work profile — fresh estimate
             # dicts, point lists and hulls on every solve.
             estimates = self.learner.qos_estimates()
-
-            def solve(target: float) -> Tuple[float, Schedule]:
-                return self.optimizer.optimal_cost(estimates, target)
-
-            def fallback(target: float) -> Schedule:
-                return self.optimizer.schedule(estimates, target)
-
             believed_max = max(estimates.values(), default=0.0)
-        try:
-            _, schedule = solve(target_qos)
-        except ValueError:
-            schedule = fallback(target_qos)
+
+            def plan(target: float) -> Schedule:
+                try:
+                    return self.optimizer.optimal_cost(estimates, target)[1]
+                except ValueError:
+                    return self.optimizer.schedule(estimates, target)
+
+        schedule = plan(target_qos)
         if schedule.saturated:
             # The demand exceeds every *believed* QoS.  Trusting the
             # estimates here is a trap: a pessimistically-wrong estimate
@@ -375,10 +378,7 @@ class CASHRuntime:
             # of a violation, only of (bounded) extra cost.  When no
             # configuration has that much slack (a tight phase), the
             # runtime does not explore at all.
-            try:
-                _, exploit = solve(boosted)
-            except ValueError:
-                exploit = fallback(boosted)
+            exploit = plan(boosted)
             point = ConfigPoint(
                 config=explored,
                 speedup=self.learner.qos_estimate(explored),
@@ -416,7 +416,7 @@ class CASHRuntime:
             else max(self.learner.qos_estimates().values())
         )
         max_useful = max(1.05 * max_qhat, self.qos_goal)
-        last = self.decisions[-1] if self.decisions else None
+        last = self.last_decision
         if phase_change:
             # The measurement straddled a phase boundary; integrating it
             # would poison the freshly-reset integrator.  Start the new
@@ -451,7 +451,7 @@ class CASHRuntime:
             explored=explored,
             phase_change=phase_change,
         )
-        self.decisions.append(decision)
+        self.last_decision = decision
         return decision
 
     def instruction_count_estimate(self, num_slices: int = 1) -> int:

@@ -15,7 +15,6 @@ perfect model; the Kalman estimator supplies a continually updated
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 

@@ -30,7 +30,7 @@ corrects.  The ablation benchmark quantifies both effects.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.arch.vcore import VCoreConfig
 from repro.runtime.qlearning import SpeedupLearner, resource_prior

@@ -26,7 +26,7 @@ envelope (:func:`lower_envelope_cost`), which the oracle uses with
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (
     Callable,
@@ -477,6 +477,31 @@ class LearnedPoints:
     def __getitem__(self, index):
         return self.points()[index]
 
+    def saturation_clamp(self, target: float) -> Optional[ConfigPoint]:
+        """:func:`solve_two_config`'s clamp for a saturated ``target``.
+
+        None unless every estimate lies below ``target`` by more than
+        the solver's exact-hit tolerance (1e-12).  Otherwise the point
+        its saturated branch picks — the first cheapest estimate within
+        2% of the largest — found on the float lists, so only that one
+        ``ConfigPoint`` is built.
+        """
+        self._refresh()
+        speedups = self._speedups
+        fastest = max(speedups)
+        # Rounding is monotone, so the largest estimate is the one
+        # nearest a target above them all: this one test rules out both
+        # the solver's over candidates and its exact hits.
+        if target - fastest <= 1e-12:
+            return None
+        floor = 0.98 * fastest
+        rates = self._cost_rates
+        best = -1
+        for position, speedup in enumerate(speedups):
+            if speedup >= floor and (best < 0 or rates[position] < rates[best]):
+                best = position
+        return self._point_at(best)
+
     def envelope(self, idle: ConfigPoint = IDLE_POINT) -> tuple:
         """Cached ``(hull, best_at)``, rebuilt only on estimate change.
 
@@ -563,7 +588,19 @@ class LearningOptimizer:
     def schedule_points(
         self, points: Sequence[ConfigPoint], target_speedup: float
     ) -> Schedule:
-        """Over/under schedule from pre-built points (no dict round-trip)."""
+        """Over/under schedule from pre-built points (no dict round-trip).
+
+        A saturated demand on a :class:`LearnedPoints` view is clamped
+        by :meth:`LearnedPoints.saturation_clamp`, which reads the
+        view's float lists instead of building every point; the
+        schedule is the one :func:`solve_two_config` returns.
+        """
+        if perf.FAST and isinstance(points, LearnedPoints):
+            clamp = points.saturation_clamp(target_speedup)
+            if clamp is not None:
+                return Schedule(
+                    entries=(ScheduleEntry(clamp, 1.0),), saturated=True
+                )
         return solve_two_config(points, target_speedup, self.idle)
 
     def optimal_cost_points(

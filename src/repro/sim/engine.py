@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol
+from typing import Callable, List, Protocol
 
 
 class Clocked(Protocol):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.arch.cache import CacheBank, ComposedL2
 from repro.arch.params import CacheParams, SliceParams

@@ -11,8 +11,8 @@ unit for this reproduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 

@@ -171,22 +171,22 @@ class TestFabricShadowRecount:
             for position, tile in fabric._tiles.items()
             if tile.owner_vcore == 1 and tile.kind is TileKind.SLICE
         )
-        fabric._free_index[TileKind.SLICE][y * fabric.width + x] = True
+        fabric._free_slices[y * fabric.width + x] = True
         with pytest.raises(SanitizerViolation) as excinfo:
             for _ in range(2 * sanitize.SHADOW_SAMPLE_PERIOD):
                 fabric._free_positions(TileKind.SLICE)
         assert excinfo.value.rule == "shadow-recount"
-        assert "_free_index" in excinfo.value.owner
+        assert "_free_slices" in excinfo.value.owner
 
     def test_corrupted_count_is_caught(self, fast):
         fabric = Fabric(width=4, height=4)
-        banks = fabric._free_index[TileKind.L2_BANK]
+        banks = fabric._free_banks
         banks[np.flatnonzero(banks)[-1]] = False
         with pytest.raises(SanitizerViolation) as excinfo:
             for _ in range(2 * sanitize.SHADOW_SAMPLE_PERIOD):
                 fabric.count_free(TileKind.L2_BANK)
         assert excinfo.value.rule == "shadow-recount"
-        assert "_free_index" in excinfo.value.owner
+        assert "_free_banks" in excinfo.value.owner
 
     def test_allocation_checks_the_free_tiles_it_places_on(self, fast):
         # A corrupted mask that keeps every free count right (one owned
@@ -195,7 +195,7 @@ class TestFabricShadowRecount:
         fabric = Fabric(width=4, height=4)
         allocation = fabric.allocate(vcore_id=1, config=VCoreConfig(1, 64))
         ((x, y),) = allocation.slice_positions
-        slices = fabric._free_index[TileKind.SLICE]
+        slices = fabric._free_slices
         last_free = np.flatnonzero(slices)[-1]
         slices[y * fabric.width + x] = True
         slices[last_free] = False

@@ -11,6 +11,7 @@ import pytest
 
 from repro import perf
 from repro.arch.fabric import Fabric
+from repro.cloud import service
 from repro.cloud.service import MetricsSink, ServiceEngine
 from repro.cloud.tenant import Tenant
 from repro.cloud.traffic import (
@@ -104,6 +105,34 @@ class TestReportAccounting:
         for tenant_id, resident in engine._residents.items():
             if not resident.traffic.is_active(engine.scenario.spec.horizon):
                 assert not engine.fabric.has_allocation(tenant_id)
+
+
+class TestAdmissionTables:
+    def test_one_table_lookup_per_admitted_phase(self, monkeypatch):
+        # The fast engine resolves a tenant's phase tables when it is
+        # admitted and never looks one up per step; the scalar twin
+        # asks the model instead, and both report the same run.
+        lookups = []
+        original = service.operating_point_table
+
+        def counting(phase, *args, **kwargs):
+            lookups.append(phase.name)
+            return original(phase, *args, **kwargs)
+
+        monkeypatch.setattr(service, "operating_point_table", counting)
+        scenario = small_scenario(tenants=16, horizon=200)
+        with perf.fast_paths(True):
+            fast = build_engine(scenario).run()
+        tenants = {t.tenant.tenant_id: t.tenant for t in scenario.tenants}
+        admitted = [tenants[tenant_id] for tenant_id in fast.accounts]
+        assert len(admitted) == fast.admitted > 1
+        assert fast.decide_steps > fast.admitted
+        assert len(lookups) == sum(len(t.app.phases) for t in admitted)
+        admission_lookups = len(lookups)
+        with perf.fast_paths(False):
+            scalar = build_engine(small_scenario(tenants=16, horizon=200)).run()
+        assert len(lookups) == admission_lookups
+        assert scalar == fast
 
 
 class TestRunSegments:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import perf
 from repro.arch.cost import DEFAULT_COST_MODEL
 from repro.arch.vcore import VCoreConfig
 from repro.runtime.cash import (
@@ -12,6 +13,7 @@ from repro.runtime.cash import (
     QoSMeasurement,
     RuntimeDecision,
 )
+from repro.runtime.optimizer import LearnedPoints
 
 CONFIGS = [
     VCoreConfig(1, 64),
@@ -119,10 +121,39 @@ class TestClosedLoopConvergence:
         runtime = make_runtime(qos_goal=10.0, explore=False)
         plant = _Plant(STATIONARY)
         run_closed_loop(runtime, plant, 60)
-        final = runtime.decisions[-1]
+        final = runtime.last_decision
         assert final.schedule.saturated or (
             runtime.last_schedule.average_speedup >= 2.5
         )
+
+
+class TestSaturatedSteps:
+    def test_saturated_fast_step_builds_no_envelope(self, monkeypatch):
+        # A target above every estimate makes the envelope solve raise,
+        # so the fast path clamps without asking for an envelope; every
+        # other step still solves on it.
+        calls = []
+        original = LearnedPoints.envelope
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LearnedPoints, "envelope", counting)
+        seen = set()
+        with perf.fast_paths(True):
+            for goal in (1.5, 10.0):
+                runtime = make_runtime(qos_goal=goal)
+                plant = _Plant(STATIONARY)
+                measurement = None
+                for _ in range(40):
+                    before = len(calls)
+                    decision = runtime.step(measurement)
+                    saturated = decision.schedule.saturated
+                    assert (len(calls) == before) == saturated
+                    seen.add(saturated)
+                    measurement = plant.run(decision.schedule)
+        assert seen == {True, False}
 
 
 class TestPhaseAdaptation:
@@ -199,11 +230,18 @@ class TestLocalOptimaEscape:
 
 class TestBookkeeping:
     def test_decisions_recorded(self):
+        # Only the latest decision is kept: the slot holds exactly what
+        # step returned, and no per-step history accumulates.
         runtime = make_runtime()
+        assert runtime.last_decision is None
         plant = _Plant(STATIONARY)
-        run_closed_loop(runtime, plant, 10)
-        assert len(runtime.decisions) == 10
-        assert all(isinstance(d, RuntimeDecision) for d in runtime.decisions)
+        measurement = None
+        for _ in range(10):
+            decision = runtime.step(measurement)
+            assert isinstance(decision, RuntimeDecision)
+            assert runtime.last_decision is decision
+            measurement = plant.run(decision.schedule)
+        assert not hasattr(runtime, "decisions")
 
     def test_first_step_without_measurement(self):
         runtime = make_runtime()

@@ -8,10 +8,11 @@ and after every step compare the incremental view — points, hull and
 envelope — with a from-scratch rebuild through the seed code path.
 """
 
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import perf
 from repro.arch.cost import DEFAULT_COST_MODEL
@@ -23,6 +24,7 @@ from repro.runtime.optimizer import (
     _lower_hull,
     compute_envelope,
     lower_envelope_cost,
+    solve_two_config,
 )
 from repro.runtime.qlearning import SpeedupLearner
 
@@ -130,20 +132,26 @@ class TestIncrementalEnvelope:
     def test_solver_agrees_with_seed_path(self):
         learner, optimizer, view = make_view()
         rng = random.Random(3)
+        saturated = 0
         for _ in range(60):
             learner.observe(rng.choice(CONFIGS), rng.uniform(0.2, 6.0))
-            target = rng.uniform(0.1, 3.0)
-            estimates = learner.qos_estimates()
-            try:
-                expected = optimizer.optimal_cost(estimates, target)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    optimizer.optimal_cost_points(view, target)
-                continue
-            assert optimizer.optimal_cost_points(view, target) == expected
-            assert optimizer.schedule_points(view, target) == (
-                optimizer.schedule(estimates, target)
-            )
+            # One target drawn as before, one past the largest estimate:
+            # the saturated case, where the envelope solve raises and
+            # the over/under fallback clamps.
+            top = learner.max_qos_estimate()
+            for target in (rng.uniform(0.1, 3.0), top * rng.uniform(1.0, 1.5)):
+                estimates = learner.qos_estimates()
+                schedule = optimizer.schedule(estimates, target)
+                assert optimizer.schedule_points(view, target) == schedule
+                try:
+                    expected = optimizer.optimal_cost(estimates, target)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        optimizer.optimal_cost_points(view, target)
+                    saturated += schedule.saturated
+                    continue
+                assert optimizer.optimal_cost_points(view, target) == expected
+        assert saturated > 0
 
     def test_reference_mode_rebuilds_every_read(self):
         learner, _, view = make_view()
@@ -163,11 +171,15 @@ class TestIncrementalEnvelope:
         learner._estimates[CONFIGS[2]].qos = -1.0
         learner.invalidate_estimates()
         message = "speedup must be non-negative, got -1.0"
+        optimizer = LearningOptimizer(configs=CONFIGS, cost_rates=COST_RATES)
         with perf.fast_paths(fast):
             with pytest.raises(ValueError, match=message):
                 view.points()
             with pytest.raises(ValueError, match=message):
                 view.envelope(IDLE_POINT)
+            # A target above every estimate takes the saturation clamp.
+            with pytest.raises(ValueError, match=message):
+                optimizer.schedule_points(view, 100.0)
 
     def test_envelope_cache_reuse_without_updates(self):
         learner, _, view = make_view()
@@ -175,6 +187,105 @@ class TestIncrementalEnvelope:
         assert view.envelope(IDLE_POINT) is view.envelope(IDLE_POINT)
         learner.observe(CONFIGS[3], 2.8)
         assert_view_matches_scratch(view, learner)
+
+
+class _FixedLearner:
+    """A learner stand-in holding given estimates; a fresh view reads
+    them all on its first refresh."""
+
+    estimates_version = 0
+
+    def __init__(self, estimates):
+        self._estimates = dict(zip(CONFIGS, estimates))
+
+    def qos_estimate(self, config):
+        return self._estimates[config]
+
+    def changes_since(self, version):
+        return []
+
+
+@st.composite
+def clamp_cases(draw):
+    """Estimates, cost rates and a target around the saturation edge."""
+    size = len(CONFIGS)
+    estimates = draw(
+        st.lists(st.floats(0.0, 6.0), min_size=size, max_size=size)
+    )
+    top = max(estimates)
+    edge = 0.98 * top
+    # Pin some estimates onto the clamp's 0.98 x max edge, one ulp to
+    # either side of it, or onto the maximum itself.
+    for index in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+        estimates[index] = draw(
+            st.sampled_from(
+                [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 7.0), top]
+            )
+        )
+    # Few distinct rates, so cost ties are common.
+    rates = draw(
+        st.lists(
+            st.sampled_from([0.25, 0.5, 1.0, 2.0]), min_size=size, max_size=size
+        )
+    )
+    anchor = draw(st.sampled_from(estimates))
+    target = draw(
+        st.one_of(
+            st.floats(0.0, top),
+            st.just(top),
+            st.floats(top, 2.0 * top + 1.0),
+            st.floats(-1e-12, 1e-12).map(lambda delta: anchor + delta),
+            st.floats(-2e-12, 2e-12).map(lambda delta: top + delta),
+        )
+    )
+    return estimates, rates, target
+
+
+def scratch_view_points(estimates):
+    return [
+        ConfigPoint(config=c, speedup=s, cost_rate=rate)
+        for c, s, rate in zip(CONFIGS, estimates, COST_RATES)
+    ]
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except ValueError as error:
+        return str(error)
+
+
+PINNED = (
+    [0.5, 1.0, 0.98, 0.2, 0.3, 0.1, 0.4],
+    [0.5, 0.99, 1.0, 0.2, 0.3, 0.1, 0.4],
+)
+
+
+class TestSaturationClamp:
+    @given(case=clamp_cases())
+    # Pinned: the cheapest candidate sits exactly on the 0.98 x max
+    # edge; two candidates tie on cost; the target is within 1e-12 of
+    # the maximum (an exact hit, not a clamp).
+    @example(case=(PINNED[0], [1, 2, 0.5, 1, 1, 1, 1], 1.5))
+    @example(case=(PINNED[1], [1, 0.5, 0.5, 1, 1, 1, 1], 1.5))
+    @example(case=(PINNED[1], [1, 0.5, 2, 1, 1, 1, 1], 1.0 + 5e-13))
+    @settings(max_examples=300, deadline=None)
+    def test_schedule_points_matches_two_config_rule(self, case):
+        estimates, rates, target = case
+        optimizer = LearningOptimizer(configs=CONFIGS, cost_rates=rates)
+        view = optimizer.learned_points(_FixedLearner(estimates))
+        actual = _outcome(lambda: optimizer.schedule_points(view, target))
+        expected = _outcome(lambda: solve_two_config(list(view), target))
+        assert actual == expected
+
+    def test_clamp_builds_one_point(self):
+        estimates = [0.5, 2.0, 1.99, 1.0, 1.97, 0.3, 1.2]
+        optimizer = LearningOptimizer(configs=CONFIGS, cost_rates=COST_RATES)
+        view = optimizer.learned_points(_FixedLearner(estimates))
+        schedule = optimizer.schedule_points(view, 3.0)
+        assert schedule.saturated
+        assert schedule == solve_two_config(scratch_view_points(estimates), 3.0)
+        assert sum(point is not None for point in view._points) == 1
 
 
 class TestLearnerChangeTracking:
