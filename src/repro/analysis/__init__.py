@@ -49,17 +49,8 @@ findings baseline that lets CI gate only *new* violations lives in
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.analysis import (
-    dataflow,
-    determinism,
-    effects,
-    hotpath,
-    numerics,
-    parity,
-    units,
-)
 from repro.analysis.core import (
     FileContext,
     Finding,
@@ -70,17 +61,46 @@ from repro.analysis.core import (
     scan_paths,
 )
 
-ALL_RULES: List[Rule] = [
-    *determinism.RULES,
-    *parity.RULES,
-    *numerics.RULES,
-    *units.RULES,
-    *effects.RULES,
-    *hotpath.RULES,
-    *dataflow.RULES,
-]
+if TYPE_CHECKING:
+    ALL_RULES: List[Rule]
+    RULES_BY_ID: Dict[str, Rule]
 
-RULES_BY_ID = {rule.id: rule for rule in ALL_RULES}
+
+def __getattr__(name: str) -> object:
+    """``ALL_RULES`` and ``RULES_BY_ID``, built on first use.
+
+    The engine imports :mod:`repro.analysis.sanitize` and
+    :mod:`repro.analysis.units` through this package; importing every
+    rule module with them would make each engine process load the
+    whole lint suite it never runs.
+    """
+    if name not in ("ALL_RULES", "RULES_BY_ID"):
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    from repro.analysis import (
+        dataflow,
+        determinism,
+        effects,
+        hotpath,
+        numerics,
+        parity,
+        units,
+    )
+
+    global ALL_RULES, RULES_BY_ID
+    ALL_RULES = [
+        *determinism.RULES,
+        *parity.RULES,
+        *numerics.RULES,
+        *units.RULES,
+        *effects.RULES,
+        *hotpath.RULES,
+        *dataflow.RULES,
+    ]
+    RULES_BY_ID = {rule.id: rule for rule in ALL_RULES}
+    return ALL_RULES if name == "ALL_RULES" else RULES_BY_ID
+
 
 __all__ = [
     "ALL_RULES",

@@ -7,6 +7,10 @@ in human-readable text or machine-readable JSON.
 Exit codes: ``0`` — no findings beyond the baseline; ``1`` — new
 findings (or, with ``--strict-stale``, retired debt the baseline still
 records); ``2`` — usage errors (missing paths, malformed baseline).
+
+``repro.cli`` builds every subcommand's parser, lint's included, so
+this module imports the rule registry and the dataflow and hot-path
+modules only when lint runs.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set, TextIO
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, TextIO
 
-from repro.analysis import ALL_RULES, RULES_BY_ID
+from repro import analysis
 from repro.analysis.baseline import (
     DEFAULT_BASELINE_NAME,
     diff_against_baseline,
@@ -31,8 +35,9 @@ from repro.analysis.core import (
     load_contexts,
     scan_paths,
 )
-from repro.analysis.dataflow import dataflow_report
-from repro.analysis.hotpath import HotReportEntry, hot_report
+
+if TYPE_CHECKING:
+    from repro.analysis.hotpath import HotReportEntry
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -106,7 +111,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 def _rule_scope(rule_id: str) -> str:
     """Scope label for a finding's rule (synthetic rules like
     ``parse-error`` have no registered Rule object)."""
-    rule = RULES_BY_ID.get(rule_id)
+    rule = analysis.RULES_BY_ID.get(rule_id)
     return rule.scope_label if rule is not None else "repo-wide"
 
 
@@ -180,9 +185,9 @@ def _emit_rules(stream: TextIO) -> None:
     ``repo-wide``, ``engine-dirs(...)``, or ``hot-set`` (only inside
     functions reachable from the FAST engine entrypoints).
     """
-    width = max(len(rule.id) for rule in ALL_RULES)
-    scope_width = max(len(rule.scope_label) for rule in ALL_RULES)
-    for rule in sorted(ALL_RULES, key=lambda rule: rule.id):
+    width = max(len(rule.id) for rule in analysis.ALL_RULES)
+    scope_width = max(len(rule.scope_label) for rule in analysis.ALL_RULES)
+    for rule in sorted(analysis.ALL_RULES, key=lambda rule: rule.id):
         stream.write(
             f"{rule.id:<{width}}  {rule.scope_label:<{scope_width}}  "
             f"{rule.description}\n"
@@ -232,6 +237,8 @@ def _emit_dataflow_report(
     contexts: List[FileContext], fmt: str, stream: TextIO
 ) -> None:
     """Render the dataflow evidence tables as text or JSON."""
+    from repro.analysis.dataflow import dataflow_report
+
     report = dataflow_report(contexts)
     if fmt == "json":
         json.dump({"version": 2, **report}, stream, indent=2)
@@ -324,6 +331,8 @@ def run_lint(
                 print(finding.render(), file=sys.stderr)
             return 2
         if args.hot_report:
+            from repro.analysis.hotpath import hot_report
+
             _emit_hot_report(hot_report(contexts), args.format, out)
         if args.dataflow_report:
             _emit_dataflow_report(contexts, args.format, out)
@@ -342,7 +351,7 @@ def run_lint(
     suppressed: Dict[str, int] = {}
     findings = scan_paths(
         paths,
-        ALL_RULES,
+        analysis.ALL_RULES,
         root=root,
         file_filter=file_filter,
         suppressed=suppressed,

@@ -4,7 +4,7 @@ Every speedup tier in this repo leans on two idioms the per-file rules
 cannot prove correct:
 
 * **value-keyed caches** — the operating-point table LRU, the envelope
-  memo, the fabric's rotated-layout cache.
+  memo, the admission controller's reservation memo.
   A cached result keyed on *fewer* inputs than the computation actually
   reads returns stale values for the unkeyed input — silently, and only
   under cache hits, so tests that build fresh state never see it.

@@ -11,30 +11,26 @@ This module provides spatial allocation: given a virtual-core request
 (S Slices, B banks) it carves a compact region out of the free tiles,
 preferring tiles adjacent to ones already chosen.
 
-With :data:`repro.perf.FAST` enabled the fabric answers utilization,
-free-count and allocation queries from per-kind boolean free-tile
-masks indexed by flat row-major tile id (updated on every
-allocate/release) instead of rescanning all tiles.  ``np.flatnonzero``
-of a mask lists the free tiles in the scalar scan's row-major order,
-seed selection counts free tiles in Manhattan diamonds from a prefix
-sum over the fabric rotated by 45°, and the region is picked in closed
-form: the nearest free tiles of each kind in the ``(distance, x, y)``
-order in which region growth pops them.  The scalar full-scan seed
-search and :meth:`Fabric._grow_region` remain the reference path, and
-both modes are bit-identical.
+With :data:`repro.perf.FAST` enabled the fabric answers utilization
+and free-count queries from per-kind boolean free-tile masks indexed by
+flat row-major tile id (updated on every allocate/release) instead of
+rescanning all tiles, and the compiled placement search
+(``arch/_fabric.c``, loaded through :mod:`repro.native`) picks the seed
+and the region from those masks in one call.  The scalar full-scan seed
+search over :meth:`Fabric._grow_region` remains the reference path and
+the fallback without a C compiler, and both are bit-identical.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro import perf
+from repro import native, perf
 from repro.analysis import sanitize
 
 from repro.arch.cache import CacheBank
@@ -49,50 +45,8 @@ class FabricError(RuntimeError):
     """Raised when an allocation request cannot be satisfied."""
 
 
-#: Process-wide cache of each fabric shape's rotated-grid layout (see
-#: :func:`_rotated_layout`), keyed by geometry.  The layout depends only
-#: on (width, height), so one copy serves every fabric of that shape.
-_ROTATED_CACHE: Dict[
-    Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]
-] = {}
-_ROTATED_LOCK = threading.Lock()
-
-#: :meth:`Fabric._best_seed` counts both tile kinds with one prefix sum
-#: by weighting a free Slice 1 and a free bank ``1 << _BANK_SHIFT``:
-#: the low bits of a count hold the Slices, the high bits the banks.
-#: Exact in int64 for any fabric of fewer than 2**31 tiles.
-_BANK_SHIFT = 32
-_SLICE_BITS = (1 << _BANK_SHIFT) - 1
-
-
-def _rotated_layout(
-    width: int, height: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where each flat tile id sits on the fabric rotated by 45°.
-
-    Tile ``(x, y)`` maps to ``u = x + y`` and ``v = x - y + height -
-    1`` on a ``side x side`` grid, ``side = width + height - 1``.  Two
-    tiles lie within Manhattan distance ``r`` of each other exactly
-    when their ``u`` and their ``v`` each differ by at most ``r``, so
-    a seed's diamond of radius ``r`` is an axis-aligned box there.
-    Returns ``(u, v, cell)`` indexed by flat id ``y * width + x``;
-    ``cell`` is the id's flat index into a ``(side + 1) x (side + 1)``
-    grid whose first row and column stay empty (the zero border of an
-    inclusive prefix sum).  The arrays are read-only.
-    """
-    key = (width, height)
-    with _ROTATED_LOCK:
-        cached = _ROTATED_CACHE.get(key)
-        if cached is None:
-            ys, xs = np.divmod(np.arange(width * height), width)
-            u = xs + ys
-            v = xs - ys + height - 1
-            cell = (u + 1) * (width + height) + v + 1
-            for array in (u, v, cell):
-                array.setflags(write=False)
-            cached = (u, v, cell)
-            _ROTATED_CACHE[key] = cached
-        return cached
+#: Failure statuses of the compiled placement search.
+_PLACE_FAILURES = {-1: "allocation failure", -2: "no seed fits"}
 
 
 class TileKind(enum.Enum):
@@ -247,25 +201,29 @@ class Fabric:
         name = "_free_slices" if kind is _SLICE_KIND else "_free_banks"
         return f"repro.arch.fabric.Fabric.{name}"
 
+    def _sample_tick(self) -> bool:
+        """Whether this consult of the masks gets the sanitizer's shadow
+        recount (one tick per consult, see :func:`sanitize.should_sample`)."""
+        self._sanitize_ticks += 1
+        return sanitize.should_sample(self._sanitize_ticks)
+
     def count_free(self, kind: TileKind) -> int:
         if perf.FAST:
             count = int(np.count_nonzero(self._free_mask(kind)))
-            if sanitize.ENABLED:
-                self._sanitize_ticks += 1
-                if sanitize.should_sample(self._sanitize_ticks):
-                    reference = sum(
-                        1
-                        for tile in self._tiles.values()
-                        if tile.kind is kind and tile.is_free
+            if sanitize.ENABLED and self._sample_tick():
+                reference = sum(
+                    1
+                    for tile in self._tiles.values()
+                    if tile.kind is kind and tile.is_free
+                )
+                if count != reference:
+                    sanitize.violation(
+                        "shadow-recount",
+                        self._mask_label(kind),
+                        "count_free",
+                        f"{kind.name}: index says {count} free, "
+                        f"full scan says {reference}",
                     )
-                    if count != reference:
-                        sanitize.violation(
-                            "shadow-recount",
-                            self._mask_label(kind),
-                            "count_free",
-                            f"{kind.name}: index says {count} free, "
-                            f"full scan says {reference}",
-                        )
             return count
         return sum(
             1 for tile in self._tiles.values() if tile.kind is kind and tile.is_free
@@ -291,30 +249,32 @@ class Fabric:
         """Flat ids of the free ``kind`` tiles, ascending.
 
         Ascending flat id is row-major order, the order the scalar scan
-        enumerates free tiles in, so seed selection is bit-identical in
-        both modes.  Every FAST consumer of the masks' contents goes
-        through here, so this is where the sanitizer's sampled shadow
-        recount compares them against a full scan.
+        enumerates free tiles in.  Every FAST consumer of the masks'
+        contents goes through here or :meth:`_place_native`, and both
+        run the sanitizer's sampled shadow recount against a full scan.
         """
         ids = np.flatnonzero(self._free_mask(kind))
-        if sanitize.ENABLED:
-            self._sanitize_ticks += 1
-            if sanitize.should_sample(self._sanitize_ticks):
-                positions = self._positions(ids)
-                reference = self._scan_free_positions(kind)
-                if positions != reference:
-                    extra = sorted(set(positions) - set(reference))
-                    missing = sorted(set(reference) - set(positions))
-                    sanitize.violation(
-                        "shadow-recount",
-                        self._mask_label(kind),
-                        "_free_ids",
-                        f"{kind.name}: index diverged from full scan "
-                        f"(stale={extra[:4]!r}, missing="
-                        f"{missing[:4]!r}, index_len={len(positions)}, "
-                        f"scan_len={len(reference)})",
-                    )
+        if sanitize.ENABLED and self._sample_tick():
+            self._recount(kind, ids)
         return ids
+
+    def _recount(self, kind: TileKind, ids: np.ndarray) -> None:
+        """Sanitizer shadow recount: ``ids`` must be the free ``kind``
+        tiles a full scan finds, in its order."""
+        positions = self._positions(ids)
+        reference = self._scan_free_positions(kind)
+        if positions != reference:
+            extra = sorted(set(positions) - set(reference))
+            missing = sorted(set(reference) - set(positions))
+            sanitize.violation(
+                "shadow-recount",
+                self._mask_label(kind),
+                "_free_ids",
+                f"{kind.name}: index diverged from full scan "
+                f"(stale={extra[:4]!r}, missing="
+                f"{missing[:4]!r}, index_len={len(positions)}, "
+                f"scan_len={len(reference)})",
+            )
 
     def _positions(self, ids: np.ndarray) -> List[Coordinate]:
         """Coordinates of flat tile ids, as tuples of Python ints."""
@@ -326,80 +286,64 @@ class Fabric:
             return self._positions(self._free_ids(kind))
         return self._scan_free_positions(kind)
 
-    def _best_seed(self, need_slices: int, need_banks: int) -> Coordinate:
-        """FAST seed search: the scalar scan's winner without growing.
-
-        Region growth traverses occupied tiles, so the region a seed
-        produces is simply the nearest free tiles of each kind, and its
-        span is the smallest radius whose Manhattan diamond around the
-        seed holds ``need_slices`` free Slices and ``need_banks`` free
-        banks.  On the rotated grid of :func:`_rotated_layout` that
-        diamond is a box, so one inclusive prefix sum of the free tiles
-        (both kinds packed into one integer, see :data:`_BANK_SHIFT`)
-        counts it for every seed with four lookups.  Radii are tried
-        upward from the smallest diamond with room for the request
-        (``2r² + 2r + 1`` tiles), all seeds at once; the first seed in
-        row-major order that fits at the first radius where any fits
-        is the scalar loop's first strictly-best seed.  The caller has
-        checked both free counts, so some seed fits by radius ``width
-        + height - 2``, whose diamond covers the fabric.
-        """
-        u_of, v_of, cell = _rotated_layout(self.width, self.height)
-        side = self.width + self.height - 1
-        stride = side + 1
-        seed_ids = self._free_ids(TileKind.SLICE)
-        grid = np.zeros(stride * stride, dtype=np.int64)
-        grid[cell[seed_ids]] = 1
-        grid[cell[self._free_ids(TileKind.L2_BANK)]] = 1 << _BANK_SHIFT
-        prefix = grid.reshape(stride, stride).cumsum(axis=0).cumsum(axis=1)
-        prefix = prefix.ravel()
-        u = u_of[seed_ids]
-        v = v_of[seed_ids]
-        radius = 0
-        while 2 * radius * (radius + 1) + 1 < need_slices + need_banks:
-            radius += 1
-        while True:
-            low_u = np.maximum(u - radius, 0) * stride
-            high_u = np.minimum(u + radius + 1, side) * stride
-            low_v = np.maximum(v - radius, 0)
-            high_v = np.minimum(v + radius + 1, side)
-            counts = (prefix[high_u + high_v] - prefix[low_u + high_v]) - (
-                prefix[high_u + low_v] - prefix[low_u + low_v]
-            )
-            fits = ((counts & _SLICE_BITS) >= need_slices) & (
-                (counts >> _BANK_SHIFT) >= need_banks
-            )
-            if fits.any() or radius >= side - 1:
-                break
-            radius += 1
-        y, x = divmod(int(seed_ids[np.argmax(fits)]), self.width)
-        return (x, y)
-
-    def _nearest_region(
-        self, seed: Coordinate, need_slices: int, need_banks: int
+    def _place_native(
+        self, core: native.NativeBatchCore, need_slices: int, need_banks: int
     ) -> Tuple[List[Coordinate], List[Coordinate]]:
-        """FAST twin of :meth:`_grow_region` for a request that fits.
+        """FAST placement: the compiled search over the free-tile masks.
 
-        Growth walks through occupied tiles, and on the full grid every
-        tile at distance ``d >= 1`` from the seed neighbours one at
-        ``d - 1``, so growth's best-first heap pops all tiles at
-        distance ``d`` before any at ``d + 1``, and those in ``(x, y)``
-        order.  The region is therefore the first
-        ``need_slices`` free Slices and ``need_banks`` free banks in
-        ``(distance, x, y)`` order: one ``lexsort`` per kind.
+        ``arch/_fabric.c`` picks what :meth:`_place_reference` picks —
+        the first free Slice, in row-major order, whose Manhattan
+        diamond holds the request at the smallest radius, and the
+        nearest free tiles of each kind around it in the ``(distance,
+        x, y)`` order region growth pops them in — from integer tile
+        counts alone.  The caller has checked both free counts.
         """
-        x, y = seed
-        region: List[List[Coordinate]] = []
-        for kind, need in (
-            (TileKind.SLICE, need_slices),
-            (TileKind.L2_BANK, need_banks),
-        ):
-            ys, xs = np.divmod(self._free_ids(kind), self.width)
-            distance = np.abs(xs - x) + np.abs(ys - y)
-            pick = np.lexsort((ys, xs, distance))[:need]
-            region.append(list(zip(xs[pick].tolist(), ys[pick].tolist())))
-        slices, banks = region
-        return slices, banks
+        if sanitize.ENABLED and self._sample_tick():
+            # One tick for both masks: with its two free counts an
+            # allocation then ticks three times, prime to the sample
+            # period, so the sampled tick visits every consult in turn.
+            for kind in (TileKind.SLICE, TileKind.L2_BANK):
+                self._recount(kind, np.flatnonzero(self._free_mask(kind)))
+        out = np.empty(need_slices + need_banks, dtype=np.int64)
+        status = core.fabric_place(
+            self.width,
+            self.height,
+            self._free_slices,
+            self._free_banks,
+            need_slices,
+            need_banks,
+            out,
+        )
+        if status != 0:
+            raise RuntimeError(
+                f"native placement failed (status {status}: "
+                f"{_PLACE_FAILURES.get(status, 'unknown')})"
+            )
+        positions = self._positions(out)
+        return positions[:need_slices], positions[need_slices:]
+
+    def _place_reference(
+        self, need_slices: int, need_banks: int
+    ) -> Tuple[List[Coordinate], List[Coordinate]]:
+        """Scalar placement: grow a region from every free Slice in
+        row-major order and keep the first of the smallest span.  The
+        caller has checked both free counts."""
+        best: Optional[Tuple[List[Coordinate], List[Coordinate]]] = None
+        best_span = None
+        for seed in self._free_positions(TileKind.SLICE):
+            region = self._grow_region(seed, need_slices, need_banks)
+            if region is None:
+                continue
+            slices, banks = region
+            span = max(
+                manhattan(seed, position) for position in slices + banks
+            )
+            if best_span is None or span < best_span:
+                best, best_span = region, span
+                if span <= 1:
+                    break
+        assert best is not None
+        return best
 
     def _neighbors(self, position: Coordinate) -> List[Coordinate]:
         x, y = position
@@ -457,25 +401,11 @@ class Fabric:
                 f"need {need_banks} free banks, have "
                 f"{self.count_free(TileKind.L2_BANK)}"
             )
-        if perf.FAST:
-            seed = self._best_seed(need_slices, need_banks)
-            slices, banks = self._nearest_region(seed, need_slices, need_banks)
+        core = native.batch_core() if perf.FAST else None
+        if core is not None:
+            slices, banks = self._place_native(core, need_slices, need_banks)
         else:
-            best: Optional[Tuple[List[Coordinate], List[Coordinate]]] = None
-            best_span = None
-            for seed in self._free_positions(TileKind.SLICE):
-                region = self._grow_region(seed, need_slices, need_banks)
-                if region is None:
-                    continue
-                slices, banks = region
-                span = max(
-                    manhattan(seed, position) for position in slices + banks
-                )
-                if best_span is None or span < best_span:
-                    best, best_span = region, span
-                    if span <= 1:
-                        break
-            slices, banks = best
+            slices, banks = self._place_reference(need_slices, need_banks)
         for position in slices + banks:
             tile = self._tiles[position]
             tile.owner_vcore = vcore_id

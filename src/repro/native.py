@@ -1,19 +1,22 @@
-"""Optional compiled core for the cycle tier.
+"""Optional compiled core for the cycle tier and the fabric.
 
-The cycle tier's two hot loops — the struct-of-arrays batch kernel
-(:mod:`repro.sim.batchpipe`, one event epoch per cell per step) and
-the column trace generator (:meth:`repro.sim.trace.TraceGenerator.
-generate_arrays`, a handful of RNG draws per micro-op) — cost pure
-interpreter overhead in Python.  This module compiles
-``sim/_batchcore.c`` and ``sim/_tracegen.c`` on demand into one shared
-object with the host C compiler and loads it through :mod:`ctypes`,
-following the shape ROADMAP cites from ``subhft``'s ``rust_core``: an
-*optional* accelerated core behind a pure-Python contract, with the
-scalar twins — the per-cycle object pipeline and the reference trace
-generator — always runnable and bit-identity asserted in tests.
-Nothing is installed: if no compiler is present (or ``REPRO_NATIVE``
-disables the core) every caller falls back to those twins — correct,
-but several times slower.
+Three hot loops cost pure interpreter overhead in Python: the
+struct-of-arrays batch kernel (:mod:`repro.sim.batchpipe`, one event
+epoch per cell per step), the column trace generator
+(:meth:`repro.sim.trace.TraceGenerator.generate_arrays`, a handful of
+RNG draws per micro-op) and the fabric's placement search
+(:meth:`repro.arch.fabric.Fabric.allocate`, a seed search and a region
+pick over the free-tile masks at every placement).  This module
+compiles ``sim/_batchcore.c``, ``sim/_tracegen.c`` and
+``arch/_fabric.c`` on demand into one shared object with the host C
+compiler and loads it through :mod:`ctypes`, following the shape
+ROADMAP cites from ``subhft``'s ``rust_core``: an *optional*
+accelerated core behind a pure-Python contract, with the scalar twins
+— the per-cycle object pipeline, the reference trace generator and the
+grow-from-every-seed placement scan — always runnable and bit-identity
+asserted in tests.  Nothing is installed: if no compiler is present
+(or ``REPRO_NATIVE`` disables the core) every caller falls back to
+those twins — correct, but several times slower.
 
 The host-level switches are read from the environment here, once, at
 the top of the package — the engine directories themselves are
@@ -24,12 +27,12 @@ rule:
 * ``REPRO_NATIVE_DIR=<path>`` overrides where the shared object is
   built (default: a per-user directory under the system temp root).
 
-The switch can never change a result — both entry points are
-bit-identical to their scalar twins (enforced by the `fast-parity`
-twin tests) — it only selects how fast the cycle tier runs.  Build
-artifacts are keyed by a content hash of the C sources, the compiler
-and its flags, written via temp-file + atomic rename, so concurrent
-processes and stale sources are both safe.
+The switch can never change a result — every entry point is
+bit-identical to its scalar twin (enforced by the `fast-parity` twin
+tests) — it only selects how fast the cycle tier and placement run.
+Build artifacts are keyed by a content hash of the C sources, the
+compiler and its flags, written via temp-file + atomic rename, so
+concurrent processes and stale sources are both safe.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ _OFF_VALUES = frozenset({"0", "off", "none", "disabled"})
 _CFLAGS = ("-O2", "-fPIC", "-shared")
 
 _SOURCE_PATHS = tuple(
-    Path(__file__).parent / "sim" / name
-    for name in ("_batchcore.c", "_tracegen.c")
+    Path(__file__).parent / name
+    for name in ("sim/_batchcore.c", "sim/_tracegen.c", "arch/_fabric.c")
 )
 
 _NATIVE_LOCK = threading.Lock()
@@ -118,8 +121,9 @@ TRACE_BUFFERS: Tuple[Tuple[str, Any], ...] = (
 
 
 class NativeBatchCore:
-    """ctypes wrapper around the compiled library's two entries:
-    ``repro_run_batch`` and ``repro_generate_trace``."""
+    """ctypes wrapper around the compiled library's three entries:
+    ``repro_run_batch``, ``repro_generate_trace`` and
+    ``repro_fabric_place``."""
 
     def __init__(self, library: ctypes.CDLL, path: Path) -> None:
         self.path = path
@@ -133,6 +137,18 @@ class NativeBatchCore:
             TRACE_BUFFERS
         )
         self._generate = generate
+        place = library.repro_fabric_place
+        place.restype = ctypes.c_int64
+        place.argtypes = [
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_int64,
+            ctypes.c_int64,
+            ctypes.c_void_p,
+        ]
+        self._place = place
 
     def run_batch(
         self,
@@ -190,6 +206,48 @@ class NativeBatchCore:
             raise ValueError(f"buffer sizes {actual}, layout needs {sizes}")
         return int(self._generate(count, *buffers))
 
+    def fabric_place(
+        self,
+        width: int,
+        height: int,
+        free_slices: np.ndarray,
+        free_banks: np.ndarray,
+        need_slices: int,
+        need_banks: int,
+        out: np.ndarray,
+    ) -> int:
+        """Invoke the compiled placement search (``arch/_fabric.c``):
+        writes the flat ids of the chosen Slices, then banks, to
+        ``out``; returns its status code (0 = ok, -1 = allocation
+        failure, -2 = no seed fits).  The C side reads ``width *
+        height`` bytes of each mask and writes ``need_slices +
+        need_banks`` ids, so the sizes and the counts are checked
+        first."""
+        buffers = _buffers(
+            ("free_slices", free_slices, np.bool_),
+            ("free_banks", free_banks, np.bool_),
+            ("out", out, np.int64),
+        )
+        tiles = width * height
+        if free_slices.size != tiles or free_banks.size != tiles:
+            raise ValueError(
+                f"masks hold {free_slices.size} and {free_banks.size} "
+                f"tiles, the {width}x{height} fabric {tiles}"
+            )
+        if min(need_slices, need_banks) < 0 or (
+            out.size < need_slices + need_banks
+        ):
+            raise ValueError(
+                f"out holds {out.size} ids, the request needs "
+                f"{need_slices} + {need_banks}"
+            )
+        slices, banks, ids = buffers
+        return int(
+            self._place(
+                width, height, slices, banks, need_slices, need_banks, ids
+            )
+        )
+
 
 def _find_compiler() -> Optional[str]:
     for name in ("cc", "gcc", "clang"):
@@ -239,8 +297,9 @@ def _build_and_load_locked() -> NativeBatchCore:
 
 
 def batch_core() -> Optional[NativeBatchCore]:
-    """The compiled core — the batch kernel and the trace generator,
-    one shared object — or ``None`` when unavailable.
+    """The compiled core — the batch kernel, the trace generator and
+    the placement search, one shared object — or ``None`` when
+    unavailable.
 
     Builds and loads at most once per process; a failed build is
     remembered (see :func:`batch_core_error`) and not retried until

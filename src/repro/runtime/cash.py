@@ -331,21 +331,24 @@ class CASHRuntime:
                 key=lambda e: e.point.speedup,
                 default=None,
             )
-            candidate = self.learner.ucb_candidate(
-                scale=scale,
-                exclude=fastest.point.config if fastest else None,
-            )
+            # The coin comes first: the UCB scan reads no RNG and
+            # changes nothing, so it runs only when a probe may follow.
             # Probe only when the candidate's optimistic potential
             # exceeds the best *believed* QoS — i.e. the probe could
             # plausibly improve on what the runtime is already doing.
             # (Gating on the target instead would re-create the trap:
             # with a crushed table, nothing clears the target, so
             # nothing would ever be re-measured.)
-            probe_now = (
-                self.exploration.rng.random() < 0.3
-                and self.learner.ucb_potential(candidate, scale=scale)
-                > best_believed
-            )
+            probe_now = False
+            if self.exploration.rng.random() < 0.3:
+                candidate = self.learner.ucb_candidate(
+                    scale=scale,
+                    exclude=fastest.point.config if fastest else None,
+                )
+                probe_now = (
+                    self.learner.ucb_potential(candidate, scale=scale)
+                    > best_believed
+                )
             if (
                 probe_now
                 and fastest is not None

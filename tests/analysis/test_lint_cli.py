@@ -11,12 +11,15 @@ The acceptance scenarios for the suite live here:
 
 import io
 import json
+import os
 import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -839,3 +842,58 @@ class TestHistoricalRegressionsFailTheGate:
         code, out = run_lint([str(tmp_path), "--no-baseline"], capsys)
         assert code == 1
         assert "loop-invariant" in out
+
+
+class TestLintSuiteLoadsOnDemand:
+    """The engine imports ``repro.analysis`` for its sanitizer and unit
+    types only: no rule module loads until lint runs."""
+
+    RULE_MODULES = sorted(
+        f"repro.analysis.{name}"
+        for name in (
+            "callgraph",
+            "dataflow",
+            "hotpath",
+            "effects",
+            "determinism",
+            "numerics",
+            "parity",
+        )
+    )
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "import repro.experiments.stats",
+            "from repro.cli import build_parser; build_parser()",
+        ],
+        ids=["engine", "parser"],
+    )
+    def test_no_rule_module_is_imported(self, statement):
+        script = (
+            f"{statement}\n"
+            "import sys\n"
+            f"print(sorted(set({self.RULE_MODULES!r}) & set(sys.modules)))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "[]"
+
+    def test_registry_builds_on_first_use(self):
+        import repro.analysis
+        from repro.analysis import ALL_RULES, RULES_BY_ID
+
+        assert RULES_BY_ID == {rule.id: rule for rule in ALL_RULES}
+        assert repro.analysis.ALL_RULES is ALL_RULES
+        with pytest.raises(AttributeError, match="NO_SUCH_NAME"):
+            repro.analysis.NO_SUCH_NAME

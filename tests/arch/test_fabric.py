@@ -1,10 +1,13 @@
 """Spatial allocation on the 2D fabric (Fig. 3)."""
 
+import shutil
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro import perf
-from repro.arch.fabric import Fabric, FabricError, TileKind, _rotated_layout
+from repro import native, perf
+from repro.arch.fabric import Fabric, FabricError, TileKind
 from repro.arch.network import manhattan
 from repro.arch.vcore import VCoreConfig
 
@@ -208,8 +211,17 @@ def free_masks(draw, geometries):
     return fabric
 
 
+@pytest.fixture(scope="module")
+def core():
+    """The compiled core; tests of the compiled search skip without it."""
+    core = native.batch_core()
+    if core is None:
+        pytest.skip("compiled core unavailable on this host")
+    return core
+
+
 class TestSeedSearch:
-    """The diamond-count seed search against the scalar scan."""
+    """The compiled placement search against the scalar scan."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -222,7 +234,9 @@ class TestSeedSearch:
         ),
         data=st.data(),
     )
-    def test_best_seed_is_the_scalar_scans_first_best(self, fabric, data):
+    def test_best_seed_is_the_scalar_scans_first_best(
+        self, core, fabric, data
+    ):
         free_slices = fabric.count_free(TileKind.SLICE)
         free_banks = fabric.count_free(TileKind.L2_BANK)
         assume(free_slices >= 1 and free_banks >= 1)
@@ -242,9 +256,12 @@ class TestSeedSearch:
             if tiles - slices <= free_banks
         }
         for slices, banks in sorted(requests):
-            with perf.fast_paths(True):
-                seed = fabric._best_seed(slices, banks)
-            assert seed == _scalar_best_seed(fabric, slices, banks), (
+            seed = _scalar_best_seed(fabric, slices, banks)
+            placed = fabric._place_native(core, slices, banks)
+            # The seed is the region's first Slice (distance 0), so the
+            # same region means the same seed.
+            assert placed[0][0] == seed, (slices, banks)
+            assert placed == fabric._grow_region(seed, slices, banks), (
                 slices,
                 banks,
             )
@@ -353,9 +370,9 @@ class TestFreeIndexConsistency:
     @given(ops=OPS)
     def test_service_geometry_matches_full_scan(self, ops):
         """The service's 24x24 fabric, where 64-128-bank requests need
-        spans up to ~21: the seed search runs several radii there and
-        its rotated boxes clip at the border.  Fewer examples, because
-        the scalar search is quadratic in tiles."""
+        spans up to ~21: the seed search shrinks over several radii
+        there and its diamonds clip at the border.  Fewer examples,
+        because the scalar search is quadratic in tiles."""
         self._check_replay(24, 24, 1, ops)
 
     def _check_replay(self, width, height, bank_ratio, ops):
@@ -390,48 +407,10 @@ class TestFreeIndexConsistency:
                 position: tile.owner_vcore
                 for position, tile in fabric.tiles.items()
             }
-            replays[fast] = (fabric, outcomes, owners)
+            replays[fast] = (outcomes, owners)
         # Same Allocation reprs (seeds, tiles, tile order, Python-int
         # coordinates), same FabricError messages, same owner maps.
-        assert replays[True][1:] == replays[False][1:]
-
-        # The closed-form region is the grown one from every free seed.
-        fabric = replays[True][0]
-        free_slices = fabric.count_free(TileKind.SLICE)
-        free_banks = fabric.count_free(TileKind.L2_BANK)
-        needs = {
-            (min(slices, free_slices), min(banks, free_banks))
-            for slices, banks in ((1, 1), (2, 4), (4, 8), (9, 3))
-        } | {(free_slices, free_banks)}
-        seeds = self._scan_free(fabric, TileKind.SLICE)
-        # Every free seed on the small fabrics, about 32 on the 24x24
-        # one: growing the whole fabric from each of ~300 seeds there
-        # would take most of a second per example.
-        for seed in seeds[:: max(1, len(seeds) // 32)]:
-            for need_slices, need_banks in needs:
-                assert fabric._nearest_region(
-                    seed, need_slices, need_banks
-                ) == fabric._grow_region(seed, need_slices, need_banks)
-
-    def test_rotated_layout_turns_diamonds_into_boxes(self):
-        """Two tiles are within Manhattan distance r exactly when their
-        rotated coordinates each differ by at most r."""
-        width, height = 7, 5
-        u, v, cell = _rotated_layout(width, height)
-        positions = list(Fabric(width=width, height=height).tiles)
-        assert [y * width + x for x, y in positions] == list(range(35))
-        for a, (ax, ay) in enumerate(positions):
-            for b, (bx, by) in enumerate(positions):
-                assert max(abs(u[a] - u[b]), abs(v[a] - v[b])) == manhattan(
-                    (ax, ay), (bx, by)
-                )
-        side = width + height - 1
-        assert u.min() == v.min() == 0 and u.max() == v.max() == side - 1
-        # Distinct cells, none in the zero border row or column.
-        assert len(set(cell.tolist())) == len(cell)
-        assert (cell // (side + 1)).min() == (cell % (side + 1)).min() == 1
-        assert _rotated_layout(width, height) is _rotated_layout(width, height)
-        assert not (u.flags.writeable or v.flags.writeable or cell.flags.writeable)
+        assert replays[True] == replays[False]
 
     def test_kind_totals_are_invariant(self):
         fabric = Fabric(width=8, height=8)
@@ -445,3 +424,102 @@ class TestFreeIndexConsistency:
         for kind, total in before.items():
             assert fabric.kind_total(kind) == total
             assert fabric.count_free(kind) == total
+
+
+class TestCompiledPlacementCall:
+    """``NativeBatchCore.fabric_place`` checks what the C side would
+    read or write blindly, before calling it."""
+
+    @pytest.fixture
+    def guarded(self, core, monkeypatch):
+        calls = []
+        monkeypatch.setattr(core, "_place", lambda *args: calls.append(args))
+        yield core
+        assert calls == []
+
+    @staticmethod
+    def _arguments(width=4, height=3, need=(2, 3)):
+        fabric = Fabric(width=width, height=height)
+        return dict(
+            width=width,
+            height=height,
+            free_slices=fabric._free_slices.copy(),
+            free_banks=fabric._free_banks.copy(),
+            need_slices=need[0],
+            need_banks=need[1],
+            out=np.empty(sum(need), dtype=np.int64),
+        )
+
+    def test_mask_of_the_wrong_dtype(self, guarded):
+        arguments = self._arguments()
+        arguments["free_banks"] = arguments["free_banks"].astype(np.int8)
+        with pytest.raises(ValueError, match="free_banks"):
+            guarded.fabric_place(**arguments)
+
+    def test_non_contiguous_mask(self, guarded):
+        arguments = self._arguments()
+        doubled = np.repeat(arguments["free_slices"], 2)
+        arguments["free_slices"] = doubled[::2]
+        assert not arguments["free_slices"].flags.c_contiguous
+        with pytest.raises(ValueError, match="free_slices"):
+            guarded.fabric_place(**arguments)
+
+    def test_mask_of_another_fabric(self, guarded):
+        arguments = self._arguments()
+        arguments["width"] = 5
+        with pytest.raises(ValueError, match="5x3"):
+            guarded.fabric_place(**arguments)
+
+    def test_short_out_buffer(self, guarded):
+        arguments = self._arguments()
+        arguments["out"] = arguments["out"][:-1].copy()
+        with pytest.raises(ValueError, match="out holds 4"):
+            guarded.fabric_place(**arguments)
+
+    def test_negative_request(self, guarded):
+        arguments = self._arguments(need=(-1, 3))
+        with pytest.raises(ValueError, match="-1"):
+            guarded.fabric_place(**arguments)
+
+
+class TestWithoutCompiledCore:
+    """Without the compiled core, FAST allocation takes the scalar scan."""
+
+    @pytest.fixture
+    def empty_build_dir(self, tmp_path):
+        previous = native._BUILD_DIR
+        yield tmp_path
+        native.set_build_dir(previous)
+
+    @pytest.mark.parametrize(
+        "compiler", [None, shutil.which("false")], ids=["absent", "failing"]
+    )
+    def test_allocate_returns_the_scalar_scans_allocation(
+        self, empty_build_dir, monkeypatch, compiler
+    ):
+        monkeypatch.setattr(native, "_find_compiler", lambda: compiler)
+        native.set_build_dir(empty_build_dir)
+        assert native.batch_core() is None
+        scans = []
+        place_reference = Fabric._place_reference
+
+        def counting(self, *args):
+            scans.append(args)
+            return place_reference(self, *args)
+
+        monkeypatch.setattr(Fabric, "_place_reference", counting)
+        requests = [(1, 64), (3, 512), (2, 128), (8, 2048), (4, 256)]
+        replays = {}
+        for fast in (True, False):
+            fabric = Fabric(width=12, height=10)
+            with perf.fast_paths(fast):
+                allocations = [
+                    repr(fabric.allocate(vcore_id, VCoreConfig(*request)))
+                    for vcore_id, request in enumerate(requests)
+                ]
+                fabric.release(2)
+                allocation = fabric.allocate(9, VCoreConfig(2, 64))
+                allocations.append(repr(allocation))
+            replays[fast] = allocations
+        assert replays[True] == replays[False]
+        assert len(scans) == 2 * (len(requests) + 1)

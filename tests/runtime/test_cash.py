@@ -155,6 +155,43 @@ class TestSaturatedSteps:
                     measurement = plant.run(decision.schedule)
         assert seen == {True, False}
 
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_ucb_scan_runs_only_after_the_probe_coin_passes(self, fast):
+        # A saturated step draws exactly one number from the exploration
+        # RNG, the 30% probe coin, and scans the UCB potentials only
+        # when the coin passes.
+        runtime = make_runtime(qos_goal=10.0)
+        events = []
+        draw = runtime.exploration.rng.random
+        scan = runtime.learner.ucb_candidate
+
+        def recording_draw():
+            value = draw()
+            events.append(("coin", value))
+            return value
+
+        def recording_scan(*args, **kwargs):
+            events.append(("scan",))
+            return scan(*args, **kwargs)
+
+        runtime.exploration.rng.random = recording_draw
+        runtime.learner.ucb_candidate = recording_scan
+        plant = _Plant(STATIONARY)
+        measurement = None
+        passed = 0
+        with perf.fast_paths(fast):
+            for _ in range(80):
+                del events[:]
+                decision = runtime.step(measurement)
+                measurement = plant.run(decision.schedule)
+                if not decision.schedule.saturated:
+                    continue
+                assert events[0][0] == "coin", events
+                coin = events[0][1]
+                assert events[1:] == ([("scan",)] if coin < 0.3 else [])
+                passed += coin < 0.3
+        assert 0 < passed < 60
+
 
 class TestPhaseAdaptation:
     def test_adapts_to_base_speed_shift(self):
