@@ -22,7 +22,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
-from repro import perf
+import numpy as np
+
+from repro import native, perf
 from repro.arch.cost import CostModel, DEFAULT_COST_MODEL
 from repro.arch.reconfig import ReconfigCostModel, DEFAULT_RECONFIG_COSTS
 from repro.arch.vcore import ConfigurationSpace, VCoreConfig, DEFAULT_CONFIG_SPACE
@@ -35,7 +37,7 @@ from repro.runtime.optimizer import (
     IDLE_POINT,
     ConfigPoint,
     Schedule,
-    _envelope_over_keys,
+    _build_envelope,
 )
 from repro.sim.optables import OperatingPointTable, operating_point_table
 from repro.sim.perfmodel import PerformanceModel, DEFAULT_PERF_MODEL
@@ -575,9 +577,19 @@ class _PhaseCapacities:
     The request rate only scales the capacity margin, so a phase's
     configurations, service capacities (requests/cycle) and cost rates
     are computed once and shared by every interval spent in the phase.
+    The phase also holds the envelope chain's buffers: the capacities,
+    and the keys, row 0 one interval's speeds and row 1 the cost rates.
     """
 
-    __slots__ = ("configs", "capacities", "cost_rates", "positions", "non_negative")
+    __slots__ = (
+        "configs",
+        "capacities",
+        "cost_rates",
+        "positions",
+        "non_negative",
+        "capacity_buffer",
+        "buffers",
+    )
 
     def __init__(self, table: OperatingPointTable, per_request: float) -> None:
         self.configs = tuple(point.config for point in table)
@@ -592,6 +604,13 @@ class _PhaseCapacities:
         # whose required capacity is positive passes that check.
         self.non_negative = not any(
             value < 0 for value in self.capacities + self.cost_rates
+        )
+        size = len(self.configs)
+        self.capacity_buffer = np.array(self.capacities, dtype=np.float64)
+        keys = np.zeros((2, size), dtype=np.float64)
+        keys[1] = self.cost_rates
+        self.buffers = native.EnvelopeBuffers(
+            keys, np.zeros((2, size + 1), dtype=np.int64)
         )
 
 
@@ -654,23 +673,15 @@ class _CapacityPoints(Sequence[ConfigPoint]):
     def envelope(self, idle: ConfigPoint = IDLE_POINT) -> tuple:
         """``(hull, best_at)`` as :func:`compute_envelope` builds it.
 
-        The first-wins keys are the eager list's ``(speedup, cost)``
-        pairs; ``best_at`` covers hull vertices only, each owned by the
-        first position carrying it.
+        :func:`_build_envelope` on the interval's speeds — the eager
+        list's ``capacity / required``, divided into the phase's keys —
+        and the phase's cost rates; ``best_at`` covers hull vertices
+        only, each owned by the first position carrying it.
         """
-        required = self._required
         phase = self._phase
-        keys = [
-            (capacity / required, cost_rate)
-            for capacity, cost_rate in zip(phase.capacities, phase.cost_rates)
-        ]
-        carried = dict.fromkeys(keys)
-        return _envelope_over_keys(
-            sorted(carried),
-            carried,
-            lambda key: self._point_at(keys.index(key)),
-            idle,
-        )
+        speeds = phase.buffers.keys[0]
+        np.divide(phase.capacity_buffer, self._required, out=speeds)
+        return _build_envelope(phase.buffers, self._point_at, idle)
 
 
 class LatencySimulator:

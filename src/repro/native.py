@@ -1,19 +1,23 @@
-"""Optional compiled core for the cycle tier and the fabric.
+"""Optional compiled core for the cycle tier, the fabric and Eqn. 5.
 
-Three hot loops cost pure interpreter overhead in Python: the
+Four hot loops cost pure interpreter overhead in Python: the
 struct-of-arrays batch kernel (:mod:`repro.sim.batchpipe`, one event
 epoch per cell per step), the column trace generator
 (:meth:`repro.sim.trace.TraceGenerator.generate_arrays`, a handful of
-RNG draws per micro-op) and the fabric's placement search
+RNG draws per micro-op), the fabric's placement search
 (:meth:`repro.arch.fabric.Fabric.allocate`, a seed search and a region
-pick over the free-tile masks at every placement).  This module
-compiles ``sim/_batchcore.c``, ``sim/_tracegen.c`` and
-``arch/_fabric.c`` on demand into one shared object with the host C
-compiler and loads it through :mod:`ctypes`, following the shape
-ROADMAP cites from ``subhft``'s ``rust_core``: an *optional*
-accelerated core behind a pure-Python contract, with the scalar twins
-— the per-cycle object pipeline, the reference trace generator and the
-grow-from-every-seed placement scan — always runnable and bit-identity
+pick over the free-tile masks at every placement) and the lower convex
+envelope of Eqn. 5 (:meth:`repro.runtime.optimizer.LearnedPoints.
+envelope` and the latency oracle's point view, a sort and a monotone
+chain over every learned estimate at every control interval).  This
+module compiles ``sim/_batchcore.c``, ``sim/_tracegen.c``,
+``arch/_fabric.c`` and ``runtime/_envelope.c`` on demand into one
+shared object with the host C compiler and loads it through
+:mod:`ctypes`, following the shape ROADMAP cites from ``subhft``'s
+``rust_core``: an *optional* accelerated core behind a pure-Python
+contract, with the scalar twins — the per-cycle object pipeline, the
+reference trace generator, the grow-from-every-seed placement scan and
+the sorted-key envelope chain — always runnable and bit-identity
 asserted in tests.  Nothing is installed: if no compiler is present
 (or ``REPRO_NATIVE`` disables the core) every caller falls back to
 those twins — correct, but several times slower.
@@ -29,10 +33,13 @@ rule:
 
 The switch can never change a result — every entry point is
 bit-identical to its scalar twin (enforced by the `fast-parity` twin
-tests) — it only selects how fast the cycle tier and placement run.
-Build artifacts are keyed by a content hash of the C sources, the
-compiler and its flags, written via temp-file + atomic rename, so
-concurrent processes and stale sources are both safe.
+tests) — it only selects how fast the cycle tier, placement and the
+envelope run.  The envelope computes cross products, so the sources
+build with ``-ffp-contract=off``: a fused multiply-add would round
+``a*b - c*d`` once where CPython rounds each operation.  Build
+artifacts are keyed by a content hash of the C sources, the compiler
+and its flags, written via temp-file + atomic rename, so concurrent
+processes and stale sources are both safe.
 """
 
 from __future__ import annotations
@@ -53,11 +60,19 @@ import numpy as np
 _OFF_VALUES = frozenset({"0", "off", "none", "disabled"})
 
 #: Compile command prefix; the source and output paths are appended.
-_CFLAGS = ("-O2", "-fPIC", "-shared")
+#: ``-ffp-contract=off`` keeps ``a*b - c*d`` two rounded products and a
+#: rounded difference, as CPython computes it, on targets with a fused
+#: multiply-add (aarch64, for one), where GCC and Clang contract it.
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _SOURCE_PATHS = tuple(
     Path(__file__).parent / name
-    for name in ("sim/_batchcore.c", "sim/_tracegen.c", "arch/_fabric.c")
+    for name in (
+        "sim/_batchcore.c",
+        "sim/_tracegen.c",
+        "arch/_fabric.c",
+        "runtime/_envelope.c",
+    )
 )
 
 _NATIVE_LOCK = threading.Lock()
@@ -120,10 +135,52 @@ TRACE_BUFFERS: Tuple[Tuple[str, Any], ...] = (
 )
 
 
+class EnvelopeBuffers:
+    """One point set's buffers for :meth:`NativeBatchCore.lower_envelope`.
+
+    ``keys`` is a ``(2, n)`` float64 array, row 0 the speedups and row
+    1 the costs, which its owner writes in place; ``scratch`` is a
+    ``(2, n + 1)`` int64 array that receives the chain's ranking (row 0)
+    and the hull's vertex positions, idle as -1 (row 1).  Their dtypes,
+    layout and shapes are checked here, once, and their addresses read
+    once: a caller rebuilds the envelope every control interval, and
+    reading two addresses costs more than the chain on a few dozen
+    points.  Both arrays are fixed for the object's life.
+    """
+
+    __slots__ = ("_keys", "_scratch", "_args")
+
+    def __init__(self, keys: np.ndarray, scratch: np.ndarray) -> None:
+        keys_at, scratch_at = _buffers(
+            ("keys", keys, np.float64), ("scratch", scratch, np.int64)
+        )
+        n = keys.size // 2
+        if keys.shape != (2, n) or scratch.shape != (2, n + 1):
+            raise ValueError(
+                f"keys {keys.shape} and scratch {scratch.shape}: need "
+                f"(2, n) and (2, n + 1)"
+            )
+        self._keys = keys
+        self._scratch = scratch
+        self._args = (n, keys_at, scratch_at)
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # A copy or an unpickled object gets its own arrays' addresses.
+        return (EnvelopeBuffers, (self._keys, self._scratch))
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self._keys
+
+    @property
+    def scratch(self) -> np.ndarray:
+        return self._scratch
+
+
 class NativeBatchCore:
-    """ctypes wrapper around the compiled library's three entries:
-    ``repro_run_batch``, ``repro_generate_trace`` and
-    ``repro_fabric_place``."""
+    """ctypes wrapper around the compiled library's four entries:
+    ``repro_run_batch``, ``repro_generate_trace``,
+    ``repro_fabric_place`` and ``repro_lower_envelope``."""
 
     def __init__(self, library: ctypes.CDLL, path: Path) -> None:
         self.path = path
@@ -149,6 +206,16 @@ class NativeBatchCore:
             ctypes.c_void_p,
         ]
         self._place = place
+        envelope = library.repro_lower_envelope
+        envelope.restype = ctypes.c_int64
+        envelope.argtypes = [
+            ctypes.c_int64,
+            ctypes.c_void_p,
+            ctypes.c_double,
+            ctypes.c_double,
+            ctypes.c_void_p,
+        ]
+        self._envelope = envelope
 
     def run_batch(
         self,
@@ -248,6 +315,21 @@ class NativeBatchCore:
             )
         )
 
+    def lower_envelope(
+        self, buffers: EnvelopeBuffers, idle_speedup: float, idle_cost: float
+    ) -> int:
+        """Invoke the compiled envelope chain (``runtime/_envelope.c``)
+        on the keys in ``buffers`` and the idle key: ranks every
+        position in ``buffers.scratch[0]`` and writes the hull's vertex
+        positions, idle as -1, to ``buffers.scratch[1]``; returns the
+        vertex count, or -1 when a key is NaN.  The C side reads ``2 *
+        n`` doubles and writes ``2 * (n + 1)`` positions, the shapes
+        :class:`EnvelopeBuffers` checked when it was built."""
+        n, keys_at, scratch_at = buffers._args
+        return int(
+            self._envelope(n, keys_at, idle_speedup, idle_cost, scratch_at)
+        )
+
 
 def _find_compiler() -> Optional[str]:
     for name in ("cc", "gcc", "clang"):
@@ -287,8 +369,14 @@ def _build_and_load_locked() -> NativeBatchCore:
                     f"{result.stderr.strip()[:500]}"
                 )
             # Atomic publish: concurrent builders race benignly — both
-            # produce identical artifacts keyed by the same digest.
-            os.replace(tmp_name, artifact)
+            # produce identical artifacts keyed by the same digest.  A
+            # failed rename (a full disk, say) names the artifact too.
+            try:
+                os.replace(tmp_name, artifact)
+            except OSError as exc:
+                raise RuntimeError(
+                    f"could not publish {artifact}: {exc}"
+                ) from exc
         finally:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
@@ -297,9 +385,9 @@ def _build_and_load_locked() -> NativeBatchCore:
 
 
 def batch_core() -> Optional[NativeBatchCore]:
-    """The compiled core — the batch kernel, the trace generator and
-    the placement search, one shared object — or ``None`` when
-    unavailable.
+    """The compiled core — the batch kernel, the trace generator, the
+    placement search and the envelope chain, one shared object — or
+    ``None`` when unavailable.
 
     Builds and loads at most once per process; a failed build is
     remembered (see :func:`batch_core_error`) and not retried until

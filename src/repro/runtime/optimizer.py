@@ -25,12 +25,11 @@ envelope (:func:`lower_envelope_cost`), which the oracle uses with
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (
     Callable,
-    Container,
     Dict,
     Iterator,
     List,
@@ -39,7 +38,9 @@ from typing import (
     Tuple,
 )
 
-from repro import perf
+import numpy as np
+
+from repro import native, perf
 from repro.arch.vcore import VCoreConfig
 
 
@@ -187,10 +188,9 @@ def _lower_hull_presorted(
 ) -> List[Tuple[float, float]]:
     """Monotone chain over already-sorted, already-deduplicated points.
 
-    The incremental optimizer keeps its candidate keys sorted across
-    steps, so the per-step hull rebuild pays only for this chain — the
-    exact same comparisons (and therefore the exact same hull) as
-    :func:`_lower_hull` on the equivalent input.
+    The envelope twin sorts its first-wins keys itself and then pays
+    only for this chain — the exact same comparisons (and therefore the
+    exact same hull) as :func:`_lower_hull` on the equivalent input.
     """
     if len(points) <= 2:
         return list(points)
@@ -211,32 +211,66 @@ def _lower_hull_presorted(
     return hull
 
 
-def _envelope_over_keys(
-    keys_sorted: Sequence[Tuple[float, float]],
-    carried: Container[Tuple[float, float]],
-    owner: Callable[[Tuple[float, float]], ConfigPoint],
+def _build_envelope(
+    buffers: native.EnvelopeBuffers,
+    owner: Callable[[int], ConfigPoint],
     idle: ConfigPoint,
 ) -> tuple:
-    """Frozen ``(hull, best_at)`` from sorted, deduplicated point keys.
+    """Frozen ``(hull, best_at)`` of the points in ``buffers``.
 
-    The same hull :func:`compute_envelope` builds: the idle key joins
-    ``keys_sorted`` when no point carries it (``carried`` is the key
-    set), and the monotone chain runs over the result.  ``best_at``
-    holds hull vertices only — the keys the LP ever looks up — with
-    ``owner(key)`` resolving the first point carrying a key, so a
-    caller builds at most one ``ConfigPoint`` per vertex.
+    The same hull :func:`compute_envelope` builds from ``idle`` and
+    the points ``owner(i)``, whose speedup and cost are
+    ``buffers.keys[0, i]`` and ``buffers.keys[1, i]``: first-wins keys,
+    idle's key only when no point carries it, and the monotone chain
+    over them sorted.  ``best_at`` holds hull vertices only — the keys
+    the LP ever looks up — so a caller builds at most one
+    ``ConfigPoint`` per vertex, the point at the first position
+    carrying its key.  A vertex is read back from its point, as
+    ``compute_envelope`` reads it.  The envelope is published frozen
+    (tuple hull, read-only mapping view): it may be shared by every
+    consumer until its points change, so in-place edits must be
+    impossible.
+
+    With the fast paths on and the compiled core loaded, one native
+    call ranks the keys and runs the chain; otherwise, or when a key is
+    NaN, :func:`_build_envelope_reference` does.
     """
+    core = native.batch_core() if perf.FAST else None
+    if core is not None:
+        count = core.lower_envelope(buffers, idle.speedup, idle.cost_rate)
+        if count >= 0:
+            hull = []
+            best_at = {}
+            for position in buffers.scratch[1, :count].tolist():
+                point = idle if position < 0 else owner(position)
+                key = (point.speedup, point.cost_rate)
+                best_at[key] = point
+                hull.append(key)
+            return tuple(hull), MappingProxyType(best_at)
+    return _build_envelope_reference(buffers.keys, owner, idle)
+
+
+def _build_envelope_reference(
+    keys: np.ndarray,
+    owner: Callable[[int], ConfigPoint],
+    idle: ConfigPoint,
+) -> tuple:
+    """Scalar twin of :func:`_build_envelope`: the first-wins keys
+    sorted, idle's key inserted when no point carries it, and the
+    Python monotone chain."""
+    speedups, costs = keys.tolist()
+    first: Dict[Tuple[float, float], int] = {}
+    for position, key in enumerate(zip(speedups, costs)):
+        first.setdefault(key, position)
+    keys_sorted = sorted(first)
     idle_key = (idle.speedup, idle.cost_rate)
-    if idle_key not in carried:
-        keys_sorted = list(keys_sorted)
+    if idle_key not in first:
         insort(keys_sorted, idle_key)
     hull = _lower_hull_presorted(keys_sorted)
     best_at = {
-        vertex: owner(vertex) if vertex in carried else idle for vertex in hull
+        vertex: owner(first[vertex]) if vertex in first else idle
+        for vertex in hull
     }
-    # Published frozen (tuple hull, read-only mapping view): the
-    # envelope may be shared by every consumer until its points change,
-    # so in-place edits must be impossible.
     return tuple(hull), MappingProxyType(best_at)
 
 
@@ -324,16 +358,20 @@ class LearnedPoints:
     lower hull) from fresh ``qos_estimates()`` dictionaries on every
     step — ~130 dataclass constructions and two hull sorts per control
     interval.  A Q-learning update only touches the one or two
-    configurations that actually executed, so this view keeps each
-    position's estimate as a float and patches exactly the entries
-    whose estimates changed (tracked by the learner's
-    ``estimates_version`` counter and per-config change log).  The
-    lower envelope is likewise cached and recomputed only when some
-    estimate moved since it was last built.  A position's
-    ``ConfigPoint`` is built only when something reads it — a hull
-    vertex's owner, :meth:`points` or iteration — and is cached until
-    that position's estimate changes.  Once :meth:`points` has read the
-    whole list, changes patch it in place until the next full rebuild.
+    configurations that actually executed, so this view keeps every
+    position's estimate in one float64 buffer of its own and writes
+    exactly the entries whose estimates changed (tracked by the
+    learner's ``estimates_version`` counter and per-config change log).
+    The lower envelope is cached and rebuilt only when some estimate
+    moved since it was last built; a rebuild hands the estimates and
+    cost rates to the compiled chain in one call (its Python twin sorts
+    the same keys), and builds first-wins owners for hull vertices
+    only.  A position's ``ConfigPoint`` is built only when
+    something reads it — a hull vertex's owner, :meth:`points` or
+    iteration — and is cached until that position's estimate changes.
+    Once :meth:`points` has read the whole list, changes patch it in
+    place until the next full rebuild.  Estimates read back from the
+    buffer are Python floats.
 
     Points are expressed in *raw QoS units* (q̂_k, not ŝ_k) — the units
     the CASH runtime solves in — so changes to the base-speed estimate
@@ -366,21 +404,21 @@ class LearnedPoints:
         for position, config in enumerate(self._configs):
             self._index.setdefault(config, position)
         self._version: Optional[int] = None
-        # Per-position raw-QoS estimate, and the ConfigPoint built from
-        # it on first read (None until then).  Once ``points()`` has
-        # filled every position (``_whole``), changes patch the list in
-        # place, so a whole list is never handed out with holes.
-        self._speedups: List[float] = []
+        # One float64 buffer holds the envelope chain's keys: row 0 each
+        # position's raw-QoS estimate, written in place, and row 1 its
+        # cost rate.  The ConfigPoint built from a position is cached on
+        # first read (None until then).  Once ``points()`` has filled
+        # every position (``_whole``), changes patch the list in place,
+        # so a whole list is never handed out with holes.
+        size = len(self._configs)
+        self._keys = np.zeros((2, size), dtype=np.float64)
+        self._keys[1] = self._cost_rates
+        self._buffers = native.EnvelopeBuffers(
+            self._keys, np.zeros((2, size + 1), dtype=np.int64)
+        )
         self._points: List[Optional[ConfigPoint]] = []
         self._whole = False
         self._envelopes: Dict[tuple, tuple] = {}
-        # Dedup-key index maintained across refreshes: the sorted list
-        # of unique (speedup, cost_rate) keys and, per key, the point
-        # positions carrying it (first position = first-wins owner).
-        # Keeping these incremental means a hull rebuild costs only the
-        # monotone chain, not a fresh dict + sort per step.
-        self._key_positions: Dict[Tuple[float, float], List[int]] = {}
-        self._keys_sorted: List[Tuple[float, float]] = []
 
     def _estimate(self, config: VCoreConfig) -> float:
         """The learner's estimate, checked as a ``ConfigPoint`` would."""
@@ -390,38 +428,15 @@ class LearnedPoints:
         return speedup
 
     def _rebuild_all(self) -> None:
-        speedups = [self._estimate(config) for config in self._configs]
-        self._speedups = speedups
-        self._points = [None] * len(speedups)
+        self._keys[0] = [self._estimate(config) for config in self._configs]
+        self._points = [None] * len(self._configs)
         self._whole = False
-        positions: Dict[Tuple[float, float], List[int]] = {}
-        for position, key in enumerate(zip(speedups, self._cost_rates)):
-            positions.setdefault(key, []).append(position)
-        self._key_positions = positions
-        self._keys_sorted = sorted(positions)
 
     def _apply_change(self, position: int, speedup: float) -> None:
-        rate = self._cost_rates[position]
-        old_key = (self._speedups[position], rate)
-        new_key = (speedup, rate)
-        self._speedups[position] = speedup
+        self._keys[0, position] = speedup
         self._points[position] = None
         if self._whole:
             self._point_at(position)
-        if old_key == new_key:
-            return
-        holders = self._key_positions[old_key]
-        holders.remove(position)
-        if not holders:
-            del self._key_positions[old_key]
-            index = bisect_left(self._keys_sorted, old_key)
-            del self._keys_sorted[index]
-        existing = self._key_positions.get(new_key)
-        if existing is None:
-            self._key_positions[new_key] = [position]
-            insort(self._keys_sorted, new_key)
-        else:
-            existing.append(position)
 
     def _refresh(self) -> None:
         version = getattr(self._learner, "estimates_version", None)
@@ -430,11 +445,12 @@ class LearnedPoints:
             self._envelopes = {}
             self._version = None
             return
-        if self._version == version and self._speedups:
+        # A version is pinned only after the buffer has been filled.
+        if self._version == version:
             return
         changed = (
             self._learner.changes_since(self._version)
-            if self._version is not None and self._speedups
+            if self._version is not None
             else None
         )
         if changed is None:
@@ -453,7 +469,7 @@ class LearnedPoints:
         if point is None:
             point = ConfigPoint(
                 config=self._configs[position],
-                speedup=self._speedups[position],
+                speedup=self._keys.item(0, position),
                 cost_rate=self._cost_rates[position],
             )
             self._points[position] = point
@@ -483,11 +499,11 @@ class LearnedPoints:
         None unless every estimate lies below ``target`` by more than
         the solver's exact-hit tolerance (1e-12).  Otherwise the point
         its saturated branch picks — the first cheapest estimate within
-        2% of the largest — found on the float lists, so only that one
-        ``ConfigPoint`` is built.
+        2% of the largest — found on the estimates as floats, so only
+        that one ``ConfigPoint`` is built.
         """
         self._refresh()
-        speedups = self._speedups
+        speedups = self._keys[0].tolist()
         fastest = max(speedups)
         # Rounding is monotone, so the largest estimate is the one
         # nearest a target above them all: this one test rules out both
@@ -505,23 +521,16 @@ class LearnedPoints:
     def envelope(self, idle: ConfigPoint = IDLE_POINT) -> tuple:
         """Cached ``(hull, best_at)``, rebuilt only on estimate change.
 
-        The rebuild runs the monotone chain over the incrementally
-        maintained sorted key list — the same input (and so the same
-        hull) :func:`compute_envelope` derives from scratch — and
-        builds first-wins owners for hull vertices only (the solver
-        never looks up points off the hull).
+        The rebuild is :func:`_build_envelope` on the estimates and
+        cost rates — the hull :func:`compute_envelope` builds from
+        scratch — with first-wins owners for hull vertices only (the
+        solver never looks up points off the hull).
         """
         self._refresh()
         cache_key = (idle.config, idle.speedup, idle.cost_rate)
         cached = self._envelopes.get(cache_key)
         if cached is None:
-            positions = self._key_positions
-            cached = _envelope_over_keys(
-                self._keys_sorted,
-                positions,
-                lambda key: self._point_at(min(positions[key])),
-                idle,
-            )
+            cached = _build_envelope(self._buffers, self._point_at, idle)
             self._envelopes[cache_key] = cached
         return cached
 
