@@ -23,7 +23,7 @@ from repro.runtime.optimizer import (
     ScheduleEntry,
     lower_envelope_cost,
 )
-from repro.sim.optables import operating_point_table
+from repro.sim.optables import OperatingPointTable, operating_point_table
 from repro.sim.perfmodel import PerformanceModel
 from repro.workloads.phase import Phase, PhasedApplication
 
@@ -88,6 +88,14 @@ class OracleAllocator:
     for the present phase (and, for server workloads, the present
     request rate); it returns the exact LP optimum.  This is the
     idealized reference every other allocator is normalized against.
+
+    On the fast path the optimum is remembered per
+    :class:`~repro.sim.optables.OperatingPointTable`: tables are sealed
+    and immutable and the goal is fixed, so a throughput phase's
+    schedule — the unreachable-goal fallback included — is solved once
+    and handed out again on every interval spent in the phase.  Latency
+    point views and plain lists depend on the interval's request rate
+    and are solved every call.
     """
 
     name = "Optimal"
@@ -96,12 +104,22 @@ class OracleAllocator:
         if qos_goal <= 0:
             raise ValueError(f"qos_goal must be positive, got {qos_goal}")
         self.qos_goal = qos_goal
+        self._solved: Dict[OperatingPointTable, Schedule] = {}
 
     def decide(
         self,
         measurement: Optional[object],
         true_points: Sequence[ConfigPoint],
     ) -> Schedule:
+        if perf.FAST and isinstance(true_points, OperatingPointTable):
+            schedule = self._solved.get(true_points)
+            if schedule is None:
+                schedule = self._solve(true_points)
+                self._solved[true_points] = schedule
+            return schedule
+        return self._solve(true_points)
+
+    def _solve(self, true_points: Sequence[ConfigPoint]) -> Schedule:
         try:
             _, schedule = lower_envelope_cost(true_points, self.qos_goal)
         except ValueError:

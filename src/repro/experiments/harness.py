@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -172,11 +172,25 @@ class RunResult:
 
 
 class _PhaseWalker:
-    """Advances an application's instruction stream through its phases."""
+    """Advances an application's instruction stream through its phases.
+
+    ``offset`` is a plain attribute: :meth:`run_cycles` advances it, and
+    the latency loop writes it directly.  :meth:`current_phase`
+    remembers its last answer together with the offset object it
+    answered for, and returns the answer again while ``offset`` is
+    still that same object.  The test is identity, not float equality:
+    arithmetic binds a new float object on every write (the memo holds
+    a reference to the old one, so its id cannot come back), and a
+    write that stores the very same object stores the same value.  An
+    interval's decision and its first leg read the same offset, so the
+    second read costs no scan.
+    """
 
     def __init__(self, app: PhasedApplication) -> None:
         self.app = app
         self.offset = 0.0  # instructions into the (wrapping) app
+        self._answered_offset: Optional[float] = None  # nothing answered yet
+        self._answer: Tuple[int, Phase] = (0, app.phases[0])
         # Cumulative phase end offsets, accumulated in the same
         # left-to-right order as the scalar scan so the bisect fast path
         # sees bit-identical boundary values.
@@ -186,9 +200,14 @@ class _PhaseWalker:
             ends.append(cursor + phase.instructions)
             cursor += phase.instructions
         self._phase_ends = ends
+        self._total = app.total_instructions
 
     def current_phase(self) -> Tuple[int, Phase]:
-        return self.app.phase_at_instruction(self.offset)
+        offset = self.offset
+        if offset is not self._answered_offset:
+            self._answer = self.app.phase_at_instruction(offset)
+            self._answered_offset = offset
+        return self._answer
 
     def run_cycles(
         self,
@@ -224,9 +243,13 @@ class _PhaseWalker:
                 break
             instructions_left = self._instructions_left_in_phase()
             cycles_to_boundary = instructions_left / ipc
-            step = min(remaining, cycles_to_boundary)
-            self.offset += ipc * step
-            executed += ipc * step
+            # min(remaining, cycles_to_boundary), without the call.
+            step = (
+                cycles_to_boundary if cycles_to_boundary < remaining else remaining
+            )
+            progress = ipc * step
+            self.offset += progress
+            executed += progress
             used += step
             remaining -= step
             if stop_at_boundary and step == cycles_to_boundary:
@@ -237,8 +260,7 @@ class _PhaseWalker:
         return executed, used, False
 
     def _instructions_left_in_phase(self) -> float:
-        total = self.app.total_instructions
-        offset = self.offset % total
+        offset = self.offset % self._total
         if perf.FAST:
             index = bisect_right(self._phase_ends, offset)
             if index < len(self._phase_ends):
@@ -250,6 +272,34 @@ class _PhaseWalker:
                 return cursor + phase.instructions - offset
             cursor += phase.instructions
         return self.app.phases[-1].instructions
+
+
+def _measured(
+    qos: float,
+    phase: Phase,
+    gauss: Optional[Callable[[float, float], float]],
+    std: float,
+) -> Tuple[float, Tuple[float, float, float]]:
+    """An interval's measured QoS and its phase's counter signature.
+
+    The signature is the configuration-independent fingerprint of the
+    phase: cache-miss and branch-mispredict rates per committed
+    instruction, which the runtime reads on any Slice over the Runtime
+    Interface Network (Section III-B2) to recognize *which* phase is
+    executing.  Each value carries the same measurement noise, drawn
+    from ``gauss`` in this order, QoS first; None draws nothing.
+    """
+    if gauss is None:
+        counters = (phase.mem_refs_per_inst, phase.l1_miss_rate, phase.mispredict_rate)
+        return qos, counters
+    return (
+        max(qos * (1.0 + gauss(0.0, std)), 0.0),
+        (
+            max(phase.mem_refs_per_inst * (1.0 + gauss(0.0, std)), 0.0),
+            max(phase.l1_miss_rate * (1.0 + gauss(0.0, std)), 0.0),
+            max(phase.mispredict_rate * (1.0 + gauss(0.0, std)), 0.0),
+        ),
+    )
 
 
 class _StallMemo(dict):
@@ -267,6 +317,55 @@ class _StallMemo(dict):
         stall = self.costs.transition_cycles(*key)
         self[key] = stall
         return stall
+
+
+class _LegTerms(dict):
+    """``config -> (cost rate, phase -> IPC)``, built on a config's first leg.
+
+    A configuration's cost rate is fixed, so it is computed once.  Its
+    IPC lookup answers for the phase it is handed — the walker passes
+    the phase it is in, and rounding can carry a leg's end past a
+    phase boundary — from that phase's table, remembered per phase
+    name on the fast path; the scalar twin asks the model every call.
+    ``table_of(phase)`` is the simulator's per-phase table handle.
+    """
+
+    def __init__(
+        self,
+        cost_model: CostModel,
+        model: PerformanceModel,
+        table_of: Callable[[Phase], Sequence[ConfigPoint]],
+    ) -> None:
+        super().__init__()
+        self.cost_model = cost_model
+        self.model = model
+        self.table_of = table_of
+
+    def __missing__(
+        self, config: VCoreConfig
+    ) -> Tuple[float, Callable[[Phase], float]]:
+        terms = (config.cost_rate(self.cost_model), self._ipc_lookup(config))
+        self[config] = terms
+        return terms
+
+    def _ipc_lookup(self, config: VCoreConfig) -> Callable[[Phase], float]:
+        model, table_of = self.model, self.table_of
+        by_phase: Dict[str, float] = {}
+
+        def ipc_of(phase: Phase) -> float:
+            if perf.FAST:
+                ipc = by_phase.get(phase.name)
+                if ipc is None:
+                    table = table_of(phase)
+                    if isinstance(table, OperatingPointTable):
+                        ipc = table.get_ipc(config)
+                    if ipc is None:
+                        ipc = model.ipc(phase, config)
+                    by_phase[phase.name] = ipc
+                return ipc
+            return model.ipc(phase, config)
+
+        return ipc_of
 
 
 class ThroughputSimulator:
@@ -316,6 +415,7 @@ class ThroughputSimulator:
         self.seed = seed
         self._points_cache: Dict[str, Sequence[ConfigPoint]] = {}
         self._stalls = _StallMemo(reconfig_costs)
+        self._terms = _LegTerms(cost_model, model, self.true_points)
 
     def true_points(self, phase: Phase) -> Sequence[ConfigPoint]:
         cached = self._points_cache.get(phase.name)
@@ -340,16 +440,6 @@ class ThroughputSimulator:
         self._points_cache[phase.name] = points
         return points
 
-    def _ipc_of(self, phase: Phase, config: VCoreConfig) -> float:
-        """Model IPC, served from the operating-point table when fast."""
-        if perf.FAST:
-            table = self.true_points(phase)
-            if isinstance(table, OperatingPointTable):
-                ipc = table.get_ipc(config)
-                if ipc is not None:
-                    return ipc
-        return self.model.ipc(phase, config)
-
     def run(
         self,
         allocator: Allocator,
@@ -362,6 +452,14 @@ class ThroughputSimulator:
         and learns from them) but are not recorded — the paper's
         1000-sample measurements describe steady-state operation, after
         the runtime has seen the application's phases at least once.
+
+        Each interval pays only for what differs between intervals: the
+        walker remembers its phase, :meth:`_execute` reads each
+        configuration's cost rate and IPC lookup from a per-config memo,
+        and noise is drawn straight from the run's ``rng.gauss`` with the
+        standard deviation read once (a non-positive one draws nothing).
+        Draws keep their order: each executed leg in schedule order,
+        then the measured QoS, then the three signature counters.
         """
         if intervals <= 0:
             raise ValueError(f"intervals must be positive, got {intervals}")
@@ -369,16 +467,17 @@ class ThroughputSimulator:
             raise ValueError(
                 f"warmup_intervals must be non-negative, got {warmup_intervals}"
             )
-        rng = random.Random(self.seed)
+        std = self.noise_std_frac
+        gauss = None if std <= 0.0 else random.Random(self.seed).gauss
         walker = _PhaseWalker(self.app)
+        floor = self.qos_goal * (1.0 - self.violation_margin)
         records: List[IntervalRecord] = []
         measurement: Optional[QoSMeasurement] = None
         current_config: Optional[VCoreConfig] = None
         cycle = 0.0
         for index in range(-warmup_intervals, intervals):
             _, phase = walker.current_phase()
-            points = self.true_points(phase)
-            schedule = allocator.decide(measurement, points)
+            schedule = allocator.decide(measurement, self.true_points(phase))
             (
                 true_qos,
                 active_qos,
@@ -387,31 +486,27 @@ class ThroughputSimulator:
                 reconfig_cycles,
                 current_config,
                 actual_cycles,
-            ) = self._execute(schedule, walker, current_config, rng)
-            measured = self._noisy(true_qos, rng)
-            violated = true_qos < self.qos_goal * (1.0 - self.violation_margin)
+            ) = self._execute(schedule, walker, current_config, gauss)
+            measured, signature = _measured(true_qos, phase, gauss, std)
             if index >= 0:
+                # Positional, in IntervalRecord's field order.
                 records.append(
                     IntervalRecord(
-                        index=index,
-                        start_cycle=cycle,
-                        phase_name=phase.name,
-                        schedule=schedule,
-                        true_qos=true_qos,
-                        measured_qos=measured,
-                        active_qos=active_qos,
-                        cost_rate=cost_rate,
-                        violated=violated,
-                        reconfig_cycles=reconfig_cycles,
-                        cycles=actual_cycles,
+                        index,
+                        cycle,
+                        phase.name,
+                        schedule,
+                        true_qos,
+                        measured,
+                        active_qos,
+                        cost_rate,
+                        true_qos < floor,
+                        reconfig_cycles,
+                        actual_cycles,
                     )
                 )
                 cycle += actual_cycles
-            measurement = QoSMeasurement(
-                overall_qos=measured,
-                legs=tuple(legs),
-                signature=self._signature(phase, rng),
-            )
+            measurement = QoSMeasurement(measured, legs, signature)
         return RunResult(
             app_name=self.app.name,
             allocator_name=allocator.name,
@@ -420,38 +515,17 @@ class ThroughputSimulator:
             records=records,
         )
 
-    def _signature(self, phase: Phase, rng: random.Random) -> Tuple[float, ...]:
-        """Configuration-independent counter fingerprint of a phase.
-
-        The CASH runtime can read cache-miss and branch-mispredict
-        counters on any Slice over the Runtime Interface Network
-        (Section III-B2); per committed instruction these rates are
-        properties of the workload, not of the virtual-core shape, so
-        they identify *which* phase is executing.  Reported with the
-        same measurement noise as QoS.
-        """
-        return (
-            self._noisy(phase.mem_refs_per_inst, rng),
-            self._noisy(phase.l1_miss_rate, rng),
-            self._noisy(phase.mispredict_rate, rng),
-        )
-
-    def _noisy(self, value: float, rng: random.Random) -> float:
-        if self.noise_std_frac <= 0.0:
-            return value
-        return max(value * (1.0 + rng.gauss(0.0, self.noise_std_frac)), 0.0)
-
     def _execute(
         self,
         schedule: Schedule,
         walker: _PhaseWalker,
         current_config: Optional[VCoreConfig],
-        rng: random.Random,
+        gauss: Optional[Callable[[float, float], float]],
     ) -> Tuple[
         float,
         float,
         float,
-        List[LegObservation],
+        Tuple[LegObservation, ...],
         int,
         Optional[VCoreConfig],
         float,
@@ -462,7 +536,12 @@ class ThroughputSimulator:
         within a single phase, mirroring the paper's per-phase oracle
         construction (Section V-C) — no sample mixes two phases, so
         violations reflect allocation decisions, not sampling artefacts.
+        Each executed leg's measured QoS draws from ``gauss`` (None
+        draws nothing).
         """
+        std = self.noise_std_frac
+        interval_cycles = self.interval_cycles
+        terms = self._terms
         total_instructions = 0.0
         elapsed = 0.0
         busy_cycles = 0.0
@@ -474,25 +553,25 @@ class ThroughputSimulator:
         for entry in schedule.entries:
             if crossed:
                 break
-            leg_cycles = entry.fraction * self.interval_cycles
+            leg_cycles = entry.fraction * interval_cycles
             if leg_cycles <= 0:
                 continue
-            if entry.point.is_idle:
-                elapsed += leg_cycles
-                legs.append(
-                    LegObservation(config=None, fraction=entry.fraction, qos=0.0)
-                )
-                continue
             config = entry.point.config
+            if config is None:  # the idle point
+                elapsed += leg_cycles
+                legs.append(LegObservation(None, entry.fraction, 0.0))
+                continue
             stall = 0
-            if current_config is not None and config != current_config:
+            if (
+                current_config is not None
+                and config is not current_config
+                and config != current_config
+            ):
                 stall = min(self._stalls[current_config, config], int(leg_cycles))
             current_config = config
-            productive = leg_cycles - stall
+            cost_rate, ipc_of = terms[config]
             executed, used, crossed = walker.run_cycles(
-                productive,
-                lambda phase, config=config: self._ipc_of(phase, config),
-                stop_at_boundary=True,
+                leg_cycles - stall, ipc_of, True
             )
             leg_total = used + stall
             elapsed += leg_total
@@ -500,16 +579,13 @@ class ThroughputSimulator:
             busy_cycles += leg_total
             busy_instructions += executed
             reconfig_total += stall
-            dollars_time += config.cost_rate(self.cost_model) * leg_total
+            dollars_time += cost_rate * leg_total
             leg_qos = executed / leg_total if leg_total > 0 else 0.0
-            legs.append(
-                LegObservation(
-                    config=config,
-                    fraction=entry.fraction,
-                    qos=self._noisy(leg_qos, rng),
-                )
-            )
-        elapsed = max(elapsed, 1.0)
+            if gauss is not None:
+                leg_qos = max(leg_qos * (1.0 + gauss(0.0, std)), 0.0)
+            legs.append(LegObservation(config, entry.fraction, leg_qos))
+        if elapsed < 1.0:  # max(elapsed, 1.0), without the call
+            elapsed = 1.0
         true_qos = total_instructions / elapsed
         active_qos = busy_instructions / busy_cycles if busy_cycles > 0 else 0.0
         cost_rate = dollars_time / elapsed
@@ -517,7 +593,7 @@ class ThroughputSimulator:
             true_qos,
             active_qos,
             cost_rate,
-            legs,
+            tuple(legs),
             reconfig_total,
             current_config,
             elapsed,
@@ -766,6 +842,7 @@ class LatencySimulator:
         self._tables: Dict[str, OperatingPointTable] = {}
         self._capacity_cache: Dict[str, _PhaseCapacities] = {}
         self._stalls = _StallMemo(reconfig_costs)
+        self._terms = _LegTerms(cost_model, model, self._table)
 
     def _table(self, phase: Phase) -> OperatingPointTable:
         table = self._tables.get(phase.name)
@@ -775,14 +852,6 @@ class LatencySimulator:
             )
             self._tables[phase.name] = table
         return table
-
-    def _ipc_of(self, phase: Phase, config: VCoreConfig) -> float:
-        """Model IPC, served from the operating-point table when fast."""
-        if perf.FAST:
-            ipc = self._table(phase).get_ipc(config)
-            if ipc is not None:
-                return ipc
-        return self.model.ipc(phase, config)
 
     def _capacity_entries(self, phase: Phase) -> _PhaseCapacities:
         cached = self._capacity_cache.get(phase.name)
@@ -794,8 +863,12 @@ class LatencySimulator:
         return cached
 
     def service_capacity(self, phase: Phase, config: VCoreConfig) -> float:
-        """Requests per cycle the configuration can serve in ``phase``."""
-        return self._ipc_of(phase, config) / self.app.instructions_per_request
+        """Requests per cycle the configuration can serve in ``phase``.
+
+        The IPC is served from the operating-point table when fast.
+        """
+        _, ipc_of = self._terms[config]
+        return ipc_of(phase) / self.app.instructions_per_request
 
     def required_capacity(self, rate_per_second: float) -> float:
         """Capacity (requests/cycle) needed to hold the latency target."""
@@ -824,6 +897,14 @@ class LatencySimulator:
     def true_points(
         self, phase: Phase, rate_per_second: float
     ) -> Sequence[ConfigPoint]:
+        return self._points_at(
+            phase, rate_per_second, self.required_capacity(rate_per_second)
+        )
+
+    def _points_at(
+        self, phase: Phase, rate_per_second: float, required: float
+    ) -> Sequence[ConfigPoint]:
+        """:meth:`true_points`, given ``required_capacity(rate_per_second)``."""
         if perf.FAST:
             # capacity / required is the same division the scalar
             # ``qos_of`` performs, on the same capacity value, so each
@@ -831,7 +912,6 @@ class LatencySimulator:
             # read; where some point could fail ConfigPoint's checks the
             # eager list is built instead, raising exactly as before.
             entries = self._capacity_entries(phase)
-            required = self.required_capacity(rate_per_second)
             view = _CapacityPoints(entries, required)
             if entries.non_negative and required > 0:
                 return view
@@ -846,77 +926,95 @@ class LatencySimulator:
         ]
 
     def run(self, allocator: Allocator, intervals: int = 1000) -> RunResult:
+        """Run ``intervals`` recorded samples of the server.
+
+        Each interval computes the rate's required capacity once: every
+        leg's QoS is its service rate over it (the two divisions
+        :meth:`qos_of` performs), and so is the interval's.  Cost rates
+        and IPC lookups come from a per-config memo, and noise is drawn
+        straight from the run's ``rng.gauss`` with the standard
+        deviation read once (a non-positive one draws nothing), in the
+        order legs, measured QoS, signature.  A measurement is built
+        once, at the start of the next interval, when its
+        ``goal_scale`` — how far the capacity requirement moved — is
+        known; the last interval's measurement is never read.
+        """
         if intervals <= 0:
             raise ValueError(f"intervals must be positive, got {intervals}")
-        rng = random.Random(self.seed)
+        std = self.noise_std_frac
+        gauss = None if std <= 0.0 else random.Random(self.seed).gauss
         walker = _PhaseWalker(self.app)
+        per_request = self.app.instructions_per_request
+        interval_cycles = self.interval_cycles
+        terms = self._terms
+        stalls = self._stalls
+        floor = 1.0 - self.violation_margin
         records: List[IntervalRecord] = []
         measurement: Optional[QoSMeasurement] = None
+        # The previous interval's measured QoS, legs and signature, and
+        # its required capacity.
+        observed: Optional[tuple] = None
+        previous_required = 0.0
         current_config: Optional[VCoreConfig] = None
         cycle = 0.0
-        previous_rate: Optional[float] = None
         for index in range(intervals):
             _, phase = walker.current_phase()
             rate = self.load.rate_at(cycle)
-            if measurement is not None and previous_rate is not None:
+            required = self.required_capacity(rate)
+            if observed is not None:
                 # The runtime reads arrival counters at decision time,
                 # so it knows how the capacity requirement moved.
-                measurement = replace(
-                    measurement,
-                    goal_scale=self.required_capacity(rate)
-                    / self.required_capacity(previous_rate),
+                measured, legs, signature = observed
+                measurement = QoSMeasurement(
+                    measured, legs, signature, required / previous_required
                 )
-            previous_rate = rate
-            points = self.true_points(phase, rate)
-            schedule = allocator.decide(measurement, points)
+            previous_required = required
+            schedule = allocator.decide(
+                measurement, self._points_at(phase, rate, required)
+            )
             cost_rate = 0.0
-            legs: List[LegObservation] = []
+            leg_list: List[LegObservation] = []
             reconfig_total = 0
             capacity = 0.0  # requests per cycle the schedule can serve
             for entry in schedule.entries:
                 if entry.fraction <= 0:
                     continue
+                point_config = entry.point.config
                 config = (
-                    entry.point.config
-                    if not entry.point.is_idle
-                    else self._cheapest
+                    point_config if point_config is not None else self._cheapest
                 )
                 stall = 0
-                if current_config is not None and config != current_config:
-                    stall = self._stalls[current_config, config]
+                if (
+                    current_config is not None
+                    and config is not current_config
+                    and config != current_config
+                ):
+                    stall = stalls[current_config, config]
                 current_config = config
-                leg_cycles = entry.fraction * self.interval_cycles
+                leg_cycles = entry.fraction * interval_cycles
                 stall_penalty = min(stall / max(leg_cycles, 1.0), 0.5)
-                ipc = self._ipc_of(phase, config)
-                service_rate = ipc / self.app.instructions_per_request
+                config_rate, ipc_of = terms[config]
+                service_rate = ipc_of(phase) / per_request
                 capacity += entry.fraction * service_rate * (1.0 - stall_penalty)
-                leg_qos = self.qos_of(phase, config, rate) * (1.0 - stall_penalty)
-                cost_rate += config.cost_rate(self.cost_model) * entry.fraction
+                leg_qos = service_rate / required * (1.0 - stall_penalty)
+                if gauss is not None:
+                    leg_qos = max(leg_qos * (1.0 + gauss(0.0, std)), 0.0)
+                cost_rate += config_rate * entry.fraction
                 reconfig_total += stall
-                legs.append(
-                    LegObservation(
-                        config=entry.point.config,
-                        fraction=entry.fraction,
-                        qos=self._noisy(leg_qos, rng),
-                    )
+                leg_list.append(
+                    LegObservation(point_config, entry.fraction, leg_qos)
                 )
             # Fluid model of the time-shared interval: requests arrive
             # continuously, so the schedule's average service capacity
             # is what bounds latency.  Time spent idle (or in slow
             # legs) does not average away — it stretches every queued
             # request.  The capacity-margin QoS makes this exact.
-            total_qos = capacity / self.required_capacity(rate)
+            total_qos = capacity / required
             # Advance the request-mix phase walker by the work actually
             # served this interval.
             served_rate = rate / self.cycles_per_second  # requests/cycle
-            instructions = (
-                served_rate
-                * self.interval_cycles
-                * self.app.instructions_per_request
-            )
-            walker.offset += instructions
-            measured = self._noisy(total_qos, rng)
-            violated = total_qos < 1.0 - self.violation_margin
+            walker.offset += served_rate * interval_cycles * per_request
+            measured, signature = _measured(total_qos, phase, gauss, std)
             records.append(
                 IntervalRecord(
                     index=index,
@@ -927,21 +1025,13 @@ class LatencySimulator:
                     measured_qos=measured,
                     active_qos=total_qos,
                     cost_rate=cost_rate,
-                    violated=violated,
+                    violated=total_qos < floor,
                     reconfig_cycles=reconfig_total,
                     request_rate=rate,
                 )
             )
-            measurement = QoSMeasurement(
-                overall_qos=measured,
-                legs=tuple(legs),
-                signature=(
-                    self._noisy(phase.mem_refs_per_inst, rng),
-                    self._noisy(phase.l1_miss_rate, rng),
-                    self._noisy(phase.mispredict_rate, rng),
-                ),
-            )
-            cycle += self.interval_cycles
+            observed = (measured, tuple(leg_list), signature)
+            cycle += interval_cycles
         return RunResult(
             app_name=self.app.name,
             allocator_name=allocator.name,
@@ -949,8 +1039,3 @@ class LatencySimulator:
             interval_cycles=self.interval_cycles,
             records=records,
         )
-
-    def _noisy(self, value: float, rng: random.Random) -> float:
-        if self.noise_std_frac <= 0.0:
-            return value
-        return max(value * (1.0 + rng.gauss(0.0, self.noise_std_frac)), 0.0)

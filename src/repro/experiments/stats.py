@@ -40,6 +40,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -243,6 +244,16 @@ def run_cell(spec: AnyCellSpec):
     )
 
 
+class WorkerLostError(RuntimeError):
+    """A sweep worker died before every cell returned.
+
+    Raised by :func:`run_cells` in place of the pool's bare
+    :class:`~concurrent.futures.process.BrokenProcessPool` (chained as
+    its cause): names the first cell without a result and how many
+    cells were lost.
+    """
+
+
 def default_jobs() -> int:
     """Worker count when ``--jobs`` is not given: one per CPU."""
     return os.cpu_count() or 1
@@ -336,6 +347,9 @@ def run_cells(
     slots afterwards — the struct-of-arrays tier then advances each
     slab's cells in lockstep.  Batching is invisible in the results
     (bit-identical per cell); it only changes the wall clock.
+
+    A pool worker that dies mid-sweep raises :class:`WorkerLostError`,
+    naming the first cell without a result and how many were lost.
     """
     specs = list(specs)
     if jobs is None:
@@ -360,7 +374,16 @@ def run_cells(
         initializer=_worker_setup,
         initargs=(perf.FAST, sanitize.ENABLED),
     ) as pool:
-        counted = list(pool.map(_run_cell_counted, specs))
+        counted: List[Tuple[object, Dict[str, int]]] = []
+        try:
+            for result in pool.map(_run_cell_counted, specs):
+                counted.append(result)
+        except BrokenProcessPool as error:
+            lost = len(specs) - len(counted)
+            raise WorkerLostError(
+                f"a sweep worker died; {lost} of {len(specs)} cells lost, "
+                f"the first without a result: {specs[len(counted)]!r}"
+            ) from error
     for _, delta in counted:
         optstore.absorb(delta)
     return [result for result, _ in counted]

@@ -361,7 +361,9 @@ class LearnedPoints:
     configurations that actually executed, so this view keeps every
     position's estimate in one float64 buffer of its own and writes
     exactly the entries whose estimates changed (tracked by the
-    learner's ``estimates_version`` counter and per-config change log).
+    learner's ``estimates_version`` counter and per-config change log);
+    a full rebuild reads every estimate in one call when the learner
+    keeps them in this catalogue's order.
     The lower envelope is cached and rebuilt only when some estimate
     moved since it was last built; a rebuild hands the estimates and
     cost rates to the compiled chain in one call (its Python twin sorts
@@ -400,6 +402,17 @@ class LearnedPoints:
         self._learner = learner
         self._configs = list(configs)
         self._cost_rates = list(cost_rates)
+        # A learner that hands its estimates over in this catalogue's
+        # order (a runtime's own learner does) lets a full rebuild read
+        # them in one call.  Duplicated configs, another order or a
+        # learner without the method keep the per-config reads.
+        ordered = getattr(learner, "ordered_qos_estimates", None)
+        self._ordered: Optional[Callable[[], List[float]]] = (
+            ordered
+            if ordered is not None
+            and list(getattr(learner, "configs", ())) == self._configs
+            else None
+        )
         self._index: Dict[VCoreConfig, int] = {}
         for position, config in enumerate(self._configs):
             self._index.setdefault(config, position)
@@ -428,7 +441,16 @@ class LearnedPoints:
         return speedup
 
     def _rebuild_all(self) -> None:
-        self._keys[0] = [self._estimate(config) for config in self._configs]
+        if perf.FAST and self._ordered is not None:
+            estimates = self._ordered()
+            # The first negative estimate in catalogue order raises, as
+            # the per-config reads do; a NaN before it must not hide it.
+            negative = next((value for value in estimates if value < 0), None)
+            if negative is not None:
+                raise ValueError(f"speedup must be non-negative, got {negative}")
+            self._keys[0] = estimates
+        else:
+            self._keys[0] = [self._estimate(config) for config in self._configs]
         self._points = [None] * len(self._configs)
         self._whole = False
 
@@ -543,6 +565,9 @@ class SpeedupLearnerLike:  # pragma: no cover - typing aid only
     def qos_estimate(self, config: VCoreConfig) -> float: ...
 
     def changes_since(self, version: int) -> Optional[List[VCoreConfig]]: ...
+
+    # Optional: ``configs`` and ``ordered_qos_estimates()``, every
+    # estimate in that order, for one-call full rebuilds.
 
 
 class LearningOptimizer:

@@ -344,6 +344,15 @@ class SpeedupLearner:
     def qos_estimate(self, config: VCoreConfig) -> float:
         return self._estimates[config].qos
 
+    def ordered_qos_estimates(self) -> List[float]:
+        """Every q̂_k, in the order of :attr:`configs`.
+
+        The order never changes: the first table is keyed in catalogue
+        order, a fresh table copies the current table's keys, and a
+        recalled table is an earlier one.
+        """
+        return [estimate.qos for estimate in self._estimates.values()]
+
     def speedup(self, config: VCoreConfig) -> float:
         """ŝ_k = q̂_k / q̂_0."""
         return self._estimates[config].qos / self._base_qos

@@ -193,13 +193,14 @@ class PhasedApplication:
         self.qos_kind = qos_kind
         self.description = description
         self.instructions_per_request = instructions_per_request
-        # Phases are immutable after construction, so the total (a hot
-        # quantity in the phase walker) is computed exactly once, with
-        # the same left-to-right summation order as the original
-        # per-call computation.
-        self._total_instructions = sum(
+        # Phases are immutable after construction, so each phase's
+        # instruction count and the total (hot quantities in the phase
+        # walker) are computed exactly once; the total keeps the
+        # left-to-right summation order of the per-call computation.
+        self._phase_instructions: Tuple[float, ...] = tuple(
             phase.instructions for phase in self.phases
         )
+        self._total_instructions = sum(self._phase_instructions)
 
     def __len__(self) -> int:
         return len(self.phases)
@@ -225,11 +226,11 @@ class PhasedApplication:
             raise ValueError(
                 f"instruction offset must be non-negative, got {instruction}"
             )
-        offset = instruction % self.total_instructions
-        for index, phase in enumerate(self.phases):
-            if offset < phase.instructions:
-                return index, phase
-            offset -= phase.instructions
+        offset = instruction % self._total_instructions
+        for index, instructions in enumerate(self._phase_instructions):
+            if offset < instructions:
+                return index, self.phases[index]
+            offset -= instructions
         return len(self.phases) - 1, self.phases[-1]
 
     def phase_schedule(self) -> List[Tuple[float, float, Phase]]:

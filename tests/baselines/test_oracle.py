@@ -2,15 +2,20 @@
 
 import pytest
 
+from repro import perf
 from repro.arch.cost import DEFAULT_COST_MODEL
 from repro.arch.vcore import DEFAULT_CONFIG_SPACE
+from repro.baselines import oracle as oracle_module
 from repro.baselines.oracle import (
     OracleAllocator,
     build_oracle_table,
     phase_points,
 )
+from repro.experiments.harness import _CapacityPoints
+from repro.experiments.scenarios import make_latency_simulator
+from repro.sim.optables import operating_point_table
 from repro.sim.perfmodel import DEFAULT_PERF_MODEL
-from repro.workloads.apps import make_x264
+from repro.workloads.apps import get_app, make_x264
 
 
 class TestPhasePoints:
@@ -80,3 +85,78 @@ class TestOracleAllocator:
     def test_rejects_bad_goal(self):
         with pytest.raises(ValueError):
             OracleAllocator(qos_goal=-1)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every ``lower_envelope_cost`` call the oracle makes."""
+    calls = []
+    solve = oracle_module.lower_envelope_cost
+
+    def counting(points, *args, **kwargs):
+        calls.append(points)
+        return solve(points, *args, **kwargs)
+
+    monkeypatch.setattr(oracle_module, "lower_envelope_cost", counting)
+    return calls
+
+
+class TestOracleMemo:
+    def table(self, index=0):
+        phase = make_x264().phases[index]
+        return operating_point_table(phase, DEFAULT_PERF_MODEL)
+
+    def test_solves_once_per_table(self, solves):
+        allocator = OracleAllocator(qos_goal=0.7)
+        first, second = self.table(0), self.table(1)
+        with perf.fast_paths(True):
+            schedules = [
+                allocator.decide(None, table)
+                for table in (first, first, second, first, second)
+            ]
+        assert solves == [first, second]
+        assert schedules[0] == oracle_module.lower_envelope_cost(first, 0.7)[1]
+        assert schedules[2] == oracle_module.lower_envelope_cost(second, 0.7)[1]
+        assert schedules[1] is schedules[0] and schedules[3] is schedules[0]
+        assert schedules[4] is schedules[2]
+
+    def test_unreachable_goal_fallback_solves_once(self, solves):
+        table = self.table()
+        allocator = OracleAllocator(qos_goal=99.0)
+        with perf.fast_paths(True):
+            first = allocator.decide(None, table)
+            again = allocator.decide(None, table)
+        assert solves == [table]
+        assert again is first
+        assert first.saturated
+        assert first.entries[0].point is max(table, key=lambda p: p.speedup)
+        with perf.fast_paths(False):
+            assert OracleAllocator(qos_goal=99.0).decide(None, table) == first
+
+    def test_reference_mode_and_lists_solve_every_call(self, solves):
+        table = self.table()
+        allocator = OracleAllocator(qos_goal=0.7)
+        with perf.fast_paths(False):
+            allocator.decide(None, table)
+            allocator.decide(None, table)
+        points = list(table)
+        with perf.fast_paths(True):
+            allocator.decide(None, points)
+            allocator.decide(None, points)
+        assert len(solves) == 4
+
+    def test_capacity_view_is_never_memoized(self, solves):
+        sim = make_latency_simulator(get_app("apache"))
+        phase = sim.app.phases[0]
+        allocator = OracleAllocator(qos_goal=1.0)
+        with perf.fast_paths(True):
+            view = sim.true_points(phase, 800.0)
+            assert isinstance(view, _CapacityPoints)
+            first = allocator.decide(None, view)
+            again = allocator.decide(None, view)
+            other = allocator.decide(None, sim.true_points(phase, 1600.0))
+        assert len(solves) == 3
+        assert solves[0] is view and solves[1] is view
+        assert not allocator._solved
+        assert again == first and again is not first
+        assert other != first

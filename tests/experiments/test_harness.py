@@ -1,5 +1,7 @@
 """The closed-loop evaluation harness."""
 
+import math
+
 import pytest
 
 from repro.arch.vcore import DEFAULT_CONFIG_SPACE, VCoreConfig
@@ -68,6 +70,54 @@ class TestPhaseWalker:
     def test_rejects_negative_cycles(self):
         with pytest.raises(ValueError):
             _PhaseWalker(make_x264()).run_cycles(-1.0, lambda p: 1.0)
+
+    def test_current_phase_is_fresh_after_every_write(self, monkeypatch):
+        app = make_x264()
+        lookup = app.phase_at_instruction
+        scans = []
+
+        def counting(offset):
+            scans.append(offset)
+            return lookup(offset)
+
+        monkeypatch.setattr(app, "phase_at_instruction", counting)
+        walker = _PhaseWalker(app)
+        assert walker.current_phase() == lookup(0.0)
+        assert walker.current_phase() == lookup(0.0)
+        assert len(scans) == 1  # no write, no second scan
+        offsets = []
+        for start, end, _ in app.phase_schedule():
+            for boundary in (start, end):
+                offsets += [
+                    boundary,
+                    math.nextafter(boundary, -math.inf),
+                    math.nextafter(boundary, math.inf),
+                ]
+        for offset in offsets:
+            if offset < 0:
+                continue
+            before = len(scans)
+            walker.offset = offset
+            assert walker.current_phase() == lookup(offset)
+            assert len(scans) == before + 1
+            # An equal value in a new object is a write too.
+            walker.offset = float(repr(offset))
+            assert walker.offset == offset
+            assert walker.current_phase() == lookup(offset)
+            assert len(scans) == before + 2
+
+    def test_current_phase_follows_run_cycles_and_direct_writes(self):
+        app = make_x264()
+        walker = _PhaseWalker(app)
+        for _ in range(12):
+            walker.run_cycles(4e6, lambda phase: 1.7, stop_at_boundary=True)
+            assert walker.current_phase() == app.phase_at_instruction(
+                walker.offset
+            )
+            walker.offset += 3.1e5  # as the latency loop writes it
+            assert walker.current_phase() == app.phase_at_instruction(
+                walker.offset
+            )
 
 
 def make_sim(**overrides):

@@ -1,8 +1,17 @@
 """Multi-seed statistics."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.stats import Summary, run_across_seeds
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestSummary:
@@ -75,3 +84,55 @@ class TestSummaryCoercion:
 
     def test_hashable_after_coercion(self):
         assert hash(Summary(values=[1.0, 2.0])) == hash(Summary(values=(1.0, 2.0)))
+
+
+# The first cell ends its forked worker; the parent must get the named
+# error for that cell, not a bare BrokenProcessPool, and must not hang.
+DEAD_WORKER_SCRIPT = textwrap.dedent(
+    """
+    import os, sys
+    from repro.experiments import stats
+
+    specs = [
+        stats.CellSpec(app_name="hmmer", kind="optimal", intervals=5, seed=seed)
+        for seed in range(3)
+    ]
+    run_cell = stats.run_cell
+
+    def run_or_die(spec):
+        if spec == specs[0]:
+            os._exit(1)
+        return run_cell(spec)
+
+    stats.run_cell = run_or_die
+    try:
+        stats.run_cells(specs, jobs=2)
+    except stats.WorkerLostError as error:
+        print(type(error.__cause__).__name__)
+        print(error)
+        print(repr(specs[0]) in str(error))
+        sys.exit(0)
+    sys.exit(1)
+    """
+)
+
+
+class TestDeadWorker:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the cell is patched in the parent and reaches workers by fork",
+    )
+    def test_dead_worker_is_a_named_error(self):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", DEAD_WORKER_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        cause, message, names_spec = child.stdout.strip().splitlines()
+        assert cause == "BrokenProcessPool"
+        assert "3 of 3 cells lost" in message
+        assert names_spec == "True"

@@ -26,6 +26,7 @@ from repro.runtime.optimizer import (
     lower_envelope_cost,
     solve_two_config,
 )
+from repro.runtime.correlated import GridSmoothingLearner
 from repro.runtime.qlearning import SpeedupLearner
 
 CONFIGS = [
@@ -203,6 +204,66 @@ class _FixedLearner:
 
     def changes_since(self, version):
         return []
+
+
+class TestOrderedRebuild:
+    """A full rebuild reads a learner's estimates in one call when the
+    learner keeps them in the view's catalogue order."""
+
+    @pytest.mark.parametrize("learner_class", [SpeedupLearner, GridSmoothingLearner])
+    @given(actions=ACTIONS)
+    @settings(max_examples=30, deadline=None)
+    def test_rebuild_equals_per_config_reads(self, learner_class, actions):
+        learner = learner_class(configs=CONFIGS, base_config=BASE, base_qos=1.0)
+        optimizer = LearningOptimizer(configs=CONFIGS, cost_rates=COST_RATES)
+        view = optimizer.learned_points(learner)
+        assert view._ordered is not None
+        reads = []
+        read = learner.qos_estimate
+        learner.qos_estimate = lambda config: reads.append(config) or read(config)
+        for action in actions:
+            # New phases, recalls and rescales each force a full rebuild.
+            apply_action(learner, action)
+            expected = [read(config) for config in CONFIGS]
+            assert learner.ordered_qos_estimates() == expected
+            with perf.fast_paths(True):
+                view._rebuild_all()
+            assert view._keys[0].tolist() == expected
+        assert reads == []
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_first_negative_raises_even_after_a_nan(self, fast):
+        learner, _, view = make_view()
+        view.points()
+        learner._estimates[CONFIGS[1]].qos = float("nan")
+        learner._estimates[CONFIGS[4]].qos = -2.0
+        learner._estimates[CONFIGS[5]].qos = -3.0
+        learner.invalidate_estimates()
+        with perf.fast_paths(fast):
+            with pytest.raises(ValueError, match="got -2.0$"):
+                view.points()
+
+    def test_learner_without_the_method_reads_per_config(self):
+        estimates = [0.5, 1.0, 0.98, 0.2, 0.3, 0.1, 0.4]
+        learner = _FixedLearner(estimates)
+        optimizer = LearningOptimizer(configs=CONFIGS, cost_rates=COST_RATES)
+        view = optimizer.learned_points(learner)
+        assert view._ordered is None
+        assert [point.speedup for point in view.points()] == estimates
+
+    @pytest.mark.parametrize(
+        "configs", [CONFIGS[::-1], CONFIGS + CONFIGS[:1]], ids=["reversed", "repeat"]
+    )
+    def test_other_catalogue_order_reads_per_config(self, configs):
+        learner = SpeedupLearner(configs=CONFIGS, base_config=BASE, base_qos=1.0)
+        learner.observe(CONFIGS[3], 2.5)
+        rates = [config.cost_rate(DEFAULT_COST_MODEL) for config in configs]
+        view = LearningOptimizer(configs=configs, cost_rates=rates).learned_points(
+            learner
+        )
+        assert view._ordered is None
+        speedups = [point.speedup for point in view.points()]
+        assert speedups == [learner.qos_estimate(config) for config in configs]
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Phase models and phased applications."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -157,3 +159,48 @@ class TestPhasedApplication:
         index, phase = app.phase_at_instruction(offset)
         assert phase in app.phases
         assert 0 <= index < len(app)
+
+
+def subtractive_scan(app, instruction):
+    """The lookup as a scan over each phase's ``instructions`` property."""
+    offset = instruction % app.total_instructions
+    for index, phase in enumerate(app.phases):
+        if offset < phase.instructions:
+            return index, phase
+        offset -= phase.instructions
+    return len(app.phases) - 1, app.phases[-1]
+
+
+class TestPhaseLookupAtBoundaries:
+    @given(
+        lengths=st.lists(
+            st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
+            min_size=1,
+            max_size=6,
+        ),
+        passes=st.integers(min_value=0, max_value=3),
+    )
+    def test_lookup_matches_subtractive_scan(self, lengths, passes):
+        app = PhasedApplication(
+            name="x",
+            phases=[
+                make_phase(name=f"p{i}", instructions_m=length)
+                for i, length in enumerate(lengths)
+            ],
+        )
+        boundaries = [0.0]
+        for phase in app.phases:
+            boundaries.append(boundaries[-1] + phase.instructions)
+        for boundary in boundaries:
+            # ``passes`` whole passes later: past the wrap.
+            shifted = boundary + passes * app.total_instructions
+            for offset in (
+                shifted,
+                math.nextafter(shifted, -math.inf),
+                math.nextafter(shifted, math.inf),
+            ):
+                if offset < 0:
+                    continue
+                assert app.phase_at_instruction(offset) == subtractive_scan(
+                    app, offset
+                )
