@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -106,6 +106,13 @@ class Fabric:
     Even (x+y) tiles are Slices and odd tiles are banks, approximating
     the interleaved layout of Fig. 3 with a 1:1 Slice:bank ratio.  Use
     ``bank_ratio`` to change the mix (e.g. 2 banks per Slice).
+
+    A placement or a release pays only for the tiles it moves: one
+    :meth:`_assign` call writes each tile's owner and its bit in its
+    kind's free-tile mask, and the compiled search reads the masks
+    through a :class:`~repro.native.PlacementBuffers` bound when the
+    fabric is built, which also holds its output buffer.  A copied or
+    unpickled fabric binds its own masks.
     """
 
     def __init__(
@@ -135,6 +142,16 @@ class Fabric:
         # by identity instead of hashing an enum per tile.
         self._free_slices = np.zeros(width * height, dtype=bool)
         self._free_banks = np.zeros(width * height, dtype=bool)
+        # The compiled search's view of the masks, with an output
+        # buffer with room for every tile, bound once: a placement
+        # then reads no array address and allocates no output.
+        self._placement = native.PlacementBuffers(
+            width,
+            height,
+            self._free_slices,
+            self._free_banks,
+            np.empty(width * height, dtype=np.int64),
+        )
         # Sanitizer shadow-recount sampling counter (REPRO_SANITIZE=1).
         self._sanitize_ticks = 0
         self._kind_totals: Dict[TileKind, int] = {
@@ -237,14 +254,6 @@ class Fabric:
             if tile.kind is kind and tile.is_free
         ]
 
-    def _mark_free(self, tile: Tile, free: bool) -> None:
-        """Set ``tile``'s bit in its kind's free-tile mask."""
-        x, y = tile.position
-        if tile.kind is _SLICE_KIND:
-            self._free_slices[y * self.width + x] = free
-        else:
-            self._free_banks[y * self.width + x] = free
-
     def _free_ids(self, kind: TileKind) -> np.ndarray:
         """Flat ids of the free ``kind`` tiles, ascending.
 
@@ -304,22 +313,14 @@ class Fabric:
             # period, so the sampled tick visits every consult in turn.
             for kind in (TileKind.SLICE, TileKind.L2_BANK):
                 self._recount(kind, np.flatnonzero(self._free_mask(kind)))
-        out = np.empty(need_slices + need_banks, dtype=np.int64)
-        status = core.fabric_place(
-            self.width,
-            self.height,
-            self._free_slices,
-            self._free_banks,
-            need_slices,
-            need_banks,
-            out,
-        )
+        buffers = self._placement
+        status = core.fabric_place(buffers, need_slices, need_banks)
         if status != 0:
             raise RuntimeError(
                 f"native placement failed (status {status}: "
                 f"{_PLACE_FAILURES.get(status, 'unknown')})"
             )
-        positions = self._positions(out)
+        positions = self._positions(buffers.out[: need_slices + need_banks])
         return positions[:need_slices], positions[need_slices:]
 
     def _place_reference(
@@ -406,12 +407,7 @@ class Fabric:
             slices, banks = self._place_native(core, need_slices, need_banks)
         else:
             slices, banks = self._place_reference(need_slices, need_banks)
-        for position in slices + banks:
-            tile = self._tiles[position]
-            tile.owner_vcore = vcore_id
-            self._mark_free(tile, False)
-        for position in slices:
-            self._tiles[position].slice_unit.owner_vcore = vcore_id
+        self._assign(slices + banks, vcore_id)
         allocation = Allocation(
             vcore_id=vcore_id,
             config=config,
@@ -435,16 +431,13 @@ class Fabric:
             raise FabricError(
                 f"vcore {allocation.vcore_id} already allocated"
             )
-        for position in allocation.positions:
-            tile = self._tiles.get(position)
-            if tile is None or not tile.is_free:
+        positions = allocation.positions
+        tiles = self._tiles
+        for position in positions:
+            tile = tiles.get(position)
+            if tile is None or tile.owner_vcore is not None:
                 return False
-        for position in allocation.positions:
-            tile = self._tiles[position]
-            tile.owner_vcore = allocation.vcore_id
-            self._mark_free(tile, False)
-        for position in allocation.slice_positions:
-            self._tiles[position].slice_unit.owner_vcore = allocation.vcore_id
+        self._assign(positions, allocation.vcore_id)
         self._allocations[allocation.vcore_id] = allocation
         return True
 
@@ -452,12 +445,33 @@ class Fabric:
         allocation = self._allocations.pop(vcore_id, None)
         if allocation is None:
             raise FabricError(f"vcore {vcore_id} is not allocated")
-        for position in allocation.positions:
-            tile = self._tiles[position]
-            tile.owner_vcore = None
-            self._mark_free(tile, True)
-            if tile.slice_unit is not None:
-                tile.slice_unit.owner_vcore = None
+        self._assign(allocation.positions, None)
+
+    def _assign(
+        self, positions: Sequence[Coordinate], owner: Optional[int]
+    ) -> None:
+        """Hand the tiles at ``positions`` to ``owner`` (None frees
+        them), keeping each one's Slice and its bit in its kind's
+        free-tile mask in step.
+
+        One call per placement or release, with the masks and the
+        width in locals: a method call per tile would cost more than
+        the bit it writes.
+        """
+        tiles = self._tiles
+        width = self.width
+        free_slices = self._free_slices
+        free_banks = self._free_banks
+        free = owner is None
+        for position in positions:
+            tile = tiles[position]
+            tile.owner_vcore = owner
+            x, y = position
+            if tile.kind is _SLICE_KIND:
+                free_slices[y * width + x] = free
+                tile.slice_unit.owner_vcore = owner
+            else:
+                free_banks[y * width + x] = free
 
     def reallocate(self, vcore_id: int, config: VCoreConfig) -> Allocation:
         """Resize a virtual core (release + allocate, keeping the id)."""

@@ -9,6 +9,7 @@ VCore built from 1–8 Slices and 64 KB–8 MB of L2 in power-of-two steps
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.arch.cache import CacheGeometry, mean_l2_hit_delay
@@ -18,7 +19,21 @@ from repro.arch.params import CacheParams, DEFAULT_CACHE_PARAMS
 
 @dataclass(frozen=True, order=True)
 class VCoreConfig:
-    """A virtual core: ``slices`` Slices plus ``l2_kb`` KB of L2 cache."""
+    """A virtual core: ``slices`` Slices plus ``l2_kb`` KB of L2 cache.
+
+    Its shape, :attr:`l2_banks` and :attr:`tiles`, is computed once (the
+    service and the fabric read it on every placement): construction
+    stores both as plain instance attributes, which shadow the two
+    cached properties below.  Only a size that is not a whole number of
+    banks reaches those, and they raise on every read, because an
+    exception is never cached.  Filling the cache at construction, not
+    on first read, keeps every config's attributes stored inline: a
+    ``cached_property`` writes through the instance's ``__dict__``, and
+    from then on CPython 3.11 reads that instance's attributes from a
+    separate dict, so hashing and comparing a mix of read and unread
+    configs took about a third longer.  Equality, hashing, ordering and
+    ``repr`` read only the two fields.
+    """
 
     slices: int
     l2_kb: int
@@ -28,8 +43,13 @@ class VCoreConfig:
             raise ValueError(f"slices must be positive, got {self.slices}")
         if self.l2_kb <= 0:
             raise ValueError(f"l2_kb must be positive, got {self.l2_kb}")
+        banks, remainder = divmod(self.l2_kb, DEFAULT_CACHE_PARAMS.l2_bank.size_kb)
+        if not remainder:
+            # Not fields, and the class is frozen.
+            object.__setattr__(self, "l2_banks", banks)
+            object.__setattr__(self, "tiles", self.slices + banks)
 
-    @property
+    @cached_property
     def l2_banks(self) -> int:
         """Number of 64 KB banks composing the L2."""
         banks, remainder = divmod(self.l2_kb, DEFAULT_CACHE_PARAMS.l2_bank.size_kb)
@@ -40,7 +60,7 @@ class VCoreConfig:
             )
         return banks
 
-    @property
+    @cached_property
     def tiles(self) -> int:
         """Total fabric tiles occupied (Slices + banks)."""
         return self.slices + self.l2_banks

@@ -72,10 +72,12 @@ def average_points(
     points = []
     for config in pool:
         # Instruction-weighted harmonic mean: total work over total time.
-        cycles = sum(
-            phase.instructions / ipc_of(index, config)
-            for index, phase in enumerate(app.phases)
-        )
+        # Added left to right in a loop, not with builtin ``sum()``,
+        # which compensates float rounding from CPython 3.12 on: the
+        # profile is then the same on every supported interpreter.
+        cycles = 0.0
+        for index, phase in enumerate(app.phases):
+            cycles += phase.instructions / ipc_of(index, config)
         points.append(
             ConfigPoint(
                 config=config,

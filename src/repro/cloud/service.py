@@ -56,7 +56,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import perf
 from repro.arch.cost import CostModel, DEFAULT_COST_MODEL
@@ -66,7 +66,12 @@ from repro.baselines.race import RaceToIdleAllocator
 from repro.cloud.admission import AdmissionController
 from repro.cloud.tenant import Tenant
 from repro.cloud.traffic import TenantTraffic, TrafficScenario
-from repro.experiments.harness import Allocator, CASHAllocator, _PhaseWalker
+from repro.experiments.harness import (
+    Allocator,
+    CASHAllocator,
+    _LegTerms,
+    _PhaseWalker,
+)
 from repro.runtime.cash import LegObservation, QoSMeasurement
 from repro.runtime.optimizer import ConfigPoint, Schedule, ScheduleEntry
 from repro.sim.optables import OperatingPointTable, operating_point_table
@@ -248,6 +253,14 @@ class _ServiceResident:
     id (not shared fleet-wide) so skipping other tenants' idle
     intervals cannot shift this one's draws — the property the whole
     event engine rests on."""
+    gauss: Optional[Callable[[float, float], float]]
+    """``rng.gauss``, bound at admission, or None when the engine draws
+    no noise (``noise_std_frac <= 0``)."""
+    terms: _LegTerms
+    """``config -> (cost rate, phase -> IPC)`` for the tenant's legs,
+    filled on each configuration's first leg (the harness's memo).  Its
+    IPC lookup reads :attr:`tables` by phase name under FAST; the
+    scalar twin asks the model on every call."""
     measurement: Optional[QoSMeasurement] = None
     last_schedule: Optional[Schedule] = None
     stable_steps: int = 0
@@ -263,6 +276,11 @@ class _ServiceResident:
     admission under FAST (empty in the scalar twin, which asks the
     model every step).  A step reads its phase's table here instead of
     looking it up in the process-wide cache."""
+
+
+#: The tenants stepped in one interval, each paired with its next
+#: active interval after it (None when its traffic has no more work).
+_Stepped = List[Tuple[_ServiceResident, Optional[int]]]
 
 
 def _noise_stream(seed: int, tenant_id: int) -> random.Random:
@@ -281,6 +299,13 @@ class ServiceEngine:
     (mixing them mid-horizon would be meaningless); fresh engines built
     from the same scenario produce bit-identical reports in either
     mode.
+
+    Both modes run one step loop, :meth:`_step_tenant`, which pays per
+    step only for what changes between steps: at admission each tenant
+    gets its phase tables, a leg memo (``config -> (cost rate, phase
+    -> IPC)``, the harness's ``_LegTerms``) and its noise stream's
+    bound ``gauss``, and the loop that steps a tenant hands its next
+    active interval on to the parking decision.
     """
 
     def __init__(
@@ -377,6 +402,7 @@ class ServiceEngine:
             # PhasedApplication rejects repeated phase names, so the
             # name keys every phase's table.
             assert len(tables) == len(tenant.app.phases)
+        rng = _noise_stream(self.noise_seed, tenant.tenant_id)
         self._residents[tenant.tenant_id] = _ServiceResident(
             traffic=traffic,
             allocator=build_tenant_allocator(
@@ -384,7 +410,13 @@ class ServiceEngine:
             ),
             walker=_PhaseWalker(tenant.app),
             account=ServiceAccount(tenant_id=tenant.tenant_id),
-            rng=_noise_stream(self.noise_seed, tenant.tenant_id),
+            rng=rng,
+            gauss=None if self.noise_std_frac <= 0.0 else rng.gauss,
+            # The lookup runs only under FAST, where ``tables`` holds
+            # every phase of the tenant's application.
+            terms=_LegTerms(
+                self.cost_model, self.model, lambda phase: tables[phase.name]
+            ),
             tables=tables,
         )
         return True
@@ -398,7 +430,8 @@ class ServiceEngine:
         self._shrink_streaks.pop(tenant_id, None)
 
     # ------------------------------------------------------------------
-    # per-step machinery (shared verbatim by both engine modes)
+    # per-step machinery (one code path, run unchanged by both engine
+    # modes; what a step reads per tenant is resolved at admission)
     # ------------------------------------------------------------------
     def _true_points(
         self, resident: _ServiceResident, phase: Phase
@@ -417,28 +450,17 @@ class ServiceEngine:
             for config in self.space
         ]
 
-    def _ipc_of(
-        self, resident: _ServiceResident, phase: Phase, config: VCoreConfig
-    ) -> float:
-        """Model IPC, served from the tenant's phase table when fast."""
-        if perf.FAST:
-            ipc = resident.tables[phase.name].get_ipc(config)
-            if ipc is not None:
-                return ipc
-        return self.model.ipc(phase, config)
-
-    def _noisy(self, resident: _ServiceResident, value: float) -> float:
-        if self.noise_std_frac <= 0.0:
-            return value
-        return max(
-            value * (1.0 + resident.rng.gauss(0.0, self.noise_std_frac)), 0.0
-        )
-
     def _peak_footprint(self, schedule: Schedule) -> Optional[VCoreConfig]:
-        configs = schedule.configs()
-        if not configs:
-            return None
-        return max(configs, key=lambda c: c.tiles)
+        """The schedule's configuration with the most tiles, the first
+        of equals (the one ``max`` picks), or None when every leg idles."""
+        peak: Optional[VCoreConfig] = None
+        peak_tiles = 0
+        for entry in schedule.entries:
+            config = entry.point.config
+            if config is not None and config.tiles > peak_tiles:
+                peak = config
+                peak_tiles = config.tiles
+        return peak
 
     def _place(self, tenant_id: int, config: VCoreConfig) -> bool:
         """Ensure the tenant's allocation can host ``config``.
@@ -449,9 +471,12 @@ class ServiceEngine:
         the allocation grows on demand and shrinks only when the
         request has been much smaller than the holding for a while —
         resizing the spatial allocation every interval would churn the
-        fabric into fragmentation.
+        fabric into fragmentation.  Whether the holding hosts the
+        request is decided once and serves both the hysteresis and the
+        growth test.
         """
         current = self.fabric.allocation_for(tenant_id)
+        hosts = False
         if current is not None:
             held = current.config
             hosts = (
@@ -469,10 +494,7 @@ class ServiceEngine:
                 # Sustained small footprint: release the slack.
                 self._shrink_streaks[tenant_id] = 0
         target = config
-        if current is not None and not (
-            current.config.slices >= config.slices
-            and current.config.l2_banks >= config.l2_banks
-        ):
+        if current is not None and not hosts:
             # Growing: take the component-wise maximum so the tenant
             # keeps hosting its smaller legs too.
             target = VCoreConfig(
@@ -554,15 +576,20 @@ class ServiceEngine:
         repeats the converged one, skipping the allocator and the
         noise draws alike), the tenant's allocation is resized to the
         schedule's peak footprint, and the legs run on the tenant's
-        phase walker.  Measurement noise comes from the tenant's own
-        stream.  Parking a tenant whose burst ends here is left to
-        :meth:`_close_interval`, after this interval's occupancy is
-        sampled.
+        phase walker, one ``run_cycles`` call per executed leg, with
+        the cost rate and IPC lookup its configuration's entry in the
+        tenant's leg memo holds.  Measurement noise comes from the
+        tenant's bound ``gauss``, in this order: each executed leg's
+        QoS in schedule order, the phase's three signature counters,
+        then the interval's overall QoS.  Parking a tenant whose burst
+        ends here is left to :meth:`_close_interval`, after this
+        interval's occupancy is sampled.
         """
         self._active_steps += 1
         tenant = resident.traffic.tenant
         account = resident.account
-        _, phase = resident.walker.current_phase()
+        walker = resident.walker
+        _, phase = walker.current_phase()
         schedule, replayed = self._decide(resident, phase)
         self._unpark(resident)
 
@@ -595,6 +622,10 @@ class ServiceEngine:
         # Execute the legs, ending the interval at a phase boundary so
         # no measurement (or its counter signature) mixes two phases —
         # the same discipline as the single-tenant harness.
+        gauss = resident.gauss
+        std = self.noise_std_frac
+        interval_cycles = self.interval_cycles
+        terms = resident.terms
         total_instructions = 0.0
         elapsed = 0.0
         dollars_time = 0.0  # Σ rate × cycles
@@ -603,41 +634,44 @@ class ServiceEngine:
         for entry in schedule.entries:
             if crossed or entry.fraction <= 0:
                 continue
-            leg_cycles = entry.fraction * self.interval_cycles
-            if entry.point.is_idle:
+            leg_cycles = entry.fraction * interval_cycles
+            config = entry.point.config
+            if config is None:  # the idle point
                 elapsed += leg_cycles
                 if not replayed:
                     legs.append(LegObservation(None, entry.fraction, 0.0))
                 continue
-            config = entry.point.config
-            executed, used, crossed = resident.walker.run_cycles(
-                leg_cycles,
-                lambda p, config=config: self._ipc_of(resident, p, config),
-                stop_at_boundary=True,
-            )
+            cost_rate, ipc_of = terms[config]
+            executed, used, crossed = walker.run_cycles(leg_cycles, ipc_of, True)
             total_instructions += executed
             elapsed += used
-            dollars_time += config.cost_rate(self.cost_model) * used
+            dollars_time += cost_rate * used
             if not replayed:
                 leg_qos = executed / used if used > 0 else 0.0
-                legs.append(
-                    LegObservation(
-                        config, entry.fraction, self._noisy(resident, leg_qos)
-                    )
-                )
-        elapsed = max(elapsed, 1.0)
+                if gauss is not None:
+                    leg_qos = max(leg_qos * (1.0 + gauss(0.0, std)), 0.0)
+                legs.append(LegObservation(config, entry.fraction, leg_qos))
+        if elapsed < 1.0:  # max(elapsed, 1.0), without the call
+            elapsed = 1.0
         dollars = dollars_time / elapsed  # mean $/hr over the interval
         true_qos = total_instructions / elapsed
         if not replayed:
-            signature = (
-                self._noisy(resident, phase.mem_refs_per_inst),
-                self._noisy(resident, phase.l1_miss_rate),
-                self._noisy(resident, phase.mispredict_rate),
-            )
+            if gauss is None:
+                signature = (
+                    phase.mem_refs_per_inst,
+                    phase.l1_miss_rate,
+                    phase.mispredict_rate,
+                )
+                overall_qos = true_qos
+            else:
+                signature = (
+                    max(phase.mem_refs_per_inst * (1.0 + gauss(0.0, std)), 0.0),
+                    max(phase.l1_miss_rate * (1.0 + gauss(0.0, std)), 0.0),
+                    max(phase.mispredict_rate * (1.0 + gauss(0.0, std)), 0.0),
+                )
+                overall_qos = max(true_qos * (1.0 + gauss(0.0, std)), 0.0)
             resident.measurement = QoSMeasurement(
-                overall_qos=self._noisy(resident, true_qos),
-                legs=tuple(legs),
-                signature=signature,
+                overall_qos, tuple(legs), signature
             )
         account.active_intervals += 1
         account.dollars_time += dollars
@@ -648,17 +682,22 @@ class ServiceEngine:
             account.violations += 1
             self._open_violations += 1
 
-    def _park_if_idle(self, resident: _ServiceResident, interval: int) -> None:
+    def _park_if_idle(
+        self, resident: _ServiceResident, interval: int, wake: Optional[int]
+    ) -> None:
         """Release the tenant's tiles when its burst just ended.
 
-        No work queued for the next interval means the spatial
-        allocation would sit occupied doing nothing; parking returns it
-        to the fabric so other tenants (and the utilization metric) see
-        the slack.  The reservation stays — admission is a contract.
+        ``wake`` is the tenant's next active interval at or after
+        ``interval + 1`` (None if it has no more work), which the engine
+        computed when it stepped the tenant.  No work queued for the
+        next interval means the spatial allocation would sit occupied
+        doing nothing; parking returns it to the fabric so other
+        tenants (and the utilization metric) see the slack.  The
+        reservation stays — admission is a contract.
         """
-        tenant_id = resident.traffic.tenant.tenant_id
-        if resident.traffic.next_active(interval + 1) == interval + 1:
+        if wake == interval + 1:
             return  # burst continues
+        tenant_id = resident.traffic.tenant.tenant_id
         current = self.fabric.allocation_for(tenant_id)
         if current is not None:
             resident.parked_allocation = current
@@ -684,12 +723,12 @@ class ServiceEngine:
     # ------------------------------------------------------------------
     # interval accounting (integer, stretch-exact)
     # ------------------------------------------------------------------
-    def _close_interval(
-        self, interval: int, stepped: List[_ServiceResident]
-    ) -> None:
+    def _close_interval(self, interval: int, stepped: _Stepped) -> None:
         """Account one eventful interval, then park the tenants in
         ``stepped`` whose burst ended with it.
 
+        ``stepped`` pairs each tenant stepped in ``interval`` with its
+        next active interval after it (see :meth:`_park_if_idle`).
         Parking follows the occupancy sample: a tenant whose burst ends
         at ``interval`` ran in it, so its tiles count toward this
         interval's utilization.
@@ -712,8 +751,8 @@ class ServiceEngine:
             )
         self._open_violations = 0
         self._open_dollars = 0.0
-        for resident in stepped:
-            self._park_if_idle(resident, interval)
+        for resident, wake in stepped:
+            self._park_if_idle(resident, interval, wake)
 
     def _account_stretch(self, start: int, end: int) -> None:
         """Account ``[start, end)`` — a span with no events — exactly."""
@@ -765,7 +804,7 @@ class ServiceEngine:
             if interval > cursor:
                 self._account_stretch(cursor, interval)
                 cursor = interval
-            stepped: List[_ServiceResident] = []
+            stepped: _Stepped = []
             while heap and heap[0][0] == interval:
                 _, kind, tenant_id = heapq.heappop(heap)
                 if kind == _EVENT_DEPART:
@@ -789,8 +828,8 @@ class ServiceEngine:
                     if resident is None:
                         continue  # departed this very interval
                     self._step_tenant(resident)
-                    stepped.append(resident)
                     wake = resident.traffic.next_active(interval + 1)
+                    stepped.append((resident, wake))
                     if wake is not None:
                         heapq.heappush(heap, (wake, _EVENT_STEP, tenant_id))
             self._close_interval(interval, stepped)
@@ -813,12 +852,14 @@ class ServiceEngine:
                 self._arrival_cursor += 1
                 self._admit(traffic)
             # ... then a controller step for every tenant with work.
-            stepped: List[_ServiceResident] = []
+            stepped: _Stepped = []
             for tenant_id in sorted(self._residents):
                 resident = self._residents[tenant_id]
                 if resident.traffic.is_active(interval):
                     self._step_tenant(resident)
-                    stepped.append(resident)
+                    stepped.append(
+                        (resident, resident.traffic.next_active(interval + 1))
+                    )
             self._close_interval(interval, stepped)
 
     # ------------------------------------------------------------------

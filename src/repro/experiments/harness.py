@@ -327,14 +327,17 @@ class _LegTerms(dict):
     the phase it is in, and rounding can carry a leg's end past a
     phase boundary — from that phase's table, remembered per phase
     name on the fast path; the scalar twin asks the model every call.
-    ``table_of(phase)`` is the simulator's per-phase table handle.
+    ``table_of(phase)`` is the owner's per-phase table handle (a
+    simulator's, or a service tenant's admission-time tables); it is
+    called only on the fast path, and only an
+    :class:`OperatingPointTable` it returns is read.
     """
 
     def __init__(
         self,
         cost_model: CostModel,
         model: PerformanceModel,
-        table_of: Callable[[Phase], Sequence[ConfigPoint]],
+        table_of: Callable[[Phase], object],
     ) -> None:
         super().__init__()
         self.cost_model = cost_model

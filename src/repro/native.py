@@ -177,6 +177,57 @@ class EnvelopeBuffers:
         return self._scratch
 
 
+class PlacementBuffers:
+    """One fabric's buffers for :meth:`NativeBatchCore.fabric_place`.
+
+    ``free_slices`` and ``free_banks`` are the fabric's ``width *
+    height`` boolean free-tile masks, which the fabric writes in place
+    as tiles change hands; ``out`` is an int64 array that receives the
+    flat ids of each placement's Slices, then banks.  Their dtypes,
+    layout and sizes are checked here, once, and their addresses read
+    once, instead of on every placement.  All three arrays are fixed
+    for the object's life.
+    """
+
+    __slots__ = ("_free_slices", "_free_banks", "_out", "_args")
+
+    def __init__(
+        self,
+        width: int,
+        height: int,
+        free_slices: np.ndarray,
+        free_banks: np.ndarray,
+        out: np.ndarray,
+    ) -> None:
+        slices_at, banks_at, out_at = _buffers(
+            ("free_slices", free_slices, np.bool_),
+            ("free_banks", free_banks, np.bool_),
+            ("out", out, np.int64),
+        )
+        tiles = width * height
+        if free_slices.size != tiles or free_banks.size != tiles:
+            raise ValueError(
+                f"masks hold {free_slices.size} and {free_banks.size} "
+                f"tiles, the {width}x{height} fabric {tiles}"
+            )
+        self._free_slices = free_slices
+        self._free_banks = free_banks
+        self._out = out
+        self._args = (width, height, slices_at, banks_at, out.size, out_at)
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # A copy or an unpickled object gets its own arrays' addresses.
+        width, height = self._args[:2]
+        return (
+            PlacementBuffers,
+            (width, height, self._free_slices, self._free_banks, self._out),
+        )
+
+    @property
+    def out(self) -> np.ndarray:
+        return self._out
+
+
 class NativeBatchCore:
     """ctypes wrapper around the compiled library's four entries:
     ``repro_run_batch``, ``repro_generate_trace``,
@@ -274,44 +325,33 @@ class NativeBatchCore:
         return int(self._generate(count, *buffers))
 
     def fabric_place(
-        self,
-        width: int,
-        height: int,
-        free_slices: np.ndarray,
-        free_banks: np.ndarray,
-        need_slices: int,
-        need_banks: int,
-        out: np.ndarray,
+        self, buffers: PlacementBuffers, need_slices: int, need_banks: int
     ) -> int:
-        """Invoke the compiled placement search (``arch/_fabric.c``):
-        writes the flat ids of the chosen Slices, then banks, to
-        ``out``; returns its status code (0 = ok, -1 = allocation
-        failure, -2 = no seed fits).  The C side reads ``width *
-        height`` bytes of each mask and writes ``need_slices +
-        need_banks`` ids, so the sizes and the counts are checked
-        first."""
-        buffers = _buffers(
-            ("free_slices", free_slices, np.bool_),
-            ("free_banks", free_banks, np.bool_),
-            ("out", out, np.int64),
-        )
-        tiles = width * height
-        if free_slices.size != tiles or free_banks.size != tiles:
-            raise ValueError(
-                f"masks hold {free_slices.size} and {free_banks.size} "
-                f"tiles, the {width}x{height} fabric {tiles}"
-            )
-        if min(need_slices, need_banks) < 0 or (
-            out.size < need_slices + need_banks
+        """Invoke the compiled placement search (``arch/_fabric.c``) on
+        the masks in ``buffers``: writes the flat ids of the chosen
+        Slices, then banks, to ``buffers.out``; returns its status code
+        (0 = ok, -1 = allocation failure, -2 = no seed fits).  The C
+        side reads ``width * height`` bytes of each mask, the sizes
+        :class:`PlacementBuffers` checked when it was built, and writes
+        ``need_slices + need_banks`` ids, so the counts are checked
+        here."""
+        width, height, slices_at, banks_at, room, out_at = buffers._args
+        if need_slices < 0 or need_banks < 0 or (
+            room < need_slices + need_banks
         ):
             raise ValueError(
-                f"out holds {out.size} ids, the request needs "
+                f"out holds {room} ids, the request needs "
                 f"{need_slices} + {need_banks}"
             )
-        slices, banks, ids = buffers
         return int(
             self._place(
-                width, height, slices, banks, need_slices, need_banks, ids
+                width,
+                height,
+                slices_at,
+                banks_at,
+                need_slices,
+                need_banks,
+                out_at,
             )
         )
 

@@ -1,5 +1,7 @@
 """Spatial allocation on the 2D fabric (Fig. 3)."""
 
+import copy
+import pickle
 import shutil
 
 import numpy as np
@@ -182,7 +184,7 @@ def _occupy(fabric, taken):
     for (x, y), tile in fabric.tiles.items():
         if y * fabric.width + x in taken:
             tile.owner_vcore = -1
-            fabric._mark_free(tile, False)
+            fabric._free_mask(tile.kind)[y * fabric.width + x] = False
 
 
 def _scalar_best_seed(fabric, need_slices, need_banks):
@@ -427,8 +429,8 @@ class TestFreeIndexConsistency:
 
 
 class TestCompiledPlacementCall:
-    """``NativeBatchCore.fabric_place`` checks what the C side would
-    read or write blindly, before calling it."""
+    """``PlacementBuffers`` and ``NativeBatchCore.fabric_place`` check
+    what the C side would read or write blindly, before calling it."""
 
     @pytest.fixture
     def guarded(self, core, monkeypatch):
@@ -450,11 +452,24 @@ class TestCompiledPlacementCall:
             out=np.empty(sum(need), dtype=np.int64),
         )
 
+    @staticmethod
+    def _place(core, arguments):
+        buffers = native.PlacementBuffers(
+            arguments["width"],
+            arguments["height"],
+            arguments["free_slices"],
+            arguments["free_banks"],
+            arguments["out"],
+        )
+        return core.fabric_place(
+            buffers, arguments["need_slices"], arguments["need_banks"]
+        )
+
     def test_mask_of_the_wrong_dtype(self, guarded):
         arguments = self._arguments()
         arguments["free_banks"] = arguments["free_banks"].astype(np.int8)
         with pytest.raises(ValueError, match="free_banks"):
-            guarded.fabric_place(**arguments)
+            self._place(guarded, arguments)
 
     def test_non_contiguous_mask(self, guarded):
         arguments = self._arguments()
@@ -462,24 +477,107 @@ class TestCompiledPlacementCall:
         arguments["free_slices"] = doubled[::2]
         assert not arguments["free_slices"].flags.c_contiguous
         with pytest.raises(ValueError, match="free_slices"):
-            guarded.fabric_place(**arguments)
+            self._place(guarded, arguments)
 
     def test_mask_of_another_fabric(self, guarded):
         arguments = self._arguments()
         arguments["width"] = 5
         with pytest.raises(ValueError, match="5x3"):
-            guarded.fabric_place(**arguments)
+            self._place(guarded, arguments)
 
     def test_short_out_buffer(self, guarded):
         arguments = self._arguments()
         arguments["out"] = arguments["out"][:-1].copy()
         with pytest.raises(ValueError, match="out holds 4"):
-            guarded.fabric_place(**arguments)
+            self._place(guarded, arguments)
 
     def test_negative_request(self, guarded):
         arguments = self._arguments(need=(-1, 3))
         with pytest.raises(ValueError, match="-1"):
-            guarded.fabric_place(**arguments)
+            self._place(guarded, arguments)
+
+
+class TestBoundPlacementBuffers:
+    """A fabric binds its masks and an output buffer for the compiled
+    search once; a copy or an unpickled fabric must bind its own."""
+
+    REQUESTS = [(2, 128), (1, 64), (3, 512), (4, 256), (1, 1024), (2, 64)]
+
+    @staticmethod
+    def _partly_allocated():
+        fabric = Fabric(width=12, height=10)
+        for vcore_id, request in enumerate([(3, 256), (1, 64), (2, 512)]):
+            fabric.allocate(vcore_id, VCoreConfig(*request))
+        fabric.release(1)
+        return fabric
+
+    def _place_all(self, fabric):
+        return [
+            repr(fabric.allocate(vcore_id, VCoreConfig(*request)))
+            for vcore_id, request in enumerate(self.REQUESTS, start=10)
+        ]
+
+    @staticmethod
+    def _state(fabric):
+        return (
+            fabric._free_slices.tobytes(),
+            fabric._free_banks.tobytes(),
+            repr(sorted(fabric.allocations.items())),
+        )
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copy_places_like_the_original(self, how):
+        fabric = self._partly_allocated()
+        before = self._state(fabric)
+        if how == "deepcopy":
+            twin = copy.deepcopy(fabric)
+        else:
+            twin = pickle.loads(pickle.dumps(fabric))
+        for mask in ("_free_slices", "_free_banks"):
+            assert getattr(twin, mask) is not getattr(fabric, mask)
+        placed_on_copy = self._place_all(twin)
+        # The copy's placements leave the original's masks untouched...
+        assert self._state(fabric) == before
+        # ...and the original then places exactly as the copy did.
+        assert self._place_all(fabric) == placed_on_copy
+        assert self._state(fabric) == self._state(twin)
+
+    def test_copy_reads_its_own_masks(self, core):
+        fabric = self._partly_allocated()
+        twin = copy.deepcopy(fabric)
+        # Take every free Slice of the original but one; the copy must
+        # still see all of its own.
+        free = np.flatnonzero(fabric._free_slices)
+        fabric._free_slices[free[1:]] = False
+        assert twin._free_slices[free].all()
+        slices, _ = twin._place_native(core, len(free), 1)
+        assert len(slices) == len(free)
+        ids = [y * twin.width + x for x, y in slices]
+        assert sorted(ids) == free.tolist()
+
+    def test_reference_path_without_the_native_core(self, monkeypatch):
+        """As with ``REPRO_NATIVE=0``: FAST placement takes the scalar
+        scan, on the original and on its copies alike, and places as
+        the reference path does."""
+        monkeypatch.setattr(native, "_ENABLED", False)
+        monkeypatch.setattr(native, "_CORE_TRIED", False)
+        monkeypatch.setattr(native, "_CORE", None)
+        assert native.batch_core() is None
+        replays = {}
+        for fast in (True, False):
+            fabric = self._partly_allocated()
+            fabrics = (
+                fabric,
+                copy.deepcopy(fabric),
+                pickle.loads(pickle.dumps(fabric)),
+            )
+            with perf.fast_paths(fast):
+                replays[fast] = [
+                    (self._place_all(each), self._state(each))
+                    for each in fabrics
+                ]
+            assert replays[fast][1:] == replays[fast][:1] * 2
+        assert replays[True] == replays[False]
 
 
 class TestWithoutCompiledCore:

@@ -1,5 +1,8 @@
 """Virtual core configurations and the configuration grid."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,6 +51,48 @@ class TestVCoreConfig:
         geometry = VCoreConfig(2, 256).geometry()
         assert geometry.num_banks == 4
         assert geometry.num_slices == 2
+
+
+class TestCachedShape:
+    """``l2_banks`` and ``tiles`` are computed once and kept on the
+    instance; nothing that compares, hashes, orders or prints a config
+    may see them."""
+
+    def test_measured_config_equals_a_fresh_one(self):
+        measured = VCoreConfig(3, 512)
+        assert (measured.l2_banks, measured.tiles) == (8, 11)
+        fresh = VCoreConfig(3, 512)
+        assert measured == fresh
+        assert hash(measured) == hash(fresh)
+        assert repr(measured) == repr(fresh) == "VCoreConfig(slices=3, l2_kb=512)"
+        assert measured <= fresh <= measured
+        assert not measured < fresh and not fresh < measured
+        others = [VCoreConfig(4, 64), VCoreConfig(1, 8192), VCoreConfig(3, 256)]
+        assert sorted(others + [measured]) == sorted(others + [fresh])
+        assert {measured: "a"}[fresh] == "a"
+
+    @pytest.mark.parametrize("how", ["copy", "pickle"])
+    @pytest.mark.parametrize("read_first", [True, False])
+    def test_copies_keep_value_and_shape(self, how, read_first):
+        config = VCoreConfig(2, 1024)
+        if read_first:
+            assert config.tiles == 18
+        if how == "copy":
+            twin = copy.copy(config)
+        else:
+            twin = pickle.loads(pickle.dumps(config))
+        assert twin == config
+        assert hash(twin) == hash(config)
+        assert repr(twin) == repr(config)
+        assert (twin.l2_banks, twin.tiles) == (16, 18)
+
+    def test_fractional_banks_raise_on_every_read(self):
+        config = VCoreConfig(1, 100)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                config.l2_banks
+            with pytest.raises(ValueError):
+                config.tiles
 
 
 class TestDefaultSpace:

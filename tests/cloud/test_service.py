@@ -8,9 +8,11 @@ uninterrupted one bit for bit), and mode locking.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import perf
 from repro.arch.fabric import Fabric
+from repro.arch.vcore import VCoreConfig
 from repro.cloud import service
 from repro.cloud.service import MetricsSink, ServiceEngine
 from repro.cloud.tenant import Tenant
@@ -21,6 +23,12 @@ from repro.cloud.traffic import (
     generate_traffic,
 )
 from repro.experiments.harness import qos_target_for
+from repro.runtime.optimizer import (
+    IDLE_POINT,
+    ConfigPoint,
+    Schedule,
+    ScheduleEntry,
+)
 from repro.workloads.apps import get_app
 
 
@@ -133,6 +141,78 @@ class TestAdmissionTables:
             scalar = build_engine(small_scenario(tenants=16, horizon=200)).run()
         assert len(lookups) == admission_lookups
         assert scalar == fast
+
+
+class TestStepMechanics:
+    TIED = (VCoreConfig(2, 128), VCoreConfig(3, 64))
+    """Two configurations of four tiles each."""
+
+    @staticmethod
+    def _schedule(configs):
+        entries = [
+            ScheduleEntry(
+                IDLE_POINT
+                if config is None
+                else ConfigPoint(config, 1.0 + index, 0.1),
+                1.0 / len(configs),
+            )
+            for index, config in enumerate(configs)
+        ]
+        return Schedule(entries=tuple(entries))
+
+    def test_peak_footprint_keeps_the_first_of_tied_legs(self):
+        engine = build_engine()
+        first, second = self.TIED
+        assert first.tiles == second.tiles
+        assert engine._peak_footprint(self._schedule(self.TIED)) is first
+        swapped = self._schedule(self.TIED[::-1])
+        assert engine._peak_footprint(swapped) is second
+        idle_first = self._schedule((None, second, first))
+        assert engine._peak_footprint(idle_first) is second
+        assert engine._peak_footprint(self._schedule((None,))) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        legs=st.lists(
+            st.one_of(
+                st.none(),
+                st.builds(
+                    VCoreConfig,
+                    st.integers(1, 8),
+                    st.sampled_from([64 << i for i in range(8)]),
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_peak_footprint_is_max_by_tiles(self, legs):
+        schedule = self._schedule(legs)
+        configs = schedule.configs()
+        expected = max(configs, key=lambda c: c.tiles) if configs else None
+        assert build_engine()._peak_footprint(schedule) is expected
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_no_noise_draws_nothing(self, fast):
+        with perf.fast_paths(fast):
+            engine = build_engine(noise_std_frac=0.0)
+            report = engine.run(until=100)
+        assert report.decide_steps > 0
+        assert engine._residents
+        for tenant_id, resident in engine._residents.items():
+            assert resident.gauss is None
+            untouched = service._noise_stream(engine.noise_seed, tenant_id)
+            assert resident.rng.getstate() == untouched.getstate()
+        # With noise on, the same tenants draw from their streams.
+        with perf.fast_paths(fast):
+            noisy = build_engine()
+            noisy.run(until=100)
+        moved = [
+            resident.rng.getstate()
+            != service._noise_stream(noisy.noise_seed, tenant_id).getstate()
+            for tenant_id, resident in noisy._residents.items()
+        ]
+        assert any(moved)
 
 
 class TestRunSegments:

@@ -7,14 +7,17 @@ of ``repr(RunResult)`` for four applications (two throughput, two
 latency) under all four allocators, warm-up included, at 60 intervals
 and two seeds.  Both modes must reproduce them.
 
-The Convex allocator's average-case profile adds per-phase cycle
-counts with the builtin ``sum()``, which compensates its rounding from
-CPython 3.12 on; that moves the x264 Convex runs, whose digests are
-therefore pinned for both summation flavours.  The compensated ones
-were generated by replaying CPython 3.12's float ``sum()`` in Python.
+One table serves every supported interpreter: no result depends on
+how builtin ``sum()`` rounds, which CPython 3.12 changed by
+compensating float sums.  ``test_convex_digest_under_compensated_sum``
+replays 3.12's ``sum()`` in Python over ``builtins.sum`` and checks the
+Convex cells, whose average-case profile once summed with it, against
+the same digests.
 """
 
+import builtins
 import hashlib
+import math
 
 import pytest
 
@@ -58,20 +61,49 @@ DIGESTS = {
     ("mailserver", "cash", 3): "75bbac13249f235ccfe1d4a43c0a3294547b33d01b850a0649dfb61b84ae1795",
 }
 
-COMPENSATED_SUM_DIGESTS = {
-    ("x264", "convex", 0): "82fa897a68dea739e8bce72ab2c2bf08dde3fecd0dc4678cc21f157f932cd921",
-    ("x264", "convex", 3): "5bdf3e0536bcb34f737feef59586d707424b90d7f2fc5dfc23f97b8d1fbab973",
-}
 
-# Left to right, both 1.0 terms vanish into 1e100 and the sum is 0.0;
-# a compensated sum keeps them and returns 2.0.
-COMPENSATED_SUM = sum([1.0, 1e100, 1.0, -1e100]) > 1.0
+def compensated_sum(iterable, /, start=0):
+    """CPython 3.12's builtin ``sum()``, replayed in Python.
 
-
-def expected_digest(cell):
-    if COMPENSATED_SUM and cell in COMPENSATED_SUM_DIGESTS:
-        return COMPENSATED_SUM_DIGESTS[cell]
-    return DIGESTS[cell]
+    Ints add exactly until the first other item; from a float total on,
+    float items add with Neumaier's compensation, which joins the total
+    at the end or before the first item that is neither float nor int;
+    anything after that adds with plain ``+``.
+    """
+    iterator = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in iterator:
+            total = total + item
+            if not isinstance(item, int):
+                break
+        else:
+            return total
+    if type(total) is float:
+        compensation = 0.0
+        for item in iterator:
+            if type(item) is float:
+                step = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - step) + item
+                else:
+                    compensation += (item - step) + total
+                total = step
+                continue
+            if isinstance(item, int) and -(2**63) <= item < 2**63:
+                total += float(item)
+                continue
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            total = total + item
+            break
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+    for item in iterator:
+        total = total + item
+    return total
 
 
 @pytest.fixture(autouse=True)
@@ -91,4 +123,31 @@ def test_run_result_digest(cell, fast):
             app_name, kind, intervals=INTERVALS, seed=seed
         )
     digest = hashlib.sha256(repr(result).encode()).hexdigest()
-    assert digest == expected_digest(cell)
+    assert digest == DIGESTS[cell]
+
+
+def test_compensated_sum_replays_the_compensation():
+    # Left to right, both 1.0 terms vanish into 1e100 and the sum is
+    # 0.0; a compensated sum keeps them.
+    terms = [1.0, 1e100, 1.0, -1e100]
+    assert compensated_sum(terms) == 2.0
+    assert compensated_sum(iter(terms), 0.5) == 2.5
+    assert compensated_sum([1, 2, 3]) == 6
+    assert compensated_sum([]) == 0
+
+
+@pytest.mark.parametrize("fast", (True, False), ids=("fast", "reference"))
+@pytest.mark.parametrize(
+    "cell",
+    sorted(cell for cell in DIGESTS if cell[1] == "convex"),
+    ids=lambda cell: "/".join(map(str, cell)),
+)
+def test_convex_digest_under_compensated_sum(cell, fast, monkeypatch):
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    app_name, kind, seed = cell
+    with perf.fast_paths(fast):
+        result = run_app_with_allocator(
+            app_name, kind, intervals=INTERVALS, seed=seed
+        )
+    digest = hashlib.sha256(repr(result).encode()).hexdigest()
+    assert digest == DIGESTS[cell]
