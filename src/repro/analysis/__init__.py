@@ -39,12 +39,11 @@ against):
   spec fields (``seed-derivation``); also the ``repro lint
   --dataflow-report`` evidence tables.
 
-The framework lives in :mod:`repro.analysis.core`; the committed
-findings baseline that lets CI gate only *new* violations lives in
-:mod:`repro.analysis.baseline`; the ``repro lint`` wiring in
-:mod:`repro.analysis.cli`.  The runtime half of the shared-state story
-— the opt-in ``REPRO_SANITIZE=1`` sanitizer — is
-:mod:`repro.analysis.sanitize`.
+The framework lives in :mod:`repro.analysis.core` and the ``repro
+lint`` wiring in :mod:`repro.analysis.cli`: any finding a ``# lint:
+allow(rule)`` pragma does not suppress fails the gate.  The runtime
+half of the shared-state story — the opt-in ``REPRO_SANITIZE=1``
+sanitizer — is :mod:`repro.analysis.sanitize`.
 """
 
 from __future__ import annotations

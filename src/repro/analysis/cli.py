@@ -1,12 +1,13 @@
 """The ``repro lint`` subcommand.
 
-Runs every registered rule over the given paths (default: ``src``),
-gates the result against the committed findings baseline, and reports
-in human-readable text or machine-readable JSON.
+Runs every registered rule over the given paths (default: ``src``) and
+reports in human-readable text, machine-readable JSON or GitHub
+Actions annotations.
 
-Exit codes: ``0`` — no findings beyond the baseline; ``1`` — new
-findings (or, with ``--strict-stale``, retired debt the baseline still
-records); ``2`` — usage errors (missing paths, malformed baseline).
+Exit codes: ``0`` — no unsuppressed findings; ``1`` — at least one
+finding (a ``# lint: allow(rule)`` pragma is the only way to accept
+one); ``2`` — usage errors (missing paths, files that do not parse
+for the reports).
 
 ``repro.cli`` builds every subcommand's parser, lint's included, so
 this module imports the rule registry and the dataflow and hot-path
@@ -17,18 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, TextIO
+from typing import TYPE_CHECKING, Dict, List, Optional, TextIO
 
 from repro import analysis
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    diff_against_baseline,
-    fingerprints,
-    write_baseline,
-)
 from repro.analysis.core import (
     FileContext,
     Finding,
@@ -55,30 +49,9 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "Actions ::error annotations",
     )
     parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE_NAME,
-        help=f"findings baseline file (default: {DEFAULT_BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline: every finding fails the gate",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--strict-stale",
-        action="store_true",
-        help="also fail when the baseline records findings that no "
-        "longer exist (keeps the committed debt honest)",
-    )
-    parser.add_argument(
         "--root",
         default=None,
-        help="anchor for repo-relative paths in reports and fingerprints "
+        help="anchor for repo-relative paths in reports "
         "(default: current directory)",
     )
     parser.add_argument(
@@ -100,12 +73,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "(per-cache key-vs-read sets, per-stream seed provenance); "
         "honors --format text/json",
     )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="run per-file rules only on files changed vs git HEAD "
-        "(plus untracked); program rules still scan the whole tree",
-    )
 
 
 def _rule_scope(rule_id: str) -> str:
@@ -120,11 +87,13 @@ def _emit_json(
     stream: TextIO,
     suppressed: Optional[Dict[str, int]] = None,
 ) -> None:
-    """Machine-readable findings; schema documented in DESIGN §9.
+    """Machine-readable findings; schema in DESIGN §9, "Lint output
+    formats".
 
-    Version 2 adds the per-finding ``scope`` (where the rule can fire)
-    and the top-level per-rule ``suppressed`` pragma counts, matching
-    what the text path already surfaces.
+    Version 2 added the per-finding ``scope`` (where the rule can fire)
+    and the top-level per-rule ``suppressed`` pragma counts; version 3
+    drops the per-finding ``fingerprint``, which only a findings
+    baseline read.
     """
     entries = [
         {
@@ -135,12 +104,11 @@ def _emit_json(
             "scope": _rule_scope(finding.rule),
             "message": finding.message,
             "snippet": finding.snippet,
-            "fingerprint": digest,
         }
-        for finding, digest in fingerprints(findings)
+        for finding in findings
     ]
     payload = {
-        "version": 2,
+        "version": 3,
         "findings": entries,
         "suppressed": dict(sorted((suppressed or {}).items())),
     }
@@ -274,43 +242,6 @@ def _emit_dataflow_report(
         )
 
 
-def _changed_paths(root: Path) -> Optional[Set[str]]:
-    """POSIX-relative paths changed vs HEAD, plus untracked files.
-
-    Returns None (caller lints everything) when git is unavailable or
-    the root is not a work tree — ``--changed-only`` degrades to a full
-    scan rather than silently linting nothing.
-    """
-    changed: Set[str] = set()
-    for command in (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            result = subprocess.run(
-                command,
-                cwd=root,
-                capture_output=True,
-                text=True,
-                check=True,
-                timeout=30,
-            )
-        except (OSError, subprocess.SubprocessError):
-            return None
-        for line in result.stdout.splitlines():
-            line = line.strip()
-            if line:
-                changed.add(line.replace("\\", "/"))
-    return changed
-
-
-def _membership_filter(changed: Set[str]) -> Callable[[FileContext], bool]:
-    def accept(context: FileContext) -> bool:
-        return context.display_path in changed
-
-    return accept
-
-
 def run_lint(
     args: argparse.Namespace, stream: Optional[TextIO] = None
 ) -> int:
@@ -337,76 +268,23 @@ def run_lint(
         if args.dataflow_report:
             _emit_dataflow_report(contexts, args.format, out)
         return 0
-    file_filter: Optional[Callable[[FileContext], bool]] = None
-    if args.changed_only:
-        changed = _changed_paths(root)
-        if changed is None:
-            print(
-                "repro lint: --changed-only: git unavailable, "
-                "scanning everything",
-                file=sys.stderr,
-            )
-        else:
-            file_filter = _membership_filter(changed)
     suppressed: Dict[str, int] = {}
     findings = scan_paths(
-        paths,
-        analysis.ALL_RULES,
-        root=root,
-        file_filter=file_filter,
-        suppressed=suppressed,
+        paths, analysis.ALL_RULES, root=root, suppressed=suppressed
     )
-
-    baseline_path = Path(args.baseline)
-    if args.update_baseline:
-        write_baseline(findings, baseline_path)
-        print(
-            f"wrote {len(findings)} finding(s) to {baseline_path}", file=out
-        )
-        return 0
-
-    new: List[Finding]
-    known: List[Finding]
-    stale: List[str]
-    if args.no_baseline:
-        new, known, stale = findings, [], []
-    else:
-        try:
-            diff = diff_against_baseline(findings, baseline_path)
-        except ValueError as error:
-            print(f"repro lint: {error}", file=sys.stderr)
-            return 2
-        new, known, stale = diff.new, diff.known, diff.stale
-
     if args.format == "json":
-        _emit_json(new, out, suppressed)
+        _emit_json(findings, out, suppressed)
     elif args.format == "github":
-        _emit_github(new, out)
-        print(
-            f"{len(new)} new finding(s), {len(known)} baselined, "
-            f"{len(stale)} stale baseline entrie(s)",
-            file=out,
-        )
+        _emit_github(findings, out)
+        print(f"{len(findings)} finding(s)", file=out)
     else:
-        for finding in new:
+        for finding in findings:
             print(finding.render(), file=out)
             if finding.snippet:
                 print(f"    {finding.snippet}", file=out)
-        summary = (
-            f"{len(new)} new finding(s), {len(known)} baselined, "
-            f"{len(stale)} stale baseline entrie(s), "
-            f"{sum(suppressed.values())} pragma-suppressed"
+        print(
+            f"{len(findings)} finding(s), "
+            f"{sum(suppressed.values())} pragma-suppressed",
+            file=out,
         )
-        print(summary, file=out)
-        if stale:
-            print(
-                "stale entries record already-fixed debt; run "
-                "'repro lint --update-baseline' to retire them",
-                file=out,
-            )
-
-    if new:
-        return 1
-    if stale and args.strict_stale:
-        return 1
-    return 0
+    return 1 if findings else 0

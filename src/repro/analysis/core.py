@@ -318,10 +318,10 @@ def load_contexts(
 ) -> Tuple[List[FileContext], List[Finding]]:
     """Parse every Python file under ``paths`` into contexts.
 
-    ``root`` anchors the repo-relative display paths (and therefore the
-    baseline fingerprints); it defaults to the current directory.  Files
-    with syntax errors produce a single ``parse-error`` finding rather
-    than aborting the scan, returned alongside the parsed contexts.
+    ``root`` anchors the repo-relative display paths; it defaults to
+    the current directory.  Files with syntax errors produce a single
+    ``parse-error`` finding rather than aborting the scan, returned
+    alongside the parsed contexts.
     """
     anchor = (root or Path.cwd()).resolve()
     contexts: List[FileContext] = []
@@ -353,22 +353,16 @@ def scan_paths(
     paths: Iterable[Path],
     rules: Iterable[Rule],
     root: Optional[Path] = None,
-    file_filter: Optional[Callable[[FileContext], bool]] = None,
     suppressed: Optional[Dict[str, int]] = None,
 ) -> List[Finding]:
     """Lint every Python file under ``paths`` with ``rules``.
 
-    ``file_filter`` restricts *per-file* rules to the contexts it
-    accepts (``repro lint --changed-only``); program rules always see
-    the full file set — interprocedural facts don't respect diff
-    boundaries.  ``suppressed`` collects per-rule pragma-suppression
-    counts (see :func:`check_file`).
+    ``suppressed`` collects per-rule pragma-suppression counts (see
+    :func:`check_file`).
     """
     rule_list = list(rules)
     contexts, findings = load_contexts(paths, root=root)
     for context in contexts:
-        if file_filter is not None and not file_filter(context):
-            continue
         findings.extend(check_file(context, rule_list, suppressed))
     findings.extend(check_program(contexts, rule_list, suppressed))
     findings.sort(key=lambda finding: finding.sort_key)

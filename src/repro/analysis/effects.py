@@ -35,8 +35,8 @@ summaries, police the engine's process-global mutable state:
     through function arguments is not tracked (a documented limit, not
     a guarantee).
 
-All three respect ``# lint: allow(rule)`` pragmas and the
-``LINT_BASELINE.json`` gate exactly like the per-file rules.
+All three respect ``# lint: allow(rule)`` pragmas and fail the
+``repro lint`` gate exactly like the per-file rules.
 """
 
 from __future__ import annotations

@@ -254,23 +254,11 @@ class Fabric:
             if tile.kind is kind and tile.is_free
         ]
 
-    def _free_ids(self, kind: TileKind) -> np.ndarray:
-        """Flat ids of the free ``kind`` tiles, ascending.
-
-        Ascending flat id is row-major order, the order the scalar scan
-        enumerates free tiles in.  Every FAST consumer of the masks'
-        contents goes through here or :meth:`_place_native`, and both
-        run the sanitizer's sampled shadow recount against a full scan.
-        """
-        ids = np.flatnonzero(self._free_mask(kind))
-        if sanitize.ENABLED and self._sample_tick():
-            self._recount(kind, ids)
-        return ids
-
-    def _recount(self, kind: TileKind, ids: np.ndarray) -> None:
-        """Sanitizer shadow recount: ``ids`` must be the free ``kind``
-        tiles a full scan finds, in its order."""
-        positions = self._positions(ids)
+    def _recount(self, kind: TileKind) -> None:
+        """Sanitizer shadow recount: the free ``kind`` tiles of the mask,
+        in ascending flat id (row-major order), must be the ones a full
+        scan finds, in its order."""
+        positions = self._positions(np.flatnonzero(self._free_mask(kind)))
         reference = self._scan_free_positions(kind)
         if positions != reference:
             extra = sorted(set(positions) - set(reference))
@@ -278,7 +266,7 @@ class Fabric:
             sanitize.violation(
                 "shadow-recount",
                 self._mask_label(kind),
-                "_free_ids",
+                "_place_native",
                 f"{kind.name}: index diverged from full scan "
                 f"(stale={extra[:4]!r}, missing="
                 f"{missing[:4]!r}, index_len={len(positions)}, "
@@ -289,11 +277,6 @@ class Fabric:
         """Coordinates of flat tile ids, as tuples of Python ints."""
         ys, xs = np.divmod(ids, self.width)
         return list(zip(xs.tolist(), ys.tolist()))
-
-    def _free_positions(self, kind: TileKind) -> List[Coordinate]:
-        if perf.FAST:
-            return self._positions(self._free_ids(kind))
-        return self._scan_free_positions(kind)
 
     def _place_native(
         self, core: native.NativeBatchCore, need_slices: int, need_banks: int
@@ -312,7 +295,7 @@ class Fabric:
             # allocation then ticks three times, prime to the sample
             # period, so the sampled tick visits every consult in turn.
             for kind in (TileKind.SLICE, TileKind.L2_BANK):
-                self._recount(kind, np.flatnonzero(self._free_mask(kind)))
+                self._recount(kind)
         buffers = self._placement
         status = core.fabric_place(buffers, need_slices, need_banks)
         if status != 0:
@@ -331,7 +314,7 @@ class Fabric:
         caller has checked both free counts."""
         best: Optional[Tuple[List[Coordinate], List[Coordinate]]] = None
         best_span = None
-        for seed in self._free_positions(TileKind.SLICE):
+        for seed in self._scan_free_positions(TileKind.SLICE):
             region = self._grow_region(seed, need_slices, need_banks)
             if region is None:
                 continue

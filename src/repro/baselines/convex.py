@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro import perf
 from repro.arch.cost import CostModel, DEFAULT_COST_MODEL
 from repro.arch.vcore import ConfigurationSpace, VCoreConfig, DEFAULT_CONFIG_SPACE
 from repro.runtime.controller import DeadbeatController
@@ -50,24 +49,16 @@ def average_points(
     """
     pool = list(candidates) if candidates is not None else list(space)
     total_instructions = app.total_instructions
-    if perf.FAST:
-        # Same per-(phase, config) IPC values (the tables are built from
-        # the bit-identical vectorized kernel), same summation order.
-        tables = [
-            operating_point_table(phase, model, space, cost_model)
-            for phase in app.phases
-        ]
+    tables = [
+        operating_point_table(phase, model, space, cost_model)
+        for phase in app.phases
+    ]
 
-        def ipc_of(phase_index: int, config: VCoreConfig) -> float:
-            ipc = tables[phase_index].get_ipc(config)
-            if ipc is not None:
-                return ipc
-            return model.ipc(app.phases[phase_index], config)
-
-    else:
-
-        def ipc_of(phase_index: int, config: VCoreConfig) -> float:
-            return model.ipc(app.phases[phase_index], config)
+    def ipc_of(phase_index: int, config: VCoreConfig) -> float:
+        ipc = tables[phase_index].get_ipc(config)
+        if ipc is not None:
+            return ipc
+        return model.ipc(app.phases[phase_index], config)
 
     points = []
     for config in pool:

@@ -42,23 +42,14 @@ def phase_points(
     model: PerformanceModel,
     space: ConfigurationSpace = DEFAULT_CONFIG_SPACE,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-) -> Sequence[ConfigPoint]:
+) -> OperatingPointTable:
     """True (QoS, cost) operating points of every configuration.
 
-    Served from the process-global memoized table (with its cached
-    envelope) when the fast paths are on; the points are bit-identical
-    to the scalar construction either way.
+    The phase's operating-point table: memoized with its envelope when
+    the fast paths are on, built by the scalar loop when they are off
+    (:func:`~repro.sim.optables.operating_point_table` decides).
     """
-    if perf.FAST:
-        return operating_point_table(phase, model, space, cost_model)
-    return [
-        ConfigPoint(
-            config=config,
-            speedup=model.ipc(phase, config),
-            cost_rate=config.cost_rate(cost_model),
-        )
-        for config in space
-    ]
+    return operating_point_table(phase, model, space, cost_model)
 
 
 def build_oracle_table(

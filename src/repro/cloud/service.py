@@ -56,7 +56,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import perf
 from repro.arch.cost import CostModel, DEFAULT_COST_MODEL
@@ -259,8 +259,7 @@ class _ServiceResident:
     terms: _LegTerms
     """``config -> (cost rate, phase -> IPC)`` for the tenant's legs,
     filled on each configuration's first leg (the harness's memo).  Its
-    IPC lookup reads :attr:`tables` by phase name under FAST; the
-    scalar twin asks the model on every call."""
+    IPC lookup reads :attr:`tables` by phase name."""
     measurement: Optional[QoSMeasurement] = None
     last_schedule: Optional[Schedule] = None
     stable_steps: int = 0
@@ -273,9 +272,10 @@ class _ServiceResident:
     the fabric's seed search again."""
     tables: Dict[str, OperatingPointTable] = field(default_factory=dict)
     """The tenant's operating-point tables by phase name, resolved at
-    admission under FAST (empty in the scalar twin, which asks the
-    model every step).  A step reads its phase's table here instead of
-    looking it up in the process-wide cache."""
+    admission in both engine modes (with the fast paths off
+    :func:`~repro.sim.optables.operating_point_table` builds them with
+    the scalar loop).  A step's allocator and its legs read its phase's
+    table here instead of looking it up again."""
 
 
 #: The tenants stepped in one interval, each paired with its next
@@ -387,21 +387,19 @@ class ServiceEngine:
             self._rejected += 1
             return False
         self._admitted += 1
-        tables: Dict[str, OperatingPointTable] = {}
-        if perf.FAST:
-            # Resolve the tenant's phase tables once, at admission, and
-            # keep them on the resident: each step then reads its
-            # phase's table by name instead of hashing a value key in
-            # the process-wide cache.  Tables are value-keyed and
-            # sealed, so this changes when a table is looked up, never
-            # what a step reads.
-            for phase in tenant.app.phases:
-                tables[phase.name] = operating_point_table(
-                    phase, self.model, self.space, self.cost_model
-                )
-            # PhasedApplication rejects repeated phase names, so the
-            # name keys every phase's table.
-            assert len(tables) == len(tenant.app.phases)
+        # Resolve the tenant's phase tables once, at admission, and keep
+        # them on the resident: each step then reads its phase's table
+        # by name instead of looking it up again.  A table's points
+        # depend only on the phase, model, space and cost model, so
+        # this changes when a table is looked up, never what a step
+        # reads.  PhasedApplication rejects repeated phase names, so
+        # the name keys every phase.
+        tables: Dict[str, OperatingPointTable] = {
+            phase.name: operating_point_table(
+                phase, self.model, self.space, self.cost_model
+            )
+            for phase in tenant.app.phases
+        }
         rng = _noise_stream(self.noise_seed, tenant.tenant_id)
         self._residents[tenant.tenant_id] = _ServiceResident(
             traffic=traffic,
@@ -412,8 +410,6 @@ class ServiceEngine:
             account=ServiceAccount(tenant_id=tenant.tenant_id),
             rng=rng,
             gauss=None if self.noise_std_frac <= 0.0 else rng.gauss,
-            # The lookup runs only under FAST, where ``tables`` holds
-            # every phase of the tenant's application.
             terms=_LegTerms(
                 self.cost_model, self.model, lambda phase: tables[phase.name]
             ),
@@ -433,23 +429,6 @@ class ServiceEngine:
     # per-step machinery (one code path, run unchanged by both engine
     # modes; what a step reads per tenant is resolved at admission)
     # ------------------------------------------------------------------
-    def _true_points(
-        self, resident: _ServiceResident, phase: Phase
-    ) -> Sequence[ConfigPoint]:
-        if perf.FAST:
-            # The admission-time table carries the same points
-            # (bit-identical speedups, same order); every tenant in the
-            # same phase of the same application shares one table.
-            return resident.tables[phase.name]
-        return [
-            ConfigPoint(
-                config=config,
-                speedup=self.model.ipc(phase, config),
-                cost_rate=config.cost_rate(self.cost_model),
-            )
-            for config in self.space
-        ]
-
     def _peak_footprint(self, schedule: Schedule) -> Optional[VCoreConfig]:
         """The schedule's configuration with the most tiles, the first
         of equals (the one ``max`` picks), or None when every leg idles."""
@@ -556,8 +535,9 @@ class ServiceEngine:
                 assert resident.last_schedule is not None
                 return resident.last_schedule, True
         self._decide_steps += 1
-        points = self._true_points(resident, phase)
-        schedule = resident.allocator.decide(resident.measurement, points)
+        schedule = resident.allocator.decide(
+            resident.measurement, resident.tables[phase.name]
+        )
         if resident.last_schedule is not None and schedule == resident.last_schedule:
             resident.stable_steps += 1
         else:

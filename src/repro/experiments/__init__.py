@@ -17,7 +17,6 @@ from repro.experiments.harness import (
     qos_target_for,
 )
 from repro.experiments.scenarios import (
-    AllocatorResult,
     compare_allocators,
     compare_architectures,
     run_app_with_allocator,
@@ -30,7 +29,6 @@ __all__ = [
     "RunResult",
     "ThroughputSimulator",
     "qos_target_for",
-    "AllocatorResult",
     "compare_allocators",
     "compare_architectures",
     "run_app_with_allocator",

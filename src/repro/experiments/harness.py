@@ -79,19 +79,10 @@ def qos_target_for(
     """
     if not 0.0 < margin <= 1.0:
         raise ValueError(f"margin must be in (0, 1], got {margin}")
-    if perf.FAST:
-        # max_qos over the memoized table is the same set of floats the
-        # scalar double loop maximizes (the vectorized kernel is
-        # bit-identical), so the target is unchanged.
-        worst_case_best = min(
-            operating_point_table(phase, model, space).max_qos
-            for phase in app.phases
-        )
-    else:
-        worst_case_best = min(
-            max(model.ipc(phase, config) for config in space)
-            for phase in app.phases
-        )
+    worst_case_best = min(
+        operating_point_table(phase, model, space).max_qos
+        for phase in app.phases
+    )
     return worst_case_best * margin
 
 
@@ -326,18 +317,19 @@ class _LegTerms(dict):
     IPC lookup answers for the phase it is handed — the walker passes
     the phase it is in, and rounding can carry a leg's end past a
     phase boundary — from that phase's table, remembered per phase
-    name on the fast path; the scalar twin asks the model every call.
-    ``table_of(phase)`` is the owner's per-phase table handle (a
-    simulator's, or a service tenant's admission-time tables); it is
-    called only on the fast path, and only an
-    :class:`OperatingPointTable` it returns is read.
+    name.  ``table_of(phase)`` is the owner's per-phase table handle (a
+    simulator's, or a service tenant's admission-time tables), and
+    :func:`~repro.sim.optables.operating_point_table` chose how that
+    table was built: with the fast paths off every IPC in it came from
+    a scalar ``model.ipc`` call.  A configuration the table does not
+    carry is asked of the model.
     """
 
     def __init__(
         self,
         cost_model: CostModel,
         model: PerformanceModel,
-        table_of: Callable[[Phase], object],
+        table_of: Callable[[Phase], OperatingPointTable],
     ) -> None:
         super().__init__()
         self.cost_model = cost_model
@@ -356,17 +348,13 @@ class _LegTerms(dict):
         by_phase: Dict[str, float] = {}
 
         def ipc_of(phase: Phase) -> float:
-            if perf.FAST:
-                ipc = by_phase.get(phase.name)
+            ipc = by_phase.get(phase.name)
+            if ipc is None:
+                ipc = table_of(phase).get_ipc(config)
                 if ipc is None:
-                    table = table_of(phase)
-                    if isinstance(table, OperatingPointTable):
-                        ipc = table.get_ipc(config)
-                    if ipc is None:
-                        ipc = model.ipc(phase, config)
-                    by_phase[phase.name] = ipc
-                return ipc
-            return model.ipc(phase, config)
+                    ipc = model.ipc(phase, config)
+                by_phase[phase.name] = ipc
+            return ipc
 
         return ipc_of
 
@@ -416,32 +404,18 @@ class ThroughputSimulator:
         self.noise_std_frac = noise_std_frac
         self.violation_margin = violation_margin
         self.seed = seed
-        self._points_cache: Dict[str, Sequence[ConfigPoint]] = {}
+        self._points_cache: Dict[str, OperatingPointTable] = {}
         self._stalls = _StallMemo(reconfig_costs)
         self._terms = _LegTerms(cost_model, model, self.true_points)
 
-    def true_points(self, phase: Phase) -> Sequence[ConfigPoint]:
-        cached = self._points_cache.get(phase.name)
-        if cached is not None:
-            return cached
-        if perf.FAST:
-            # The shared table carries the same points (bit-identical
-            # speedups, same order) plus O(1) IPC lookup and a memoized
-            # envelope for the oracle's per-interval LP.
-            points: Sequence[ConfigPoint] = operating_point_table(
+    def true_points(self, phase: Phase) -> OperatingPointTable:
+        table = self._points_cache.get(phase.name)
+        if table is None:
+            table = operating_point_table(
                 phase, self.model, self.space, self.cost_model
             )
-        else:
-            points = [
-                ConfigPoint(
-                    config=config,
-                    speedup=self.model.ipc(phase, config),
-                    cost_rate=config.cost_rate(self.cost_model),
-                )
-                for config in self.space
-            ]
-        self._points_cache[phase.name] = points
-        return points
+            self._points_cache[phase.name] = table
+        return table
 
     def run(
         self,

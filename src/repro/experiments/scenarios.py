@@ -18,7 +18,6 @@ reports:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.vcore import ConfigurationSpace, VCoreConfig, DEFAULT_CONFIG_SPACE
@@ -54,25 +53,6 @@ REALISTIC_RECONFIG_COSTS = ReconfigCostModel(dirty_fraction=0.25)
 """Section VI-A: the 8000-cycle L2 flush is the all-lines-dirty worst
 case; "in practice we expect that we will not flush the whole cache as
 only a small number of lines will be dirty"."""
-
-
-@dataclass(frozen=True)
-class AllocatorResult:
-    """One cell of Fig. 7 / Fig. 10: cost and violations."""
-
-    app_name: str
-    allocator_name: str
-    cost: float
-    violation_percent: float
-
-    @classmethod
-    def from_run(cls, run: RunResult) -> "AllocatorResult":
-        return cls(
-            app_name=run.app_name,
-            allocator_name=run.allocator_name,
-            cost=run.cost_dollars,
-            violation_percent=run.violation_percent,
-        )
 
 
 def geometric_mean(values: Sequence[float]) -> float:

@@ -14,6 +14,13 @@ its hot loops:
 single process can run the same fixed-seed experiment both ways and
 assert bit-identical results — the strongest possible guarantee that
 the optimization layers changed nothing but wall-clock time.
+
+Each choice has one owner: the function that holds the fast path and
+its twin branches on ``FAST``, and its callers do not choose again.
+:func:`repro.sim.optables.operating_point_table`, for one, is the only
+place that picks between the cached vectorized table and the scalar
+build.  DESIGN §8's ledger lists every function that branches, with
+the measured saving of its fast path.
 """
 
 from __future__ import annotations

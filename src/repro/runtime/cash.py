@@ -413,12 +413,7 @@ class CASHRuntime:
         # clamp never drops below the goal itself: if the whole table
         # is (wrongly) pessimistic, the unmet goal is exactly the
         # pressure that keeps the saturation probes searching.
-        max_qhat = (
-            self.learner.max_qos_estimate()
-            if perf.FAST
-            else max(self.learner.qos_estimates().values())
-        )
-        max_useful = max(1.05 * max_qhat, self.qos_goal)
+        max_useful = max(1.05 * self.learner.max_qos_estimate(), self.qos_goal)
         last = self.last_decision
         if phase_change:
             # The measurement straddled a phase boundary; integrating it

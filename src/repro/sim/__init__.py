@@ -4,11 +4,11 @@ The paper evaluates CASH on SSim, a custom cycle-accurate simulator of
 the CASH architecture driven by GEM5 Alpha traces.  This package
 provides a two-tier Python SSim:
 
-* the **cycle tier** (:mod:`repro.sim.engine`, :mod:`repro.sim.pipeline`,
-  :mod:`repro.sim.memsys`) — a trace-driven, cycle-level multi-Slice
-  out-of-order model used for microbenchmarks (reconfiguration
-  overheads, register flush, distance-dependent L2 hits) and for
-  validating the fast tier;
+* the **cycle tier** (:mod:`repro.sim.pipeline`, :mod:`repro.sim.memsys`,
+  and the compiled kernel behind :mod:`repro.sim.batchpipe`) — a
+  trace-driven, cycle-level multi-Slice out-of-order model used for
+  microbenchmarks (reconfiguration overheads, register flush,
+  distance-dependent L2 hits) and for validating the fast tier;
 * the **fast tier** (:mod:`repro.sim.perfmodel`) — an analytic
   phase-level IPC model built from the same Table I/II latency
   parameters, used to drive the closed-loop runtime experiments that
@@ -21,7 +21,6 @@ from repro.sim.perfmodel import PerformanceModel, DEFAULT_PERF_MODEL
 from repro.sim.ssim import SSim, CycleResult
 from repro.sim.pipeline import MultiSlicePipeline, PipelineResult
 from repro.sim.trace import TraceGenerator, TraceStats
-from repro.sim.engine import SimulationClock
 
 __all__ = [
     "PerformanceModel",
@@ -32,5 +31,4 @@ __all__ = [
     "PipelineResult",
     "TraceGenerator",
     "TraceStats",
-    "SimulationClock",
 ]

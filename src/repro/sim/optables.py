@@ -1,12 +1,13 @@
 """Phase-keyed operating-point tables with a process-global LRU cache.
 
 Every consumer of the analytic model's ground truth — the harness's
-``true_points``, the oracle's per-phase envelope, the QoS-target rule,
-the race/convex baseline constructions — ultimately needs the same
-object: the list of :class:`~repro.runtime.optimizer.ConfigPoint`
-operating points of one phase over one configuration space under one
-cost model.  The seed engine recomputed that table scalar-by-scalar in
-each of those places; this module computes it once (with the vectorized
+``true_points`` and leg IPCs, the oracle's per-phase envelope, the
+QoS-target rule, the convex baseline's profile, the service's admitted
+tenants — ultimately needs the same object: the list of
+:class:`~repro.runtime.optimizer.ConfigPoint` operating points of one
+phase over one configuration space under one cost model.  The seed
+engine recomputed that table scalar-by-scalar in each of those places;
+this module computes it once (with the vectorized
 :meth:`~repro.sim.perfmodel.PerformanceModel.ipc_grid` kernel) and
 memoizes it process-wide, keyed by the *values* of all four inputs
 (``Phase``, ``PerformanceModel`` and ``CostModel`` are frozen
@@ -24,6 +25,10 @@ caller (threads racing on one miss may each build an identical copy).
 With :data:`repro.perf.FAST` disabled the cache is bypassed and
 tables are rebuilt with the original scalar loop — the reference path
 used by the equivalence tests and the speed benchmarks.
+:func:`operating_point_table` is the only place that makes this
+choice: every consumer above takes a table from it in both modes, so
+with the fast paths off each of their IPCs is a scalar
+``PerformanceModel.ipc`` result and the vectorized kernel never runs.
 """
 
 from __future__ import annotations

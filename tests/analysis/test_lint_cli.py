@@ -1,8 +1,8 @@
-"""`repro lint` end to end: the CLI, the baseline gate, the repo tip.
+"""`repro lint` end to end: the CLI, the gate, the repo tip.
 
 The acceptance scenarios for the suite live here:
 
-* the repo tip lints clean against the committed (empty) baseline;
+* the repo tip lints clean: no finding a pragma does not suppress;
 * injecting an unseeded ``random.random()`` into ``sim/`` makes the
   gate exit nonzero;
 * deleting the scalar reference twin of a FAST-gated function makes
@@ -31,33 +31,12 @@ def run_lint(argv, capsys):
 
 
 class TestRepoTip:
-    def test_repo_lints_clean_against_committed_baseline(
-        self, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(REPO_ROOT)
-        code, _ = run_lint([], capsys)
-        assert code == 0
-
-    def test_json_findings_match_committed_baseline(
-        self, monkeypatch, capsys
-    ):
+    def test_repo_lints_clean(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)
         code, out = run_lint(["--format", "json"], capsys)
         assert code == 0
         report = json.loads(out)
-        baseline = json.loads(
-            (REPO_ROOT / "LINT_BASELINE.json").read_text()
-        )
-        report_prints = {f["fingerprint"] for f in report["findings"]}
-        baseline_prints = {f["fingerprint"] for f in baseline["findings"]}
-        assert report_prints == baseline_prints
-
-    def test_committed_baseline_has_no_stale_entries(
-        self, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(REPO_ROOT)
-        code, _ = run_lint(["--strict-stale"], capsys)
-        assert code == 0
+        assert report["findings"] == []
 
 
 def write_module(root, relative, source):
@@ -79,7 +58,7 @@ class TestGateFiresOnInjectedViolations:
                 return random.random()
             """,
         )
-        code, out = run_lint([str(tmp_path), "--no-baseline"], capsys)
+        code, out = run_lint([str(tmp_path)], capsys)
         assert code == 1
         assert "unseeded-random" in out
 
@@ -95,34 +74,9 @@ class TestGateFiresOnInjectedViolations:
                     return fast_solve(x)
             """,
         )
-        code, out = run_lint([str(tmp_path), "--no-baseline"], capsys)
+        code, out = run_lint([str(tmp_path)], capsys)
         assert code == 1
         assert "fast-parity" in out
-
-    def test_violation_fails_against_the_committed_baseline_too(
-        self, tmp_path, capsys
-    ):
-        """Same gate semantics when the real baseline is in force: the
-        injected finding is not in it, so it is new, so exit 1."""
-        write_module(
-            tmp_path,
-            "pkg/sim/noise.py",
-            """
-            import random
-
-            def jitter():
-                return random.random()
-            """,
-        )
-        code, _ = run_lint(
-            [
-                str(tmp_path),
-                "--baseline",
-                str(REPO_ROOT / "LINT_BASELINE.json"),
-            ],
-            capsys,
-        )
-        assert code == 1
 
     def test_worker_global_write_fails_the_gate(self, tmp_path, capsys):
         write_module(
@@ -136,7 +90,7 @@ class TestGateFiresOnInjectedViolations:
                 return spec
             """,
         )
-        code, out = run_lint([str(tmp_path), "--no-baseline"], capsys)
+        code, out = run_lint([str(tmp_path)], capsys)
         assert code == 1
         assert "worker-global-write" in out
 
@@ -154,7 +108,7 @@ class TestGateFiresOnInjectedViolations:
                 _TABLE[key] = value
             """,
         )
-        code, out = run_lint([str(tmp_path), "--no-baseline"], capsys)
+        code, out = run_lint([str(tmp_path)], capsys)
         assert code == 1
         assert "lock-discipline" in out
 
@@ -173,7 +127,7 @@ class TestGateFiresOnInjectedViolations:
                 table.append(None)
             """,
         )
-        code, out = run_lint([str(tmp_path), "--no-baseline"], capsys)
+        code, out = run_lint([str(tmp_path)], capsys)
         assert code == 1
         assert "cache-mutation" in out
 
@@ -188,92 +142,11 @@ class TestGateFiresOnInjectedViolations:
                 return random.Random(seed).random()
             """,
         )
-        code, _ = run_lint([str(tmp_path), "--no-baseline"], capsys)
+        code, _ = run_lint([str(tmp_path)], capsys)
         assert code == 0
 
 
-class TestBaselineWorkflow:
-    def test_update_then_gate_only_new_findings(self, tmp_path, capsys):
-        write_module(
-            tmp_path,
-            "pkg/sim/legacy.py",
-            """
-            import random
-
-            def old_jitter():
-                return random.random()
-            """,
-        )
-        baseline = tmp_path / "baseline.json"
-        code, _ = run_lint(
-            [str(tmp_path), "--baseline", str(baseline), "--update-baseline"],
-            capsys,
-        )
-        assert code == 0
-        recorded = json.loads(baseline.read_text())
-        assert len(recorded["findings"]) == 1
-
-        # The recorded debt passes the gate...
-        code, _ = run_lint([str(tmp_path), "--baseline", str(baseline)], capsys)
-        assert code == 0
-
-        # ...but a new violation on top of it does not.
-        write_module(
-            tmp_path,
-            "pkg/sim/fresh.py",
-            """
-            import time
-
-            def stamp():
-                return time.time()
-            """,
-        )
-        code, out = run_lint(
-            [str(tmp_path), "--baseline", str(baseline)], capsys
-        )
-        assert code == 1
-        assert "wall-clock" in out
-        assert "legacy.py" not in out
-
-    def test_stale_entries_reported_and_strict_stale_fails(
-        self, tmp_path, capsys
-    ):
-        module = write_module(
-            tmp_path,
-            "pkg/sim/legacy.py",
-            """
-            import random
-
-            def old_jitter():
-                return random.random()
-            """,
-        )
-        baseline = tmp_path / "baseline.json"
-        run_lint(
-            [str(tmp_path), "--baseline", str(baseline), "--update-baseline"],
-            capsys,
-        )
-        module.write_text("def old_jitter(rng):\n    return rng.random()\n")
-        code, out = run_lint(
-            [str(tmp_path), "--baseline", str(baseline)], capsys
-        )
-        assert code == 0
-        assert "1 stale" in out
-        code, _ = run_lint(
-            [str(tmp_path), "--baseline", str(baseline), "--strict-stale"],
-            capsys,
-        )
-        assert code == 1
-
-    def test_malformed_baseline_is_a_usage_error(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"version": 99}')
-        (tmp_path / "module.py").write_text("x = 1\n")
-        code = main(
-            ["lint", str(tmp_path), "--baseline", str(baseline)]
-        )
-        assert code == 2
-
+class TestUsageErrors:
     def test_missing_path_is_a_usage_error(self, tmp_path):
         code = main(["lint", str(tmp_path / "nope")])
         assert code == 2
@@ -292,7 +165,7 @@ class TestReportFormats:
             """,
         )
         code, out = run_lint(
-            [str(tmp_path), "--no-baseline", "--root", str(tmp_path)], capsys
+            [str(tmp_path), "--root", str(tmp_path)], capsys
         )
         assert code == 1
         assert "pkg/sim/noise.py:5" in out
@@ -312,7 +185,6 @@ class TestReportFormats:
         code, out = run_lint(
             [
                 str(tmp_path),
-                "--no-baseline",
                 "--root",
                 str(tmp_path),
                 "--format",
@@ -325,11 +197,19 @@ class TestReportFormats:
         (finding,) = report["findings"]
         assert finding["rule"] == "unseeded-random"
         assert finding["path"] == "pkg/sim/noise.py"
-        assert finding["fingerprint"]
+        assert set(finding) == {
+            "path",
+            "line",
+            "column",
+            "rule",
+            "scope",
+            "message",
+            "snippet",
+        }
 
     def test_parse_error_is_reported_not_fatal(self, tmp_path, capsys):
         (tmp_path / "broken.py").write_text("def broken(:\n")
-        code, out = run_lint([str(tmp_path), "--no-baseline"], capsys)
+        code, out = run_lint([str(tmp_path)], capsys)
         assert code == 1
         assert "parse-error" in out
 
@@ -347,7 +227,6 @@ class TestReportFormats:
         code, out = run_lint(
             [
                 str(tmp_path),
-                "--no-baseline",
                 "--root",
                 str(tmp_path),
                 "--format",
@@ -390,7 +269,6 @@ class TestReportFormats:
         )
         argv = [
             str(tmp_path),
-            "--no-baseline",
             "--root",
             str(tmp_path),
             "--format",
@@ -430,7 +308,6 @@ class TestReportFormats:
         code, out = run_lint(
             [
                 str(tmp_path),
-                "--no-baseline",
                 "--root",
                 str(tmp_path),
                 "--format",
@@ -453,7 +330,7 @@ class TestReportFormats:
         assert not [
             line for line in out.splitlines() if line.startswith("::error")
         ]
-        assert "0 new finding(s)" in out
+        assert "0 finding(s)" in out
 
 
 class TestRulesListing:
@@ -550,6 +427,9 @@ class TestHotReportCLI:
 
 
 class TestJsonSchemaV2:
+    """The fields schema version 2 added (``scope``, ``suppressed``),
+    kept by version 3, which dropped the per-finding fingerprint."""
+
     def test_findings_carry_rule_scope(self, tmp_path, capsys):
         write_module(
             tmp_path,
@@ -564,7 +444,6 @@ class TestJsonSchemaV2:
         code, out = run_lint(
             [
                 str(tmp_path),
-                "--no-baseline",
                 "--root",
                 str(tmp_path),
                 "--format",
@@ -574,7 +453,7 @@ class TestJsonSchemaV2:
         )
         assert code == 1
         report = json.loads(out)
-        assert report["version"] == 2
+        assert report["version"] == 3
         (finding,) = report["findings"]
         assert finding["scope"].startswith("engine-dirs(")
 
@@ -592,7 +471,6 @@ class TestJsonSchemaV2:
         code, out = run_lint(
             [
                 str(tmp_path),
-                "--no-baseline",
                 "--root",
                 str(tmp_path),
                 "--format",
@@ -610,7 +488,6 @@ class TestJsonSchemaV2:
         code, out = run_lint(
             [
                 str(tmp_path),
-                "--no-baseline",
                 "--root",
                 str(tmp_path),
                 "--format",
@@ -623,125 +500,6 @@ class TestJsonSchemaV2:
         (finding,) = report["findings"]
         assert finding["rule"] == "parse-error"
         assert finding["scope"] == "repo-wide"
-
-
-def git(repo, *argv):
-    subprocess.run(
-        ["git", *argv],
-        cwd=repo,
-        check=True,
-        capture_output=True,
-        env={
-            "GIT_AUTHOR_NAME": "t",
-            "GIT_AUTHOR_EMAIL": "t@example.com",
-            "GIT_COMMITTER_NAME": "t",
-            "GIT_COMMITTER_EMAIL": "t@example.com",
-            "HOME": str(repo),
-            "PATH": "/usr/bin:/bin:/usr/local/bin",
-        },
-    )
-
-
-class TestChangedOnly:
-    def seed_repo(self, tmp_path):
-        write_module(
-            tmp_path,
-            "pkg/sim/committed.py",
-            """
-            import random
-
-            def old_jitter():
-                return random.random()
-            """,
-        )
-        git(tmp_path, "init", "-q")
-        git(tmp_path, "add", ".")
-        git(tmp_path, "commit", "-q", "-m", "seed")
-
-    def test_scopes_per_file_rules_to_changed_paths(self, tmp_path, capsys):
-        self.seed_repo(tmp_path)
-        write_module(
-            tmp_path,
-            "pkg/sim/fresh.py",
-            """
-            import time
-
-            def stamp():
-                return time.time()
-            """,
-        )
-        code, out = run_lint(
-            [
-                str(tmp_path),
-                "--no-baseline",
-                "--changed-only",
-                "--root",
-                str(tmp_path),
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert "wall-clock" in out
-        assert "committed.py" not in out
-
-    def test_program_rules_still_scan_the_whole_tree(self, tmp_path, capsys):
-        self.seed_repo(tmp_path)
-        # The committed (unchanged) file holds a whole-program
-        # violation: a worker entrypoint writing a module global.
-        write_module(
-            tmp_path,
-            "pkg/experiments/stats.py",
-            """
-            _RESULTS = []
-
-            def run_cell(spec):
-                _RESULTS.append(spec)
-                return spec
-            """,
-        )
-        git(tmp_path, "add", ".")
-        git(tmp_path, "commit", "-q", "-m", "program violation")
-        write_module(tmp_path, "pkg/sim/touched.py", "x = 1\n")
-        code, out = run_lint(
-            [
-                str(tmp_path),
-                "--no-baseline",
-                "--changed-only",
-                "--root",
-                str(tmp_path),
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert "worker-global-write" in out
-        # ...while the per-file debt in the unchanged file stays out.
-        assert "unseeded-random" not in out
-
-    def test_outside_a_git_repo_degrades_to_full_scan(
-        self, tmp_path, capsys
-    ):
-        write_module(
-            tmp_path,
-            "pkg/sim/noise.py",
-            """
-            import random
-
-            def jitter():
-                return random.random()
-            """,
-        )
-        code, out = run_lint(
-            [
-                str(tmp_path),
-                "--no-baseline",
-                "--changed-only",
-                "--root",
-                str(tmp_path),
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert "unseeded-random" in out
 
 
 class TestDataflowCLI:
@@ -819,7 +577,7 @@ class TestHistoricalRegressionsFailTheGate:
                     return tenant
             """,
         )
-        code, out = run_lint([str(tmp_path), "--no-baseline"], capsys)
+        code, out = run_lint([str(tmp_path)], capsys)
         assert code == 1
         assert "quadratic-listop" in out
 
@@ -839,7 +597,7 @@ class TestHistoricalRegressionsFailTheGate:
                 return cycle
             """,
         )
-        code, out = run_lint([str(tmp_path), "--no-baseline"], capsys)
+        code, out = run_lint([str(tmp_path)], capsys)
         assert code == 1
         assert "loop-invariant" in out
 

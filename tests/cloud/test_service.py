@@ -117,9 +117,10 @@ class TestReportAccounting:
 
 class TestAdmissionTables:
     def test_one_table_lookup_per_admitted_phase(self, monkeypatch):
-        # The fast engine resolves a tenant's phase tables when it is
-        # admitted and never looks one up per step; the scalar twin
-        # asks the model instead, and both report the same run.
+        # Both engine modes resolve a tenant's phase tables when it is
+        # admitted and never look one up per step (with the fast paths
+        # off the lookup builds each table with the scalar loop), and
+        # both report the same run.
         lookups = []
         original = service.operating_point_table
 
@@ -128,19 +129,19 @@ class TestAdmissionTables:
             return original(phase, *args, **kwargs)
 
         monkeypatch.setattr(service, "operating_point_table", counting)
-        scenario = small_scenario(tenants=16, horizon=200)
-        with perf.fast_paths(True):
-            fast = build_engine(scenario).run()
-        tenants = {t.tenant.tenant_id: t.tenant for t in scenario.tenants}
-        admitted = [tenants[tenant_id] for tenant_id in fast.accounts]
-        assert len(admitted) == fast.admitted > 1
-        assert fast.decide_steps > fast.admitted
-        assert len(lookups) == sum(len(t.app.phases) for t in admitted)
-        admission_lookups = len(lookups)
-        with perf.fast_paths(False):
-            scalar = build_engine(small_scenario(tenants=16, horizon=200)).run()
-        assert len(lookups) == admission_lookups
-        assert scalar == fast
+        reports = {}
+        for fast in (True, False):
+            scenario = small_scenario(tenants=16, horizon=200)
+            del lookups[:]
+            with perf.fast_paths(fast):
+                report = build_engine(scenario).run()
+            tenants = {t.tenant.tenant_id: t.tenant for t in scenario.tenants}
+            admitted = [tenants[tenant_id] for tenant_id in report.accounts]
+            assert len(admitted) == report.admitted > 1
+            assert report.decide_steps > report.admitted
+            assert len(lookups) == sum(len(t.app.phases) for t in admitted)
+            reports[fast] = report
+        assert reports[False] == reports[True]
 
 
 class TestStepMechanics:

@@ -2,9 +2,9 @@
 
 Every cell set here is run against the scalar reference (fast paths
 off, serial) and must match record-for-record from a cold store at any
-job count.  With fast paths off the store must not even be consulted.
-A pooled sweep's store counters reach the parent through the pool's
-result pipe.
+job count.  With fast paths off the store must not even be consulted,
+nor the vectorized IPC kernel that fills it.  A pooled sweep's store
+counters reach the parent through the pool's result pipe.
 """
 
 from pathlib import Path
@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 from repro import perf
-from repro.experiments.stats import CellSpec, run_cells
+from repro.cloud.traffic import TrafficSpec
+from repro.experiments.stats import CellSpec, ServiceCellSpec, run_cells
 from repro.sim import optstore
 from repro.sim.optables import cache_clear, cache_info
+from repro.sim.perfmodel import PerformanceModel
 
 SPECS = tuple(
     CellSpec(app_name=app, kind=kind, intervals=30, seed=seed)
@@ -24,6 +26,27 @@ SPECS = tuple(
         ("apache", "cash", 0),
     )
 )
+
+BYPASS_SPECS = (
+    CellSpec(app_name="x264", kind="convex", intervals=30, seed=0),
+    CellSpec(app_name="apache", kind="optimal", intervals=30, seed=1),
+    ServiceCellSpec(
+        traffic=TrafficSpec(
+            tenants=16,
+            horizon=200,
+            seed=3,
+            activity=0.3,
+            mean_burst=6.0,
+            lifetime_min=60.0,
+        ),
+        overcommit=2.0,
+        fabric_width=16,
+        fabric_height=16,
+    ),
+)
+"""Readers of operating points beyond ``SPECS``: the convex profile,
+the latency oracle's per-interval points and the service's
+admission-time tables."""
 
 
 @pytest.fixture(autouse=True)
@@ -63,9 +86,20 @@ class TestTierStatesMatchReference:
 
 
 class TestReferenceModeBypassesTiers:
-    def test_fast_off_touches_no_tier(self, reference):
+    def test_fast_off_touches_no_tier(self, reference, monkeypatch):
+        fast = run_cells(BYPASS_SPECS, jobs=1)
+        cache_clear()
+        optstore.reset_counters(fleet=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the vectorized IPC kernel ran")
+
+        monkeypatch.setattr(PerformanceModel, "ipc_grid", refuse)
         with perf.fast_paths(False):
             assert_identical(run_cells(SPECS, jobs=1), reference)
+            scalar = run_cells(BYPASS_SPECS, jobs=1)
+        assert_identical(scalar[:2], fast[:2])
+        assert scalar[2] == fast[2]
         counts = optstore.counters_local()
         assert all(value == 0 for value in counts.values())
         assert cache_info()["size"] == 0
