@@ -31,8 +31,13 @@ class VCoreConfig:
     ``cached_property`` writes through the instance's ``__dict__``, and
     from then on CPython 3.11 reads that instance's attributes from a
     separate dict, so hashing and comparing a mix of read and unread
-    configs took about a third longer.  Equality, hashing, ordering and
-    ``repr`` read only the two fields.
+    configs took about a third longer.  Equality, ordering and ``repr``
+    read only the two fields.  The hash is the generated one's,
+    ``hash((slices, l2_kb))``, computed once at construction: configs
+    key the learner's, the runtime's and the simulators' dicts, and a
+    generated ``__hash__`` builds that tuple on every lookup.  A copy
+    or an unpickled config carries the stored value, which an int
+    tuple's hash makes the same in every process.
     """
 
     slices: int
@@ -43,11 +48,15 @@ class VCoreConfig:
             raise ValueError(f"slices must be positive, got {self.slices}")
         if self.l2_kb <= 0:
             raise ValueError(f"l2_kb must be positive, got {self.l2_kb}")
+        # Not fields, and the class is frozen.
+        object.__setattr__(self, "_hash", hash((self.slices, self.l2_kb)))
         banks, remainder = divmod(self.l2_kb, DEFAULT_CACHE_PARAMS.l2_bank.size_kb)
         if not remainder:
-            # Not fields, and the class is frozen.
             object.__setattr__(self, "l2_banks", banks)
             object.__setattr__(self, "tiles", self.slices + banks)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def l2_banks(self) -> int:

@@ -11,14 +11,12 @@ CASH tenants usually occupy far less than their reservation — that slack
 is what lets a provider oversubscribe deliberately (``overcommit > 1``)
 while the per-tenant QoS guarantees stay intact in expectation.
 
-Under :data:`repro.perf.FAST` the controller answers ``reserved``
-queries from incrementally maintained per-kind totals (updated on every
-admit/release) instead of rescanning all reservations — at 10k tenants
-the rescan is the provider's admission bottleneck — and memoizes the
-worst-case reservation per ``(application, QoS goal)`` contract, since
-every tenant sharing a contract shares a reservation by construction.
-The scalar rescan/recompute twins remain the reference, integer totals
-make both modes exact, and the sanitizer shadow-recounts the totals.
+Under :data:`repro.perf.FAST` the controller memoizes the worst-case
+reservation per ``(application, QoS goal)`` contract, since every
+tenant sharing a contract shares a reservation by construction; the
+scalar recompute remains the reference.  ``reserved`` sums the live
+reservations in both modes: at the few dozen a service holds that
+takes about 2 µs.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import perf
-from repro.analysis import sanitize
 from repro.arch.fabric import Fabric, TileKind
 from repro.arch.vcore import ConfigurationSpace, VCoreConfig, DEFAULT_CONFIG_SPACE
 from repro.baselines.race import worst_case_config
@@ -68,13 +65,9 @@ class AdmissionController:
         re-scan of ``decisions`` needed)."""
         self.already_admitted_count = 0
         """Requests refused because the tenant was already resident."""
-        # Incremental per-kind reservation totals (integer, so exactly
-        # equal to the scalar rescan) and the per-contract reservation
-        # memo, both consulted only under perf.FAST.
-        self._reserved_slices = 0
-        self._reserved_banks = 0
+        # The per-contract reservation memo, consulted only under
+        # perf.FAST.
         self._reservation_memo: Dict[Tuple[str, float], VCoreConfig] = {}
-        self._sanitize_ticks = 0
 
     def reservation_for(self, tenant: Tenant) -> VCoreConfig:
         """The tenant's worst-case virtual core (its implicit contract)."""
@@ -99,33 +92,11 @@ class AdmissionController:
         # capacity is a lookup, not a scan over every tile.
         return self.fabric.kind_total(kind) * self.overcommit
 
-    def _scan_reserved(self, kind: TileKind) -> int:
-        """Reference full scan over every live reservation."""
+    def reserved(self, kind: TileKind) -> int:
+        """Tiles of ``kind`` the live reservations hold."""
         if kind is TileKind.SLICE:
             return sum(c.slices for c in self._reservations.values())
         return sum(c.l2_banks for c in self._reservations.values())
-
-    def reserved(self, kind: TileKind) -> int:
-        if perf.FAST:
-            count = (
-                self._reserved_slices
-                if kind is TileKind.SLICE
-                else self._reserved_banks
-            )
-            if sanitize.ENABLED:
-                self._sanitize_ticks += 1
-                if sanitize.should_sample(self._sanitize_ticks):
-                    reference = self._scan_reserved(kind)
-                    if count != reference:
-                        sanitize.violation(
-                            "shadow-recount",
-                            "repro.cloud.admission.AdmissionController",
-                            "reserved",
-                            f"{kind.name}: counter says {count} reserved, "
-                            f"full scan says {reference}",
-                        )
-            return count
-        return self._scan_reserved(kind)
 
     def request(self, tenant: Tenant) -> AdmissionDecision:
         """Admit or reject a tenant; admitted reservations are tracked."""
@@ -147,8 +118,6 @@ class AdmissionController:
         )
         if fits_slices and fits_banks:
             self._reservations[tenant.tenant_id] = reservation
-            self._reserved_slices += reservation.slices
-            self._reserved_banks += reservation.l2_banks
             self.admitted_count += 1
             decision = AdmissionDecision(
                 tenant.tenant_id, True, reservation, "admitted"
@@ -165,10 +134,7 @@ class AdmissionController:
         return decision
 
     def release(self, tenant_id: int) -> None:
-        reservation = self._reservations.pop(tenant_id, None)
-        if reservation is not None:
-            self._reserved_slices -= reservation.slices
-            self._reserved_banks -= reservation.l2_banks
+        self._reservations.pop(tenant_id, None)
 
     @property
     def admitted_ids(self) -> List[int]:

@@ -53,7 +53,6 @@ from __future__ import annotations
 import copy
 import heapq
 import json
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -69,6 +68,7 @@ from repro.cloud.traffic import TenantTraffic, TrafficScenario
 from repro.experiments.harness import (
     Allocator,
     CASHAllocator,
+    NoiseStream,
     _LegTerms,
     _PhaseWalker,
 )
@@ -202,14 +202,19 @@ class ServiceReport:
 
     @property
     def mean_violation_percent(self) -> float:
-        percents = [
-            self.accounts[tenant_id].violation_percent
-            for tenant_id in sorted(self.accounts)
-            if self.accounts[tenant_id].active_intervals > 0
-        ]
-        if not percents:
+        """Mean of the active tenants' violation percentages, added
+        left to right in tenant order (not with builtin ``sum()``, whose
+        rounding CPython 3.12 changed)."""
+        total = 0.0
+        active = 0
+        for tenant_id in sorted(self.accounts):
+            account = self.accounts[tenant_id]
+            if account.active_intervals > 0:
+                total += account.violation_percent
+                active += 1
+        if not active:
             return 0.0
-        return sum(percents) / len(percents)
+        return total / active
 
 
 @dataclass(eq=False)
@@ -248,13 +253,13 @@ class _ServiceResident:
     allocator: Allocator
     walker: _PhaseWalker
     account: ServiceAccount
-    rng: random.Random
+    noise: NoiseStream
     """The tenant's private measurement-noise stream.  Keyed by tenant
     id (not shared fleet-wide) so skipping other tenants' idle
     intervals cannot shift this one's draws — the property the whole
     event engine rests on."""
-    gauss: Optional[Callable[[float, float], float]]
-    """``rng.gauss``, bound at admission, or None when the engine draws
+    draw: Optional[Callable[[], float]]
+    """``noise.draw``, bound at admission, or None when the engine draws
     no noise (``noise_std_frac <= 0``)."""
     terms: _LegTerms
     """``config -> (cost rate, phase -> IPC)`` for the tenant's legs,
@@ -283,9 +288,9 @@ class _ServiceResident:
 _Stepped = List[Tuple[_ServiceResident, Optional[int]]]
 
 
-def _noise_stream(seed: int, tenant_id: int) -> random.Random:
-    """Per-tenant noise RNG, independent of the traffic streams."""
-    return random.Random(
+def _noise_stream(seed: int, tenant_id: int) -> NoiseStream:
+    """Per-tenant noise stream, independent of the traffic streams."""
+    return NoiseStream(
         (seed * 2_654_435_761 + 97_531 * (tenant_id + 1) + 0xC0FFEE) & (2**63 - 1)
     )
 
@@ -304,7 +309,7 @@ class ServiceEngine:
     step only for what changes between steps: at admission each tenant
     gets its phase tables, a leg memo (``config -> (cost rate, phase
     -> IPC)``, the harness's ``_LegTerms``) and its noise stream's
-    bound ``gauss``, and the loop that steps a tenant hands its next
+    bound ``draw``, and the loop that steps a tenant hands its next
     active interval on to the parking decision.
     """
 
@@ -400,7 +405,7 @@ class ServiceEngine:
             )
             for phase in tenant.app.phases
         }
-        rng = _noise_stream(self.noise_seed, tenant.tenant_id)
+        noise = _noise_stream(self.noise_seed, tenant.tenant_id)
         self._residents[tenant.tenant_id] = _ServiceResident(
             traffic=traffic,
             allocator=build_tenant_allocator(
@@ -408,8 +413,8 @@ class ServiceEngine:
             ),
             walker=_PhaseWalker(tenant.app),
             account=ServiceAccount(tenant_id=tenant.tenant_id),
-            rng=rng,
-            gauss=None if self.noise_std_frac <= 0.0 else rng.gauss,
+            noise=noise,
+            draw=None if self.noise_std_frac <= 0.0 else noise.draw,
             terms=_LegTerms(
                 self.cost_model, self.model, lambda phase: tables[phase.name]
             ),
@@ -559,7 +564,7 @@ class ServiceEngine:
         phase walker, one ``run_cycles`` call per executed leg, with
         the cost rate and IPC lookup its configuration's entry in the
         tenant's leg memo holds.  Measurement noise comes from the
-        tenant's bound ``gauss``, in this order: each executed leg's
+        tenant's bound ``draw``, in this order: each executed leg's
         QoS in schedule order, the phase's three signature counters,
         then the interval's overall QoS.  Parking a tenant whose burst
         ends here is left to :meth:`_close_interval`, after this
@@ -602,7 +607,7 @@ class ServiceEngine:
         # Execute the legs, ending the interval at a phase boundary so
         # no measurement (or its counter signature) mixes two phases —
         # the same discipline as the single-tenant harness.
-        gauss = resident.gauss
+        draw = resident.draw
         std = self.noise_std_frac
         interval_cycles = self.interval_cycles
         terms = resident.terms
@@ -628,15 +633,15 @@ class ServiceEngine:
             dollars_time += cost_rate * used
             if not replayed:
                 leg_qos = executed / used if used > 0 else 0.0
-                if gauss is not None:
-                    leg_qos = max(leg_qos * (1.0 + gauss(0.0, std)), 0.0)
+                if draw is not None:
+                    leg_qos = max(leg_qos * (1.0 + draw() * std), 0.0)
                 legs.append(LegObservation(config, entry.fraction, leg_qos))
         if elapsed < 1.0:  # max(elapsed, 1.0), without the call
             elapsed = 1.0
         dollars = dollars_time / elapsed  # mean $/hr over the interval
         true_qos = total_instructions / elapsed
         if not replayed:
-            if gauss is None:
+            if draw is None:
                 signature = (
                     phase.mem_refs_per_inst,
                     phase.l1_miss_rate,
@@ -645,11 +650,11 @@ class ServiceEngine:
                 overall_qos = true_qos
             else:
                 signature = (
-                    max(phase.mem_refs_per_inst * (1.0 + gauss(0.0, std)), 0.0),
-                    max(phase.l1_miss_rate * (1.0 + gauss(0.0, std)), 0.0),
-                    max(phase.mispredict_rate * (1.0 + gauss(0.0, std)), 0.0),
+                    max(phase.mem_refs_per_inst * (1.0 + draw() * std), 0.0),
+                    max(phase.l1_miss_rate * (1.0 + draw() * std), 0.0),
+                    max(phase.mispredict_rate * (1.0 + draw() * std), 0.0),
                 )
-                overall_qos = max(true_qos * (1.0 + gauss(0.0, std)), 0.0)
+                overall_qos = max(true_qos * (1.0 + draw() * std), 0.0)
             resident.measurement = QoSMeasurement(
                 overall_qos, tuple(legs), signature
             )

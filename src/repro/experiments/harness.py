@@ -20,6 +20,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -124,10 +126,18 @@ class RunResult:
 
     @property
     def mean_cost_rate(self) -> float:
-        """Time-weighted average $/hour over the run."""
+        """Time-weighted average $/hour over the run.
+
+        Added left to right in a loop, not with builtin ``sum()``,
+        which compensates float rounding from CPython 3.12 on: the cost
+        is then the same on every supported interpreter.
+        """
         if not self.records:
             return 0.0
-        return sum(r.cost_rate for r in self.records) / len(self.records)
+        total = 0.0
+        for record in self.records:
+            total += record.cost_rate
+        return total / len(self.records)
 
     @property
     def cost_dollars(self) -> float:
@@ -265,10 +275,50 @@ class _PhaseWalker:
         return self.app.phases[-1].instructions
 
 
+class NoiseStream:
+    """A run's measurement noise: ``random.Random(seed)``'s draws of
+    ``gauss(0.0, 1.0)``, in order, one per :attr:`draw` call.
+
+    A noisy value is ``max(v * (1.0 + draw() * std), 0.0)``, which
+    equals ``max(v * (1.0 + rng.gauss(0.0, std)), 0.0)`` bit for bit:
+    ``gauss(0.0, std)`` is ``0.0 + z * std`` for the same ``z``, and
+    adding ``0.0`` changes at most the sign of a zero, which ``1.0 +``
+    then drops.  With the fast paths on and the compiled core loaded,
+    :attr:`draw` is the ``__next__`` of a C-level iterator over blocks
+    the core fills (:class:`repro.native.NoiseBlocks`, Box-Muller on
+    the same MT19937 state and libm calls), so a draw costs no Python
+    frame; otherwise it is ``rng.gauss`` bound to ``(0.0, 1.0)``, the
+    twin.  Nothing is drawn until the first call.
+    """
+
+    __slots__ = ("draw", "_source")
+
+    def __init__(self, seed: int) -> None:
+        core = native.batch_core() if perf.FAST else None
+        self._source: "native.NoiseBlocks | random.Random"
+        if core is not None:
+            blocks = native.NoiseBlocks(core, seed)
+            self._source = blocks
+            self.draw: Callable[[], float] = chain.from_iterable(
+                iter(blocks, None)
+            ).__next__
+        else:
+            rng = random.Random(seed)
+            self._source = rng
+            self.draw = partial(rng.gauss, 0.0, 1.0)
+
+    def getstate(self) -> object:
+        """The state behind the draws: ``random.Random.getstate()`` in
+        the twin, the compiled state's words and index otherwise.  It
+        moves at the first draw (a whole block, in the compiled
+        stream)."""
+        return self._source.getstate()
+
+
 def _measured(
     qos: float,
     phase: Phase,
-    gauss: Optional[Callable[[float, float], float]],
+    draw: Optional[Callable[[], float]],
     std: float,
 ) -> Tuple[float, Tuple[float, float, float]]:
     """An interval's measured QoS and its phase's counter signature.
@@ -278,17 +328,18 @@ def _measured(
     instruction, which the runtime reads on any Slice over the Runtime
     Interface Network (Section III-B2) to recognize *which* phase is
     executing.  Each value carries the same measurement noise, drawn
-    from ``gauss`` in this order, QoS first; None draws nothing.
+    from ``draw`` (a :attr:`NoiseStream.draw`) in this order, QoS
+    first; None draws nothing.
     """
-    if gauss is None:
+    if draw is None:
         counters = (phase.mem_refs_per_inst, phase.l1_miss_rate, phase.mispredict_rate)
         return qos, counters
     return (
-        max(qos * (1.0 + gauss(0.0, std)), 0.0),
+        max(qos * (1.0 + draw() * std), 0.0),
         (
-            max(phase.mem_refs_per_inst * (1.0 + gauss(0.0, std)), 0.0),
-            max(phase.l1_miss_rate * (1.0 + gauss(0.0, std)), 0.0),
-            max(phase.mispredict_rate * (1.0 + gauss(0.0, std)), 0.0),
+            max(phase.mem_refs_per_inst * (1.0 + draw() * std), 0.0),
+            max(phase.l1_miss_rate * (1.0 + draw() * std), 0.0),
+            max(phase.mispredict_rate * (1.0 + draw() * std), 0.0),
         ),
     )
 
@@ -433,7 +484,7 @@ class ThroughputSimulator:
         Each interval pays only for what differs between intervals: the
         walker remembers its phase, :meth:`_execute` reads each
         configuration's cost rate and IPC lookup from a per-config memo,
-        and noise is drawn straight from the run's ``rng.gauss`` with the
+        and noise is drawn from the run's :class:`NoiseStream` with the
         standard deviation read once (a non-positive one draws nothing).
         Draws keep their order: each executed leg in schedule order,
         then the measured QoS, then the three signature counters.
@@ -445,7 +496,7 @@ class ThroughputSimulator:
                 f"warmup_intervals must be non-negative, got {warmup_intervals}"
             )
         std = self.noise_std_frac
-        gauss = None if std <= 0.0 else random.Random(self.seed).gauss
+        draw = None if std <= 0.0 else NoiseStream(self.seed).draw
         walker = _PhaseWalker(self.app)
         floor = self.qos_goal * (1.0 - self.violation_margin)
         records: List[IntervalRecord] = []
@@ -463,8 +514,8 @@ class ThroughputSimulator:
                 reconfig_cycles,
                 current_config,
                 actual_cycles,
-            ) = self._execute(schedule, walker, current_config, gauss)
-            measured, signature = _measured(true_qos, phase, gauss, std)
+            ) = self._execute(schedule, walker, current_config, draw)
+            measured, signature = _measured(true_qos, phase, draw, std)
             if index >= 0:
                 # Positional, in IntervalRecord's field order.
                 records.append(
@@ -497,7 +548,7 @@ class ThroughputSimulator:
         schedule: Schedule,
         walker: _PhaseWalker,
         current_config: Optional[VCoreConfig],
-        gauss: Optional[Callable[[float, float], float]],
+        draw: Optional[Callable[[], float]],
     ) -> Tuple[
         float,
         float,
@@ -513,7 +564,7 @@ class ThroughputSimulator:
         within a single phase, mirroring the paper's per-phase oracle
         construction (Section V-C) — no sample mixes two phases, so
         violations reflect allocation decisions, not sampling artefacts.
-        Each executed leg's measured QoS draws from ``gauss`` (None
+        Each executed leg's measured QoS draws from ``draw`` (None
         draws nothing).
         """
         std = self.noise_std_frac
@@ -558,8 +609,8 @@ class ThroughputSimulator:
             reconfig_total += stall
             dollars_time += cost_rate * leg_total
             leg_qos = executed / leg_total if leg_total > 0 else 0.0
-            if gauss is not None:
-                leg_qos = max(leg_qos * (1.0 + gauss(0.0, std)), 0.0)
+            if draw is not None:
+                leg_qos = max(leg_qos * (1.0 + draw() * std), 0.0)
             legs.append(LegObservation(config, entry.fraction, leg_qos))
         if elapsed < 1.0:  # max(elapsed, 1.0), without the call
             elapsed = 1.0
@@ -909,9 +960,9 @@ class LatencySimulator:
         leg's QoS is its service rate over it (the two divisions
         :meth:`qos_of` performs), and so is the interval's.  Cost rates
         and IPC lookups come from a per-config memo, and noise is drawn
-        straight from the run's ``rng.gauss`` with the standard
-        deviation read once (a non-positive one draws nothing), in the
-        order legs, measured QoS, signature.  A measurement is built
+        from the run's :class:`NoiseStream` with the standard deviation
+        read once (a non-positive one draws nothing), in the order
+        legs, measured QoS, signature.  A measurement is built
         once, at the start of the next interval, when its
         ``goal_scale`` — how far the capacity requirement moved — is
         known; the last interval's measurement is never read.
@@ -919,7 +970,7 @@ class LatencySimulator:
         if intervals <= 0:
             raise ValueError(f"intervals must be positive, got {intervals}")
         std = self.noise_std_frac
-        gauss = None if std <= 0.0 else random.Random(self.seed).gauss
+        draw = None if std <= 0.0 else NoiseStream(self.seed).draw
         walker = _PhaseWalker(self.app)
         per_request = self.app.instructions_per_request
         interval_cycles = self.interval_cycles
@@ -974,8 +1025,8 @@ class LatencySimulator:
                 service_rate = ipc_of(phase) / per_request
                 capacity += entry.fraction * service_rate * (1.0 - stall_penalty)
                 leg_qos = service_rate / required * (1.0 - stall_penalty)
-                if gauss is not None:
-                    leg_qos = max(leg_qos * (1.0 + gauss(0.0, std)), 0.0)
+                if draw is not None:
+                    leg_qos = max(leg_qos * (1.0 + draw() * std), 0.0)
                 cost_rate += config_rate * entry.fraction
                 reconfig_total += stall
                 leg_list.append(
@@ -991,7 +1042,7 @@ class LatencySimulator:
             # served this interval.
             served_rate = rate / self.cycles_per_second  # requests/cycle
             walker.offset += served_rate * interval_cycles * per_request
-            measured, signature = _measured(total_qos, phase, gauss, std)
+            measured, signature = _measured(total_qos, phase, draw, std)
             records.append(
                 IntervalRecord(
                     index=index,

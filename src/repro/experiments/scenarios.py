@@ -56,12 +56,20 @@ only a small number of lines will be dirty"."""
 
 
 def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean, as the paper aggregates costs."""
+    """Geometric mean, as the paper aggregates costs.
+
+    The logarithms add left to right in a loop, not with builtin
+    ``sum()``, which compensates float rounding from CPython 3.12 on:
+    the mean is then the same on every supported interpreter.
+    """
     if not values:
         raise ValueError("geometric mean of no values")
     if any(v <= 0 for v in values):
         raise ValueError(f"geometric mean needs positive values, got {values}")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+    total = 0.0
+    for value in values:
+        total += math.log(value)
+    return math.exp(total / len(values))
 
 
 def default_load_for(app: PhasedApplication) -> OscillatingLoad:
@@ -109,20 +117,28 @@ class _LatencyConvexAllocator(ConvexOptimizationAllocator):
         # Build average-case points at the mean request rate, one per
         # configuration, mirroring the offline-profile construction.
         pool = list(candidates) if candidates is not None else list(sim.space)
+        # Every sum here adds left to right in a loop, not with builtin
+        # ``sum()``, which compensates float rounding from CPython 3.12
+        # on (as ``convex.average_points`` adds its cycle counts).
         mean_rate = getattr(sim.load, "mean_rate", None)
         if mean_rate is None:
             rates = list(sim.load)
-            mean_rate = sum(rates) / len(rates)
+            total_rate = 0.0
+            for rate in rates:
+                total_rate += rate
+            mean_rate = total_rate / len(rates)
         from repro.runtime.optimizer import ConfigPoint
 
         weights = [phase.instructions for phase in sim.app.phases]
-        total = sum(weights)
+        total = 0.0
+        for w in weights:
+            total += w
         points = []
         for config in pool:
-            qos = sum(
-                w * sim.qos_of(phase, config, mean_rate)
-                for w, phase in zip(weights, sim.app.phases)
-            ) / total
+            weighted = 0.0
+            for w, phase in zip(weights, sim.app.phases):
+                weighted += w * sim.qos_of(phase, config, mean_rate)
+            qos = weighted / total
             points.append(
                 ConfigPoint(
                     config=config,

@@ -1,26 +1,28 @@
-"""Optional compiled core for the cycle tier, the fabric and Eqn. 5.
+"""Optional compiled core for the cycle tier, the fabric, Eqn. 5 and noise.
 
-Four hot loops cost pure interpreter overhead in Python: the
+Five hot loops cost pure interpreter overhead in Python: the
 struct-of-arrays batch kernel (:mod:`repro.sim.batchpipe`, one event
 epoch per cell per step), the column trace generator
 (:meth:`repro.sim.trace.TraceGenerator.generate_arrays`, a handful of
 RNG draws per micro-op), the fabric's placement search
 (:meth:`repro.arch.fabric.Fabric.allocate`, a seed search and a region
-pick over the free-tile masks at every placement) and the lower convex
+pick over the free-tile masks at every placement), the lower convex
 envelope of Eqn. 5 (:meth:`repro.runtime.optimizer.LearnedPoints.
 envelope` and the latency oracle's point view, a sort and a monotone
-chain over every learned estimate at every control interval).  This
-module compiles ``sim/_batchcore.c``, ``sim/_tracegen.c``,
-``arch/_fabric.c`` and ``runtime/_envelope.c`` on demand into one
-shared object with the host C compiler and loads it through
-:mod:`ctypes`, following the shape ROADMAP cites from ``subhft``'s
-``rust_core``: an *optional* accelerated core behind a pure-Python
-contract, with the scalar twins — the per-cycle object pipeline, the
-reference trace generator, the grow-from-every-seed placement scan and
-the sorted-key envelope chain — always runnable and bit-identity
-asserted in tests.  Nothing is installed: if no compiler is present
-(or ``REPRO_NATIVE`` disables the core) every caller falls back to
-those twins — correct, but several times slower.
+chain over every learned estimate at every control interval) and the
+simulators' measurement noise (:class:`repro.experiments.harness.
+NoiseStream`, a Gaussian draw per leg and per counter).  This module
+compiles ``sim/_batchcore.c``, ``sim/_tracegen.c``, ``arch/_fabric.c``
+and ``runtime/_envelope.c`` on demand into one shared object with the
+host C compiler and loads it through :mod:`ctypes`, following the
+shape ROADMAP cites from ``subhft``'s ``rust_core``: an *optional*
+accelerated core behind a pure-Python contract, with the scalar twins
+— the per-cycle object pipeline, the reference trace generator, the
+grow-from-every-seed placement scan, the sorted-key envelope chain and
+``random.Random.gauss`` — always runnable and bit-identity asserted in
+tests.  Nothing is installed: if no compiler is present (or
+``REPRO_NATIVE`` disables the core) every caller falls back to those
+twins — correct, but several times slower.
 
 The host-level switches are read from the environment here, once, at
 the top of the package — the engine directories themselves are
@@ -33,13 +35,16 @@ rule:
 
 The switch can never change a result — every entry point is
 bit-identical to its scalar twin (enforced by the `fast-parity` twin
-tests) — it only selects how fast the cycle tier, placement and the
-envelope run.  The envelope computes cross products, so the sources
-build with ``-ffp-contract=off``: a fused multiply-add would round
-``a*b - c*d`` once where CPython rounds each operation.  Build
-artifacts are keyed by a content hash of the C sources, the compiler
-and its flags, written via temp-file + atomic rename, so concurrent
-processes and stale sources are both safe.
+tests) — it only selects how fast the cycle tier, placement, the
+envelope and the noise run.  The envelope computes cross products and
+the noise ``cos(x) * r``, so the sources build with
+``-ffp-contract=off``: a fused multiply-add would round ``a*b - c*d``
+once where CPython rounds each operation.  The noise calls the same
+libm ``log``, ``sqrt``, ``cos`` and ``sin`` as :mod:`math`, so the
+object links ``-lm``.  Build artifacts are keyed by a content hash of
+the C sources, the compiler and its flags, written via temp-file +
+atomic rename, so concurrent processes and stale sources are both
+safe.
 """
 
 from __future__ import annotations
@@ -47,10 +52,12 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import random
 import shutil
 import subprocess
 import tempfile
 import threading
+from array import array
 from pathlib import Path
 from typing import Any, List, Optional, Tuple, Union
 
@@ -64,6 +71,9 @@ _OFF_VALUES = frozenset({"0", "off", "none", "disabled"})
 #: rounded difference, as CPython computes it, on targets with a fused
 #: multiply-add (aarch64, for one), where GCC and Clang contract it.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: Libraries linked after the sources: libm for the noise stream.
+_LDLIBS = ("-lm",)
 
 _SOURCE_PATHS = tuple(
     Path(__file__).parent / name
@@ -177,6 +187,54 @@ class EnvelopeBuffers:
         return self._scratch
 
 
+#: Draws per compiled noise block.  Each stream holds one block, so
+#: this bounds the memory a service's thousand tenant streams add.
+NOISE_BLOCK = 64
+
+#: The ``array`` typecode of a 32-bit unsigned int on this platform.
+_UINT32 = next(code for code in "IL" if array(code).itemsize == 4)
+
+
+class NoiseBlocks:
+    """One measurement-noise stream's compiled state.
+
+    Holds the stream's MT19937 state, copied from
+    ``random.Random(seed).getstate()`` (its 624 words and index, as an
+    ``array`` of 32-bit unsigned ints), and a block of
+    :data:`NOISE_BLOCK` doubles.  Each call refills the block in place
+    with the stream's next draws of ``random.Random(seed).gauss(0.0,
+    1.0)``, in order, and returns it, so
+    ``itertools.chain.from_iterable(iter(blocks, None))`` iterates the
+    draws at C speed, one Python call per block (see
+    :class:`repro.experiments.harness.NoiseStream`).
+    """
+
+    __slots__ = ("_state", "_block", "_fill", "_args")
+
+    def __init__(self, core: "NativeBatchCore", seed: int) -> None:
+        state = array(_UINT32, random.Random(seed).getstate()[1])
+        block = array("d", bytes(8 * NOISE_BLOCK))
+        self._state = state
+        self._block = block
+        self._fill = core._noise_fill
+        self._args = (state.buffer_info()[0], NOISE_BLOCK, block.buffer_info()[0])
+
+    def __call__(self) -> "array[float]":
+        # The previous block's iterator is exhausted before the chain
+        # asks for the next block, so refilling it in place is safe.
+        self._fill(*self._args)
+        return self._block
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # A copy would fill the original's buffers through the stored
+        # addresses, after the original may have freed them.
+        raise TypeError("a compiled noise stream cannot be copied or pickled")
+
+    def getstate(self) -> Tuple[int, ...]:
+        """The MT19937 words and index, as ``getstate()[1]`` holds them."""
+        return tuple(self._state)
+
+
 class PlacementBuffers:
     """One fabric's buffers for :meth:`NativeBatchCore.fabric_place`.
 
@@ -229,9 +287,10 @@ class PlacementBuffers:
 
 
 class NativeBatchCore:
-    """ctypes wrapper around the compiled library's four entries:
+    """ctypes wrapper around the compiled library's five entries:
     ``repro_run_batch``, ``repro_generate_trace``,
-    ``repro_fabric_place`` and ``repro_lower_envelope``."""
+    ``repro_fabric_place``, ``repro_lower_envelope`` and
+    ``repro_noise_fill``."""
 
     def __init__(self, library: ctypes.CDLL, path: Path) -> None:
         self.path = path
@@ -267,6 +326,10 @@ class NativeBatchCore:
             ctypes.c_void_p,
         ]
         self._envelope = envelope
+        noise_fill = library.repro_noise_fill
+        noise_fill.restype = None
+        noise_fill.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+        self._noise_fill = noise_fill
 
     def run_batch(
         self,
@@ -387,7 +450,7 @@ def _build_and_load_locked() -> NativeBatchCore:
     hasher = hashlib.sha256()
     for path in _SOURCE_PATHS:
         hasher.update(path.read_bytes())
-    hasher.update(compiler.encode() + " ".join(_CFLAGS).encode())
+    hasher.update(compiler.encode() + " ".join(_CFLAGS + _LDLIBS).encode())
     digest = hasher.hexdigest()[:16]
     build_dir = _BUILD_DIR
     artifact = build_dir / f"_native-{digest}.so"
@@ -399,7 +462,14 @@ def _build_and_load_locked() -> NativeBatchCore:
         os.close(handle)
         try:
             result = subprocess.run(
-                [compiler, *_CFLAGS, "-o", tmp_name, *map(str, _SOURCE_PATHS)],
+                [
+                    compiler,
+                    *_CFLAGS,
+                    "-o",
+                    tmp_name,
+                    *map(str, _SOURCE_PATHS),
+                    *_LDLIBS,
+                ],
                 capture_output=True,
                 text=True,
             )
@@ -426,8 +496,8 @@ def _build_and_load_locked() -> NativeBatchCore:
 
 def batch_core() -> Optional[NativeBatchCore]:
     """The compiled core — the batch kernel, the trace generator, the
-    placement search and the envelope chain, one shared object — or
-    ``None`` when unavailable.
+    placement search, the envelope chain and the noise stream, one
+    shared object — or ``None`` when unavailable.
 
     Builds and loads at most once per process; a failed build is
     remembered (see :func:`batch_core_error`) and not retried until

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import perf
 from repro.arch.vcore import VCoreConfig
@@ -95,17 +95,23 @@ class SpeedupLearner:
         self._version = 0
         self._change_log: List[Optional[VCoreConfig]] = []
         self._log_base = 0
-        self._max_qos_cache: Optional[Tuple[int, float]] = None
+        # max_k q̂_k of the current table, kept up to date by every
+        # mutator (None = unknown: rescan on the next read), and the
+        # estimate holding it.
+        self._max_qos: Optional[float] = None
+        self._max_holder: Optional[_Estimate] = None
 
     CHANGE_LOG_LIMIT = 256
     """Retained change-log entries before old deltas degrade to full
     rebuilds (a consumer that lags this far behind rebuilds anyway)."""
 
     def _record_change(self, config: Optional[VCoreConfig]) -> None:
-        """Note that ``config``'s estimate moved (None = all of them)."""
+        """Note that ``config``'s estimate moved (None = all of them).
+
+        The caller keeps :attr:`_max_qos` exact or sets it to None.
+        """
         self._version += 1
         self._change_log.append(config)
-        self._max_qos_cache = None
         overflow = len(self._change_log) - self.CHANGE_LOG_LIMIT
         if overflow > 0:
             del self._change_log[:overflow]
@@ -141,17 +147,35 @@ class SpeedupLearner:
         :class:`~repro.runtime.correlated.GridSmoothingLearner`'s
         neighbourhood propagation does.
         """
+        self._max_qos = None
         self._record_change(None)
 
     def max_qos_estimate(self) -> float:
-        """max_k q̂_k, cached against the estimates version."""
+        """max_k q̂_k, as ``max()`` over the estimates returns it.
+
+        On the fast path the value is kept up to date as estimates
+        change: an observation that rises above it becomes it, a
+        rescale scales it (rounding is monotone, so the largest scaled
+        estimate is the scaled largest), and it is rescanned only after
+        the estimate holding it falls, a NaN comes or goes, a table
+        switch or :meth:`invalidate_estimates`.  The rescan keeps
+        ``max()``'s first-of-equals holder.
+        """
         if perf.FAST:
-            cached = self._max_qos_cache
-            if cached is not None and cached[0] == self._version:
-                return cached[1]
-        value = max(estimate.qos for estimate in self._estimates.values())
-        self._max_qos_cache = (self._version, value)
-        return value
+            value = self._max_qos
+            if value is not None:
+                return value
+            estimates = iter(self._estimates.values())
+            holder = next(estimates)
+            value = holder.qos
+            for estimate in estimates:
+                if estimate.qos > value:
+                    value = estimate.qos
+                    holder = estimate
+            self._max_qos = value
+            self._max_holder = holder
+            return value
+        return max(estimate.qos for estimate in self._estimates.values())
 
     @property
     def configs(self) -> List[VCoreConfig]:
@@ -194,9 +218,24 @@ class SpeedupLearner:
             )
         estimate.visits += 1
         estimate.last_visit = self._step
-        if estimate.qos != previous_qos:
+        qos = estimate.qos
+        if qos != previous_qos:
+            best = self._max_qos
+            if best is not None:
+                if qos > best:
+                    self._max_qos = qos
+                    self._max_holder = estimate
+                elif (
+                    (estimate is self._max_holder and qos < previous_qos)
+                    or qos != qos
+                    or previous_qos != previous_qos
+                ):
+                    # The maximum fell, or a NaN (which max() skips
+                    # unless it comes first) came or went: rescan on
+                    # the next read.
+                    self._max_qos = None
             self._record_change(config)
-        return estimate.qos
+        return qos
 
     def rescale_on_phase_change(self, ratio: float) -> None:
         """Scale all QoS estimates by the base-speed shift ratio.
@@ -216,6 +255,10 @@ class SpeedupLearner:
         for entry in self._bank:
             for estimate in entry["table"].values():  # type: ignore[union-attr]
                 estimate.qos *= ratio
+        best = self._max_qos
+        # An infinite ratio turns a zero estimate into NaN; a NaN ratio
+        # makes every estimate NaN and fails the test as well.
+        self._max_qos = best * ratio if best is not None and ratio < math.inf else None
         # Sentinel: ratio is exactly 1.0 iff no rescale happened, in
         # which case no estimate moved and no change must be recorded.
         if ratio != 1.0:  # lint: allow(float-eq)
@@ -238,10 +281,18 @@ class SpeedupLearner:
             return False
         floor = SpeedupLearner.SIGNATURE_ABS_FLOOR
         for x, y in zip(a, b):
-            scale = max(abs(x), abs(y))
+            # max(abs(x), abs(y)) and max(tolerance * scale, floor),
+            # as conditionals: the first argument unless the second is
+            # larger, as max() picks.
+            scale = abs(x)
+            if abs(y) > scale:
+                scale = abs(y)
             if scale < 1e-12:
                 continue
-            if abs(x - y) > max(tolerance * scale, floor):
+            bound = tolerance * scale
+            if floor > bound:
+                bound = floor
+            if abs(x - y) > bound:
                 return False
         return True
 
@@ -310,6 +361,7 @@ class SpeedupLearner:
                 blended if len(blended) == len(signature) else tuple(signature)
             )
             self._estimates = self._bank[best_index]["table"]  # type: ignore[assignment]
+            self._max_qos = None
             self._record_change(None)
             return True
         # Seed the fresh table from the resource-proportional prior,
@@ -334,6 +386,7 @@ class SpeedupLearner:
         )
         self._current_phase = len(self._bank) - 1
         self._estimates = fresh
+        self._max_qos = None
         self._record_change(None)
         return False
 
@@ -401,15 +454,27 @@ class SpeedupLearner:
                 f"exploration_weight must be non-negative, "
                 f"got {exploration_weight}"
             )
-        candidates = [c for c in self._estimates if c != exclude]
-        if not candidates:
-            candidates = list(self._estimates)
-        return max(
-            candidates,
-            key=lambda config: self.ucb_potential(
-                config, exploration_weight, scale
-            ),
-        )
+        if scale is None:
+            scale = self.max_qos_estimate()
+        # ucb_potential of every configuration, the first of equals
+        # winning as in max(); the excluded one is found by its
+        # estimate's identity (dict keys are unique, so at most one
+        # config equals ``exclude``), not by comparing every config.
+        weighted = exploration_weight * scale
+        excluded = self._estimates.get(exclude) if exclude is not None else None
+        best: Optional[VCoreConfig] = None
+        best_potential = 0.0
+        for config, estimate in self._estimates.items():
+            if estimate is excluded:
+                continue
+            potential = estimate.qos + weighted / math.sqrt(estimate.visits + 1.0)
+            if best is None or potential > best_potential:
+                best = config
+                best_potential = potential
+        if best is None:
+            # Only the excluded configuration is left: it is the pick.
+            return next(iter(self._estimates))
+        return best
 
     def ucb_potential(
         self,

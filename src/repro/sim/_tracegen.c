@@ -29,8 +29,15 @@
  * caller writes it back into the generator only when the call returns
  * 0.  A negative status is an allocation failure.  -1 is the None
  * sentinel in every column, as in TraceArrays.
+ *
+ * The same MT19937 port also feeds the simulators' measurement noise:
+ * repro_noise_fill writes, from a state random.Random(seed).getstate()
+ * handed over, the next standard normal draws random.Random.gauss(0.0,
+ * 1.0) would return, pair by pair, through the same libm calls (see
+ * repro.native.NoiseBlocks).
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -143,6 +150,28 @@ static int bit_length(uint64_t n) {
         n >>= 1;
     }
     return k;
+}
+
+/* ---- measurement noise: random.Random(seed).gauss(0.0, 1.0) --------- */
+
+/* The next count (even) draws of gauss(0.0, 1.0) from the state, in
+ * order.  state holds MT_N words and then the index, as getstate()[1]
+ * lists them, and is advanced in place.  Each pair is gauss's Box-Muller step, cos first, then the sin
+ * it keeps as gauss_next.  The angle is read back from a volatile so
+ * the compiler cannot merge the two calls into one sincos, whose
+ * argument reduction may round differently from sin's and cos's. */
+void repro_noise_fill(uint32_t *state, int64_t count, double *out) {
+    Mt m;
+    int64_t i;
+    m.key = state;
+    m.index = state[MT_N];
+    for (i = 0; i + 1 < count; i += 2) {
+        volatile double angle = random_double(&m) * 6.283185307179586;
+        const double radius = sqrt(-2.0 * log(1.0 - random_double(&m)));
+        out[i] = cos(angle) * radius;
+        out[i + 1] = sin(angle) * radius;
+    }
+    state[MT_N] = (uint32_t)m.index;
 }
 
 /* Random._randbelow_with_getrandbits(n) for n >= 1, with k precomputed

@@ -1,6 +1,7 @@
 """Virtual core configurations and the configuration grid."""
 
 import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -93,6 +94,29 @@ class TestCachedShape:
                 config.l2_banks
             with pytest.raises(ValueError):
                 config.tiles
+
+
+class TestStoredHash:
+    """The hash is computed once, at construction, and is the generated
+    one's: ``hash((slices, l2_kb))``, also after a copy or a pickle
+    round trip."""
+
+    @pytest.mark.parametrize(
+        "how", ["copy", "deepcopy", "pickle", "replace", "fresh"]
+    )
+    @pytest.mark.parametrize("shape", [(3, 512), (8, 8192), (1, 100)])
+    def test_hash_is_the_field_tuple_hash(self, how, shape):
+        config = VCoreConfig(*shape)
+        twin = {
+            "copy": copy.copy,
+            "deepcopy": copy.deepcopy,
+            "pickle": lambda c: pickle.loads(pickle.dumps(c)),
+            "replace": dataclasses.replace,
+            "fresh": lambda c: VCoreConfig(c.slices, c.l2_kb),
+        }[how](config)
+        assert hash(config) == hash(twin) == hash(shape)
+        assert {config: "a"}[twin] == "a"
+        assert repr(twin) == repr(config)
 
 
 class TestDefaultSpace:

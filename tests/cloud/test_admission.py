@@ -87,7 +87,8 @@ class TestAdmission:
             AdmissionController(Fabric(), overcommit=0.5)
 
     def test_incremental_counters_match_decision_scan(self):
-        """The O(1) admitted/reserved counters agree with full scans.
+        """The O(1) admitted counters agree with full scans, and the
+        reserved totals with the admitted, unreleased reservations.
 
         ``CloudProvider.run`` now reports admissions from the
         controller's decision-time counter instead of re-scanning the
@@ -97,12 +98,18 @@ class TestAdmission:
         controller = AdmissionController(
             Fabric(width=10, height=10), overcommit=1.5
         )
+        live = {}
         for tenant_id in range(48):
-            controller.request(make_tenant(tenant_id, "mcf"))
+            requests = [make_tenant(tenant_id, "mcf")]
             if tenant_id % 5 == 0:
-                controller.request(make_tenant(tenant_id))  # duplicate
+                requests.append(make_tenant(tenant_id))  # duplicate
+            for tenant in requests:
+                decision = controller.request(tenant)
+                if decision.admitted:
+                    live[tenant_id] = decision.reservation
             if tenant_id % 7 == 3:
                 controller.release(tenant_id)
+                live.pop(tenant_id, None)
 
         scanned_admits = sum(
             1 for decision in controller.decisions if decision.admitted
@@ -114,9 +121,10 @@ class TestAdmission:
         )
         assert controller.admitted_count == scanned_admits
         assert controller.already_admitted_count == scanned_duplicates
-        assert controller.reserved(TileKind.SLICE) == controller._scan_reserved(
-            TileKind.SLICE
+        assert live
+        assert controller.reserved(TileKind.SLICE) == sum(
+            config.slices for config in live.values()
         )
-        assert controller.reserved(
-            TileKind.L2_BANK
-        ) == controller._scan_reserved(TileKind.L2_BANK)
+        assert controller.reserved(TileKind.L2_BANK) == sum(
+            config.l2_banks for config in live.values()
+        )

@@ -195,24 +195,27 @@ class TestStepMechanics:
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_no_noise_draws_nothing(self, fast):
+        # Each resident draws from its NoiseStream (compiled blocks on
+        # the fast path with the core loaded, ``random.Random.gauss``
+        # otherwise); a fresh stream for the same tenant, built in the
+        # same mode, is the state before any draw.
         with perf.fast_paths(fast):
             engine = build_engine(noise_std_frac=0.0)
             report = engine.run(until=100)
-        assert report.decide_steps > 0
-        assert engine._residents
-        for tenant_id, resident in engine._residents.items():
-            assert resident.gauss is None
-            untouched = service._noise_stream(engine.noise_seed, tenant_id)
-            assert resident.rng.getstate() == untouched.getstate()
-        # With noise on, the same tenants draw from their streams.
-        with perf.fast_paths(fast):
+            assert report.decide_steps > 0
+            assert engine._residents
+            for tenant_id, resident in engine._residents.items():
+                assert resident.draw is None
+                untouched = service._noise_stream(engine.noise_seed, tenant_id)
+                assert resident.noise.getstate() == untouched.getstate()
+            # With noise on, the same tenants draw from their streams.
             noisy = build_engine()
             noisy.run(until=100)
-        moved = [
-            resident.rng.getstate()
-            != service._noise_stream(noisy.noise_seed, tenant_id).getstate()
-            for tenant_id, resident in noisy._residents.items()
-        ]
+            moved = [
+                resident.noise.getstate()
+                != service._noise_stream(noisy.noise_seed, tenant_id).getstate()
+                for tenant_id, resident in noisy._residents.items()
+            ]
         assert any(moved)
 
 

@@ -12,7 +12,10 @@ how builtin ``sum()`` rounds, which CPython 3.12 changed by
 compensating float sums.  ``test_convex_digest_under_compensated_sum``
 replays 3.12's ``sum()`` in Python over ``builtins.sum`` and checks the
 Convex cells, whose average-case profile once summed with it, against
-the same digests.
+the same digests; ``TestAggregatesUnderCompensatedSum`` does the same
+for the aggregates read off the results (Table III's cost, the
+geometric mean, the service's mean violation and the latency Convex
+profile), which once summed with it as well.
 """
 
 import builtins
@@ -22,7 +25,16 @@ import math
 import pytest
 
 from repro import perf
-from repro.experiments.scenarios import run_app_with_allocator
+from repro.cloud.service import ServiceAccount, ServiceReport
+from repro.experiments.harness import IntervalRecord, RunResult
+from repro.experiments.scenarios import (
+    _LatencyConvexAllocator,
+    geometric_mean,
+    make_latency_simulator,
+    run_app_with_allocator,
+)
+from repro.runtime.optimizer import IDLE_POINT, Schedule, ScheduleEntry
+from repro.workloads.apps import get_app
 
 INTERVALS = 60
 
@@ -151,3 +163,77 @@ def test_convex_digest_under_compensated_sum(cell, fast, monkeypatch):
         )
     digest = hashlib.sha256(repr(result).encode()).hexdigest()
     assert digest == DIGESTS[cell]
+
+
+def left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+class TestAggregatesUnderCompensatedSum:
+    """Each aggregate adds left to right, so replaying 3.12's ``sum()``
+    moves none of them; each synthetic case is one where the two sums
+    differ, so a return to builtin ``sum()`` fails here on any
+    interpreter."""
+
+    def test_cost_dollars(self, monkeypatch):
+        idle = Schedule((ScheduleEntry(IDLE_POINT, 1.0),))
+        rates = [1e16, 1.0, 1.0]
+        assert compensated_sum(rates) != left_to_right(rates)
+        synthetic = RunResult(
+            "x", "y", 1.0, 1.0,
+            [
+                IntervalRecord(i, 0.0, "p", idle, 1.0, 1.0, 1.0, rate, False, 0)
+                for i, rate in enumerate(rates)
+            ],
+        )
+        cells = [
+            run_app_with_allocator(app, kind, intervals=INTERVALS, seed=0)
+            for app, kind in (("x264", "cash"), ("apache", "convex"))
+        ]
+        plain = [result.cost_dollars for result in cells]
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert synthetic.cost_dollars == left_to_right(rates) / 3
+        assert [result.cost_dollars for result in cells] == plain
+
+    def test_geometric_mean(self, monkeypatch):
+        values = [0.01, 0.02, 0.1]
+        logs = [math.log(value) for value in values]
+        assert compensated_sum(logs) != left_to_right(logs)
+        plain = geometric_mean(values)
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert geometric_mean(values) == plain == math.exp(
+            left_to_right(logs) / 3
+        )
+
+    def test_service_mean_violation_percent(self, monkeypatch):
+        # 0.1, 0.2 and 0.3 percent, and an inactive tenant that does
+        # not count.
+        accounts = {
+            tenant: ServiceAccount(tenant, active_intervals=active, violations=v)
+            for tenant, active, v in ((3, 1000, 3), (1, 1000, 1), (2, 1000, 2), (4, 0, 0))
+        }
+        percents = [0.1, 0.2, 0.3]
+        assert compensated_sum(percents) != left_to_right(percents)
+        report = ServiceReport(
+            intervals=10,
+            admitted=4,
+            rejected=0,
+            accounts=accounts,
+            tenant_intervals=0,
+            active_steps=0,
+            decide_steps=0,
+            utilization_tile_intervals=0,
+            fabric_tiles=1,
+            defragmentations=0,
+        )
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert report.mean_violation_percent == left_to_right(percents) / 3
+
+    def test_latency_convex_profile(self, monkeypatch):
+        sim = make_latency_simulator(get_app("apache"))
+        plain = repr(_LatencyConvexAllocator(sim).points)
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert repr(_LatencyConvexAllocator(sim).points) == plain

@@ -1,10 +1,13 @@
 """Online speedup learning (Eqn. 7), the phase bank, and exploration."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro import perf
 from repro.arch.vcore import VCoreConfig
 from repro.runtime.qlearning import (
     ExplorationPolicy,
@@ -245,3 +248,68 @@ class TestExplorationPolicy:
             ExplorationPolicy(learner, epsilon=0.1, epsilon_floor=0.5)
         with pytest.raises(ValueError):
             ExplorationPolicy(learner, decay=0.0)
+
+
+class MaxEstimateMachine(RuleBasedStateMachine):
+    """``max_qos_estimate()`` equals a fresh ``max`` after every
+    mutator, on the fast path where it is kept up to date instead of
+    rescanned: observations that raise, lower (the holder included) or
+    repeat an estimate, NaN ones, rescales, phase switches and
+    ``invalidate_estimates``."""
+
+    def __init__(self):
+        super().__init__()
+        self.learner = make_learner(alpha=0.5)
+
+    def fresh_max(self):
+        return max(e.qos for e in self.learner._estimates.values())
+
+    @rule(
+        position=st.integers(0, len(CONFIGS) - 1),
+        qos=st.one_of(
+            st.floats(0.0, 8.0),
+            st.sampled_from([0.0, 1.0, 4.0, math.inf, math.nan]),
+        ),
+    )
+    def observe(self, position, qos):
+        self.learner.observe(CONFIGS[position], qos)
+
+    @rule(position=st.integers(0, len(CONFIGS) - 1))
+    def observe_the_holder_lower(self, position):
+        estimates = self.learner._estimates
+        holder = max(estimates, key=lambda config: estimates[config].qos)
+        self.learner.observe(holder, estimates[CONFIGS[position]].qos * 0.5)
+
+    @rule(ratio=st.sampled_from([0.5, 1.0, 1.25, 3.0, 1e-300, math.inf]))
+    def rescale(self, ratio):
+        self.learner.rescale_on_phase_change(ratio)
+
+    @rule(
+        signature=st.sampled_from([(0.1, 0.2), (0.5, 0.2), (0.9, 0.01)]),
+        anchor=st.sampled_from([None, 0.5, 2.0]),
+    )
+    def switch_phase(self, signature, anchor):
+        self.learner.on_phase_change(
+            1.0, 1.5, signature=signature, anchor_qos=anchor
+        )
+
+    @rule()
+    def invalidate(self):
+        self.learner.invalidate_estimates()
+
+    @invariant()
+    def max_is_fresh(self):
+        with perf.fast_paths(True):
+            value = self.learner.max_qos_estimate()
+        # Read twice: the second read comes from the kept value.
+        with perf.fast_paths(True):
+            again = self.learner.max_qos_estimate()
+        fresh = self.fresh_max()
+        for got in (value, again):
+            assert got == fresh or (math.isnan(got) and math.isnan(fresh))
+
+
+TestMaxEstimateStateful = MaxEstimateMachine.TestCase
+TestMaxEstimateStateful.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None
+)
