@@ -95,7 +95,6 @@ HOT_ENTRYPOINTS: Tuple[Tuple[str, str], ...] = (
     ("sim.batchpipe", "run_batch"),
     ("cloud.provider", "CloudProvider.run"),
     ("cloud.service", "ServiceEngine.run"),
-    ("cloud.service", "ServiceEngine._run_event_driven"),
     ("cloud.traffic", "generate_traffic"),
     ("sim.trace", "TraceGenerator.generate_arrays"),
     ("sim.optables", "operating_point_table"),

@@ -403,7 +403,7 @@ class Fabric:
     def try_allocate_exact(self, allocation: Allocation) -> bool:
         """Re-seat a previously released allocation on its exact tiles.
 
-        The event-driven service parks idle tenants (releasing their
+        The provider service parks idle tenants (releasing their
         tiles) and re-seats them when the next burst arrives; if the
         old region is still free this is O(region) — no seed search,
         no growth.  Returns False (fabric untouched) when any old tile

@@ -18,8 +18,9 @@ top of the architecture and runtime layers:
   share one :class:`~repro.arch.fabric.Fabric`; in each interval with
   work a tenant's runtime picks a schedule, the engine places the peak
   footprint spatially (defragmenting when a resize fails) and bills
-  by area-time.  One min-heap of (interval, kind, tenant) events, idle
-  stretches skipped exactly, and streaming metrics for long horizons;
+  by area-time.  One interval loop steps, in each interval, only the
+  tenants filed in its wake bucket, and ``run(until=)`` advances it in
+  segments;
 * :mod:`repro.cloud.provider` — the closed-list front end: a fixed
   tenant roster run on the service engine.
 
@@ -41,7 +42,6 @@ from repro.cloud.traffic import (
     generate_traffic,
 )
 from repro.cloud.service import (
-    MetricsSink,
     ServiceAccount,
     ServiceEngine,
     ServiceReport,
@@ -56,7 +56,6 @@ __all__ = [
     "TrafficScenario",
     "TrafficSpec",
     "generate_traffic",
-    "MetricsSink",
     "ServiceAccount",
     "ServiceEngine",
     "ServiceReport",

@@ -16,34 +16,30 @@ multiplexing within the quantum happens inside the tenant's own
 tiles), defragmenting the fabric when a resize fails, and bills the
 tenant by area-time while tracking its QoS.
 
-The engine runs behind the usual FAST/scalar-twin discipline:
+One interval loop runs in both engine modes:
 
-* **one min-heap of events.**  ``(interval, kind, tenant_id)`` entries
-  — departures before arrivals before controller steps within an
-  interval, ascending tenant id within a kind — reproduce exactly the
-  order the dense reference loop visits tenants in, so both modes
-  mutate the shared fabric identically.
+* **wake buckets.**  Each interval first settles the tenants due to
+  depart at it, then admits its arrivals, then steps the tenants whose
+  traffic has work at it.  Departures and wakes are filed by interval,
+  each bucket in ascending tenant id, when a tenant is admitted and,
+  for wakes, each time it is stepped, so no interval scans the
+  residents.
 * **controller updates only when there is work.**  A tenant's
   Kalman/Q-learning step runs only at intervals where its traffic
   queued work; between bursts the tenant is *parked* (its tiles
-  released back to the fabric) and the engine jumps the clock over
-  the gap.
+  released back to the fabric) and holds no wake until its next burst.
 * **convergence hibernation.**  A tenant whose schedule has been
   byte-identical for ``converged_after`` consecutive steps stops
   consulting its allocator (and drawing measurement noise) and replays
   the converged schedule until the phase changes or a ``reprobe_every``
-  countdown fires — the same deterministic rule in both modes.
-* **idle stretches skipped exactly.**  All per-interval accounting the
-  dense twin accumulates (tenant-intervals, occupied tile-intervals)
-  is kept in integers, so multiplying over a skipped stretch equals
-  per-interval accumulation bit for bit; per-tenant noise streams are
-  keyed by tenant id, so skipping one tenant never perturbs another.
+  countdown fires.
+* **integer accounting.**  Tenant-intervals and occupied tile-intervals
+  are kept in integers, and per-tenant noise streams are keyed by
+  tenant id, so stepping one tenant never perturbs another's draws.
 
-The dense twin lives on as :meth:`ServiceEngine._run_dense_reference`
-(scalar mode); fixed-seed reports are bit-identical in both modes.
-
-A bounded ring / JSONL streaming metrics sink (:class:`MetricsSink`)
-replaces end-of-run-only reporting over long simulated horizons, and
+Fixed-seed reports are bit-identical with the fast paths on or off
+(the fabric, admission, noise and operating-point tables choose
+between their fast paths and scalar twins; the loop does not), and
 :meth:`ServiceEngine.run` advances in segments (``until=``) within one
 process.
 """
@@ -51,13 +47,11 @@ process.
 from __future__ import annotations
 
 import copy
-import heapq
-import json
-from collections import deque
+from bisect import insort
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, DefaultDict, Dict, List, Optional, Tuple
 
-from repro import perf
 from repro.arch.cost import CostModel, DEFAULT_COST_MODEL
 from repro.arch.fabric import Allocation, Fabric, FabricError
 from repro.arch.vcore import ConfigurationSpace, VCoreConfig, DEFAULT_CONFIG_SPACE
@@ -77,13 +71,6 @@ from repro.runtime.optimizer import ConfigPoint, Schedule, ScheduleEntry
 from repro.sim.optables import OperatingPointTable, operating_point_table
 from repro.sim.perfmodel import PerformanceModel, DEFAULT_PERF_MODEL
 from repro.workloads.phase import Phase
-
-# Event kinds, ordered so a heap pop sequence within one interval
-# matches the dense loop: departures, then arrivals, then steps.
-_EVENT_DEPART = 0
-_EVENT_ARRIVE = 1
-_EVENT_STEP = 2
-
 
 def build_tenant_allocator(
     tenant: Tenant,
@@ -126,8 +113,7 @@ class ServiceAccount:
     """Per-tenant billing and QoS bookkeeping (integer-first).
 
     Footprint area is accumulated as an integer tile total, not a
-    per-interval list, so a million-interval tenant costs O(1) memory
-    and stretch accounting stays exact.
+    per-interval list, so a million-interval tenant costs O(1) memory.
     """
 
     tenant_id: int
@@ -217,34 +203,6 @@ class ServiceReport:
         return total / active
 
 
-@dataclass(eq=False)
-class MetricsSink:
-    """Streaming metric export: a bounded in-memory ring, plus JSONL.
-
-    The engine emits one record per *eventful* interval (and one per
-    skipped stretch in event mode), so observability never requires
-    holding a full run's history: the ring keeps the trailing window
-    and the optional JSONL file streams everything.
-    """
-
-    capacity: int = 4096
-    jsonl_path: Optional[str] = None
-    records: Deque[Dict[str, object]] = field(init=False)
-    emitted: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
-        self.records = deque(maxlen=self.capacity)
-
-    def emit(self, record: Dict[str, object]) -> None:
-        self.records.append(record)
-        self.emitted += 1
-        if self.jsonl_path is not None:
-            with open(self.jsonl_path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-
 @dataclass
 class _ServiceResident:
     """A tenant currently admitted to the service."""
@@ -255,9 +213,8 @@ class _ServiceResident:
     account: ServiceAccount
     noise: NoiseStream
     """The tenant's private measurement-noise stream.  Keyed by tenant
-    id (not shared fleet-wide) so skipping other tenants' idle
-    intervals cannot shift this one's draws — the property the whole
-    event engine rests on."""
+    id (not shared fleet-wide), so no other tenant's steps or
+    hibernation replays shift this one's draws."""
     draw: Optional[Callable[[], float]]
     """``noise.draw``, bound at admission, or None when the engine draws
     no noise (``noise_std_frac <= 0``)."""
@@ -298,19 +255,15 @@ def _noise_stream(seed: int, tenant_id: int) -> NoiseStream:
 class ServiceEngine:
     """Runs a traffic scenario's tenants against one shared fabric.
 
-    Under :data:`repro.perf.FAST` the engine is event-driven; with fast
-    paths disabled it runs the dense scalar reference loop.  A single
-    engine instance sticks with whichever mode its first ``run`` used
-    (mixing them mid-horizon would be meaningless); fresh engines built
-    from the same scenario produce bit-identical reports in either
-    mode.
-
-    Both modes run one step loop, :meth:`_step_tenant`, which pays per
-    step only for what changes between steps: at admission each tenant
-    gets its phase tables, a leg memo (``config -> (cost rate, phase
-    -> IPC)``, the harness's ``_LegTerms``) and its noise stream's
-    bound ``draw``, and the loop that steps a tenant hands its next
-    active interval on to the parking decision.
+    :meth:`run` visits every interval in one loop,
+    :meth:`_run_intervals`, in both engine modes; fresh engines built
+    from the same scenario produce bit-identical reports with the fast
+    paths on or off.  Its step, :meth:`_step_tenant`, pays per step
+    only for what changes between steps: at admission each tenant gets
+    its phase tables, a leg memo (``config -> (cost rate, phase ->
+    IPC)``, the harness's ``_LegTerms``) and its noise stream's bound
+    ``draw``, and the loop that steps a tenant hands its next active
+    interval on to the parking decision.
     """
 
     def __init__(
@@ -327,7 +280,6 @@ class ServiceEngine:
         noise_seed: Optional[int] = None,
         converged_after: int = 12,
         reprobe_every: int = 48,
-        metrics: Optional[MetricsSink] = None,
     ) -> None:
         if converged_after < 0:
             raise ValueError(
@@ -347,7 +299,6 @@ class ServiceEngine:
         self.violation_margin = violation_margin
         self.converged_after = converged_after
         self.reprobe_every = reprobe_every
-        self.metrics = metrics
         self.noise_seed = (
             scenario.spec.seed if noise_seed is None else noise_seed
         )
@@ -361,26 +312,21 @@ class ServiceEngine:
         self._admitted = 0
         self._rejected = 0
         self._cursor = 0  # next interval to simulate
-        self._mode: Optional[str] = None
         self._tenant_intervals = 0
         self._util_tile_intervals = 0
         self._active_steps = 0
         self._decide_steps = 0
-        self._open_violations = 0  # reset at every interval close
-        self._open_dollars = 0.0
-        # Arrival stream, ascending (arrival_interval, tenant_id).  The
-        # dense twin drains it through a cursor; the event twin seeds
-        # its heap from the un-drained suffix on first use.
+        # Arrival stream, ascending (arrival_interval, tenant_id),
+        # drained through a cursor.
         self._arrivals: List[TenantTraffic] = sorted(
             scenario.tenants,
             key=lambda t: (t.tenant.arrival_interval, t.tenant.tenant_id),
         )
         self._arrival_cursor = 0
-        self._traffic_by_id: Dict[int, TenantTraffic] = {
-            t.tenant.tenant_id: t for t in scenario.tenants
-        }
-        self._heap: List[Tuple[int, int, int]] = []
-        self._heap_primed = False
+        # Interval -> the admitted tenants that depart at it, and the
+        # residents whose traffic has work at it; ascending tenant id.
+        self._departures: DefaultDict[int, List[int]] = defaultdict(list)
+        self._wakes: DefaultDict[int, List[int]] = defaultdict(list)
 
     # ------------------------------------------------------------------
     # admission / settlement
@@ -589,7 +535,6 @@ class ServiceEngine:
                 account.waiting_intervals += 1
                 account.active_intervals += 1
                 account.violations += 1
-                self._open_violations += 1
                 if not replayed:
                     resident.measurement = QoSMeasurement(
                         overall_qos=0.0, legs=(), signature=()
@@ -660,12 +605,10 @@ class ServiceEngine:
             )
         account.active_intervals += 1
         account.dollars_time += dollars
-        self._open_dollars += dollars
         if footprint is not None:
             account.footprint_tiles += footprint.tiles
         if true_qos < tenant.qos_goal * (1.0 - self.violation_margin):
             account.violations += 1
-            self._open_violations += 1
 
     def _park_if_idle(
         self, resident: _ServiceResident, interval: int, wake: Optional[int]
@@ -706,11 +649,11 @@ class ServiceEngine:
         self.fabric.try_allocate_exact(parked)
 
     # ------------------------------------------------------------------
-    # interval accounting (integer, stretch-exact)
+    # the interval loop
     # ------------------------------------------------------------------
     def _close_interval(self, interval: int, stepped: _Stepped) -> None:
-        """Account one eventful interval, then park the tenants in
-        ``stepped`` whose burst ended with it.
+        """Account one interval, then park the tenants in ``stepped``
+        whose burst ended with it.
 
         ``stepped`` pairs each tenant stepped in ``interval`` with its
         next active interval after it (see :meth:`_park_if_idle`).
@@ -718,144 +661,60 @@ class ServiceEngine:
         at ``interval`` ran in it, so its tiles count toward this
         interval's utilization.
         """
-        residents = len(self._residents)
-        self._tenant_intervals += residents
-        occupied = self.fabric.occupied_tiles()
-        self._util_tile_intervals += occupied
-        if self.metrics is not None:
-            self.metrics.emit(
-                {
-                    "kind": "interval",
-                    "interval": interval,
-                    "residents": residents,
-                    "steps": len(stepped),
-                    "occupied": occupied,
-                    "violations": self._open_violations,
-                    "revenue": self._open_dollars,
-                }
-            )
-        self._open_violations = 0
-        self._open_dollars = 0.0
+        self._tenant_intervals += len(self._residents)
+        self._util_tile_intervals += self.fabric.occupied_tiles()
         for resident, wake in stepped:
             self._park_if_idle(resident, interval, wake)
 
-    def _account_stretch(self, start: int, end: int) -> None:
-        """Account ``[start, end)`` — a span with no events — exactly."""
-        if end <= start:
-            return
-        span = end - start
-        residents = len(self._residents)
-        occupied = self.fabric.occupied_tiles()
-        self._tenant_intervals += residents * span
-        self._util_tile_intervals += occupied * span
-        if self.metrics is not None:
-            self.metrics.emit(
-                {
-                    "kind": "stretch",
-                    "start": start,
-                    "end": end,
-                    "residents": residents,
-                    "occupied": occupied,
-                }
-            )
+    def _run_intervals(self, until: int) -> None:
+        """Simulate every interval in ``[cursor, until)``.
 
-    # ------------------------------------------------------------------
-    # the two engine modes
-    # ------------------------------------------------------------------
-    def _prime_heap(self) -> None:
-        if self._heap_primed:
-            return
-        for traffic in self._arrivals[self._arrival_cursor :]:
-            self._heap.append(
-                (
-                    traffic.tenant.arrival_interval,
-                    _EVENT_ARRIVE,
-                    traffic.tenant.tenant_id,
-                )
-            )
-        self._arrival_cursor = len(self._arrivals)
-        heapq.heapify(self._heap)
-        self._heap_primed = True
-
-    def _run_event_driven(self, until: int) -> None:
-        self._prime_heap()
-        heap = self._heap
-        cursor = self._cursor
-        while cursor < until:
-            if not heap or heap[0][0] >= until:
-                self._account_stretch(cursor, until)
-                return
-            interval = heap[0][0]
-            if interval > cursor:
-                self._account_stretch(cursor, interval)
-                cursor = interval
-            stepped: _Stepped = []
-            while heap and heap[0][0] == interval:
-                _, kind, tenant_id = heapq.heappop(heap)
-                if kind == _EVENT_DEPART:
-                    if tenant_id in self._residents:
-                        self._settle(tenant_id)
-                elif kind == _EVENT_ARRIVE:
-                    traffic = self._traffic_by_id[tenant_id]
-                    if self._admit(traffic):
-                        departure = traffic.tenant.departure_interval
-                        if departure is not None:
-                            heapq.heappush(
-                                heap, (departure, _EVENT_DEPART, tenant_id)
-                            )
-                        wake = traffic.next_active(interval)
-                        if wake is not None:
-                            heapq.heappush(
-                                heap, (wake, _EVENT_STEP, tenant_id)
-                            )
-                else:  # _EVENT_STEP
-                    resident = self._residents.get(tenant_id)
-                    if resident is None:
-                        continue  # departed this very interval
-                    self._step_tenant(resident)
-                    wake = resident.traffic.next_active(interval + 1)
-                    stepped.append((resident, wake))
-                    if wake is not None:
-                        heapq.heappush(heap, (wake, _EVENT_STEP, tenant_id))
-            self._close_interval(interval, stepped)
-            cursor = interval + 1
-
-    def _run_dense_reference(self, until: int) -> None:
-        """The scalar twin: visit every interval, scan every tenant."""
+        Each interval settles its departures, then admits its arrivals
+        (the stream ascends by interval and id), then steps the tenants
+        in its wake bucket.  Admission files a tenant's departure and
+        first wake; a step files the tenant's next wake.  Buckets stay
+        in ascending tenant id, the order every report is pinned in.
+        """
+        residents = self._residents
+        arrivals = self._arrivals
+        departures = self._departures
+        wakes = self._wakes
         for interval in range(self._cursor, until):
-            # Departures first (ascending tenant id) ...
-            for tenant_id in sorted(self._residents):
-                resident = self._residents[tenant_id]
-                departure = resident.traffic.tenant.departure_interval
-                if departure is not None and interval >= departure:
-                    self._settle(tenant_id)
-            # ... then arrivals (the stream ascends by interval and id) ...
-            while self._arrival_cursor < len(self._arrivals):
-                traffic = self._arrivals[self._arrival_cursor]
-                if traffic.tenant.arrival_interval > interval:
+            for tenant_id in departures.pop(interval, ()):
+                self._settle(tenant_id)
+            while self._arrival_cursor < len(arrivals):
+                traffic = arrivals[self._arrival_cursor]
+                tenant = traffic.tenant
+                if tenant.arrival_interval > interval:
                     break
                 self._arrival_cursor += 1
-                self._admit(traffic)
-            # ... then a controller step for every tenant with work.
+                if self._admit(traffic):
+                    if tenant.departure_interval is not None:
+                        insort(
+                            departures[tenant.departure_interval],
+                            tenant.tenant_id,
+                        )
+                    wake = traffic.next_active(interval)
+                    if wake is not None:
+                        insort(wakes[wake], tenant.tenant_id)
             stepped: _Stepped = []
-            for tenant_id in sorted(self._residents):
-                resident = self._residents[tenant_id]
-                if resident.traffic.is_active(interval):
-                    self._step_tenant(resident)
-                    stepped.append(
-                        (resident, resident.traffic.next_active(interval + 1))
-                    )
+            for tenant_id in wakes.pop(interval, ()):
+                resident = residents.get(tenant_id)
+                if resident is None:
+                    continue  # its traffic outlived its residency
+                self._step_tenant(resident)
+                wake = resident.traffic.next_active(interval + 1)
+                stepped.append((resident, wake))
+                if wake is not None:
+                    insort(wakes[wake], tenant_id)
             self._close_interval(interval, stepped)
 
-    # ------------------------------------------------------------------
-    # driving
-    # ------------------------------------------------------------------
     def run(self, until: Optional[int] = None) -> ServiceReport:
         """Advance the service to ``until`` (default: the full horizon).
 
-        Resumable: successive calls continue where the previous one
-        stopped, identically to an engine that never paused, provided
-        every call runs in the same engine mode.
+        Resumable: the buckets and the cursor persist on the engine, so
+        successive calls continue where the previous one stopped,
+        identically to an engine that never paused.
         """
         horizon = self.scenario.spec.horizon
         target = horizon if until is None else until
@@ -868,18 +727,7 @@ class ServiceEngine:
                 f"cannot run backwards: at interval {self._cursor}, "
                 f"asked for {target}"
             )
-        mode = "event" if perf.FAST else "dense"
-        if self._mode is None:
-            self._mode = mode
-        elif self._mode != mode:
-            raise RuntimeError(
-                f"engine already ran in {self._mode} mode; "
-                f"cannot continue in {mode} mode"
-            )
-        if perf.FAST:
-            self._run_event_driven(target)
-        else:
-            self._run_dense_reference(target)
+        self._run_intervals(target)
         self._cursor = target
         return self.report()
 

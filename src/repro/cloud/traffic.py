@@ -1,6 +1,6 @@
 """Open-loop tenant traffic: who is resident and active, decided up front.
 
-The event-driven provider service (:mod:`repro.cloud.service`) needs to
+The provider service (:mod:`repro.cloud.service`) needs to
 know, for every tenant, *when work exists* — independently of how the
 provider responds (open-loop traffic, the CuttleSys/cluster-trace
 framing).  This module materializes that demand once, from a frozen
@@ -19,14 +19,14 @@ sweepable :class:`TrafficSpec`, into per-tenant activity timelines:
 Everything is derived deterministically from ``spec.seed``: fleet-level
 draws (arrival gaps, lifetimes, flash-crowd windows) come from one
 stream, and each tenant's burst process comes from its own stream keyed
-by ``(seed, tenant_id)``.  Per-tenant streams are what make the dense
-reference loop and the event-heap engine bit-identical — no draw
-depends on which *other* tenants happen to be stepped in between.
+by ``(seed, tenant_id)``, so no tenant's timeline depends on another
+tenant's draws.
 
 The timelines are plain sorted tuples of half-open ``[start, stop)``
 bursts; :meth:`TenantTraffic.is_active` and
 :meth:`TenantTraffic.next_active` answer point and successor queries by
-bisection, so the event engine can jump over idle stretches exactly.
+bisection, so the service files each tenant's next wake without
+visiting its idle intervals.
 A closed tenant list (:meth:`TrafficScenario.from_tenants`) is the
 degenerate case: one burst per tenant, spanning its residency.
 """

@@ -101,8 +101,8 @@ def service_table(reports: Mapping[tuple, object]) -> str:
     ``reports`` maps ``(tenants, seed)`` to a
     :class:`~repro.cloud.service.ServiceReport` (the shape
     :func:`~repro.experiments.scenarios.service_grid` returns).
-    ``t-ivals`` is tenant-intervals — the dense-equivalent work the
-    event engine covered — and ``steps``/``decides`` show how much of
+    ``t-ivals`` is tenant-intervals — the resident tenant-intervals
+    the engine covered — and ``steps``/``decides`` show how much of
     it needed a controller step, and of those how many consulted the
     allocator (the rest were convergence-hibernation replays).
     """

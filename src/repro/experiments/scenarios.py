@@ -549,12 +549,13 @@ def multitenant_grid(
 
 
 def run_service_cell(spec):
-    """Run one event-driven service cell from its frozen spec.
+    """Run one service cell from its frozen spec.
 
     A cell is a pure function of the spec (traffic and noise streams
-    are seed-derived), so sharded grids reproduce serial ones exactly
-    and FAST on/off selects the event-heap engine vs its dense scalar
-    twin without changing the report.
+    are seed-derived), so sharded grids reproduce serial ones exactly,
+    and FAST on/off, which switches the fabric, tables and noise to
+    their scalar twins under the engine's one interval loop, does not
+    change the report.
     """
     from repro.arch.fabric import Fabric
     from repro.cloud.service import ServiceEngine
@@ -587,8 +588,9 @@ def service_grid(
     ``(tenants, seed)`` to its
     :class:`~repro.cloud.service.ServiceReport` and ``timing`` is a
     JSON-ready record for ``BENCH_CLOUD.json`` — its headline rate is
-    **tenant-intervals/second**, the dense-equivalent work the event
-    engine retires per wall-clock second.
+    **tenant-intervals/second**, the resident tenant-intervals the
+    engine covers per wall-clock second (it steps only the active
+    ones).
     """
     import time
 

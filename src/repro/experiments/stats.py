@@ -186,7 +186,7 @@ class TierBatchSpec:
 
 @dataclass(frozen=True)
 class ServiceCellSpec:
-    """One event-driven service run of a sweep grid.
+    """One provider-service run of a sweep grid.
 
     Wraps a frozen :class:`~repro.cloud.traffic.TrafficSpec` (the
     open-loop demand) plus the provider-side knobs.  Fully value-typed

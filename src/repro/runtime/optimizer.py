@@ -99,17 +99,28 @@ class Schedule:
     the schedule was clamped to the fastest configuration."""
 
     def __post_init__(self) -> None:
-        total = sum(entry.fraction for entry in self.entries)
+        # This and the averages below add left to right in a loop, not
+        # with builtin ``sum()``, which compensates float rounding from
+        # CPython 3.12 on: CASH's Kalman update reads ``average_speedup``.
+        total = 0.0
+        for entry in self.entries:
+            total += entry.fraction
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"schedule fractions sum to {total}, not 1")
 
     @property
     def average_speedup(self) -> float:
-        return sum(e.point.speedup * e.fraction for e in self.entries)
+        total = 0.0
+        for entry in self.entries:
+            total += entry.point.speedup * entry.fraction
+        return total
 
     @property
     def average_cost_rate(self) -> float:
-        return sum(e.point.cost_rate * e.fraction for e in self.entries)
+        total = 0.0
+        for entry in self.entries:
+            total += entry.point.cost_rate * entry.fraction
+        return total
 
     @property
     def active_entries(self) -> Tuple[ScheduleEntry, ...]:
@@ -519,10 +530,12 @@ class LearnedPoints:
         """:func:`solve_two_config`'s clamp for a saturated ``target``.
 
         None unless every estimate lies below ``target`` by more than
-        the solver's exact-hit tolerance (1e-12).  Otherwise the point
-        its saturated branch picks — the first cheapest estimate within
-        2% of the largest — found on the estimates as floats, so only
-        that one ``ConfigPoint`` is built.
+        the solver's exact-hit tolerance (1e-12), and None when no
+        estimate reaches 0.98 x the largest (a NaN largest, on which
+        the solver raises).  Otherwise the point its saturated branch
+        picks — the first cheapest estimate within 2% of the largest —
+        found on the estimates as floats, so only that one
+        ``ConfigPoint`` is built.
         """
         self._refresh()
         speedups = self._keys[0].tolist()
@@ -538,6 +551,8 @@ class LearnedPoints:
         for position, speedup in enumerate(speedups):
             if speedup >= floor and (best < 0 or rates[position] < rates[best]):
                 best = position
+        if best < 0:
+            return None
         return self._point_at(best)
 
     def envelope(self, idle: ConfigPoint = IDLE_POINT) -> tuple:

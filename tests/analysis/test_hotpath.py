@@ -837,21 +837,17 @@ class TestRepoTipIsClean:
             "TraceGenerator.generate_arrays",
         ) in hot
         assert ("repro.cloud.service", "ServiceEngine.run") in hot
+        # The service's one interval loop is hot through ``run``.
         assert (
             "repro.cloud.service",
-            "ServiceEngine._run_event_driven",
+            "ServiceEngine._run_intervals",
         ) in hot
         assert ("repro.cloud.traffic", "generate_traffic") in hot
         assert (
             "repro.sim.trace",
             "TraceGenerator._generate_arrays_native",
         ) in hot
-        # The dense loop and the per-cycle pipeline are scalar twins:
-        # exempt by their names.
-        assert (
-            "repro.cloud.service",
-            "ServiceEngine._run_dense_reference",
-        ) not in hot
+        # The per-cycle pipeline is a scalar twin: exempt by its name.
         assert (
             "repro.sim.pipeline",
             "MultiSlicePipeline._run_reference",
@@ -954,9 +950,9 @@ class TestBatchTierEntrypoints:
 class TestServiceEntrypoints:
     """The service tier's roots: ``ServiceEngine.run`` and friends.
 
-    Trigger/no-trigger twins proving hotness flows from the event
-    engine's entrypoints into their callees, while the dense scalar
-    reference loop stays exempt.
+    Trigger/no-trigger twins proving hotness flows from the service
+    entrypoints into their callees, while a ``*_reference`` scalar twin
+    stays exempt.
     """
 
     def test_service_run_callee_regression_fires(self, lint_program):
@@ -965,13 +961,13 @@ class TestServiceEntrypoints:
                 "src/repro/cloud/service.py": """
                 class ServiceEngine:
                     def run(self, until=None):
-                        return self._run_event_driven(until)
+                        return self._run_intervals(until)
 
-                    def _run_event_driven(self, until):
-                        pending = list(self._heap)
+                    def _run_intervals(self, until):
+                        pending = list(self._wakes)
                         while pending:
-                            event = pending.pop(0)
-                        return event
+                            wake = pending.pop(0)
+                        return wake
                 """
             },
             rules=["quadratic-listop"],

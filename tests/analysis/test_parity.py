@@ -137,9 +137,8 @@ class TestFastParity:
         assert findings == []
 
     def test_dispatch_twin_methods_are_clean(self, lint_source):
-        """The engine idiom (``ServiceEngine.run``): a public entry
-        point dispatching to a private fast twin, the reference twin on
-        fall-through."""
+        """The dispatch idiom: a public entry point dispatching to a
+        private fast twin, the reference twin on fall-through."""
         findings = lint_source(
             """
             from repro import perf
@@ -147,7 +146,7 @@ class TestFastParity:
             class Engine:
                 def run(self, trace):
                     if perf.FAST:
-                        return self._run_event_driven(trace)
+                        return self._run_fast(trace)
                     return self._run_reference(trace)
             """
         )
@@ -161,7 +160,7 @@ class TestFastParity:
             class Engine:
                 def run(self, trace):
                     if perf.FAST:
-                        return self._run_event_driven(trace)
+                        return self._run_fast(trace)
             """
         )
         assert [f.rule for f in findings] == ["fast-parity"]

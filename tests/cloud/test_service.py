@@ -1,10 +1,10 @@
-"""The event-driven provider service (``repro.cloud.service``).
+"""The provider service (``repro.cloud.service``).
 
 Covers the engine's behavioral surface: report accounting sanity,
 convergence hibernation (decide steps < active steps), idle-tenant
-parking, the streaming metrics sink, incremental ``run(until)``
-segments (tier-1: in both engine modes a segmented run must equal the
-uninterrupted one bit for bit), and mode locking.
+parking, and incremental ``run(until)`` segments (tier-1: in both
+engine modes a segmented run must equal the uninterrupted one bit for
+bit).
 """
 
 import pytest
@@ -14,7 +14,7 @@ from repro import perf
 from repro.arch.fabric import Fabric
 from repro.arch.vcore import VCoreConfig
 from repro.cloud import service
-from repro.cloud.service import MetricsSink, ServiceEngine
+from repro.cloud.service import ServiceEngine
 from repro.cloud.tenant import Tenant
 from repro.cloud.traffic import (
     TenantTraffic,
@@ -51,10 +51,10 @@ def small_scenario(tenants=10, horizon=160, seed=3, **overrides):
     return generate_traffic(TrafficSpec(**base))
 
 
-def build_engine(scenario=None, metrics=None, **overrides):
+def build_engine(scenario=None, **overrides):
     if scenario is None:
         scenario = small_scenario()
-    kwargs = dict(fabric=Fabric(16, 16), overcommit=2.0, metrics=metrics)
+    kwargs = dict(fabric=Fabric(16, 16), overcommit=2.0)
     kwargs.update(overrides)
     return ServiceEngine(scenario, **kwargs)
 
@@ -104,6 +104,28 @@ class TestReportAccounting:
         footprint = report.accounts[0].footprint_tiles
         assert footprint > 0
         assert report.utilization_tile_intervals == footprint
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_traffic_past_departure_is_not_stepped(self, fast):
+        """A hand-built timeline may outlive its tenant's residency; the
+        tenant settles at its departure and is not stepped after it."""
+        app = get_app("bzip")
+        tenant = Tenant(
+            tenant_id=0,
+            app=app,
+            qos_goal=qos_target_for(app),
+            policy="race",
+            departure_interval=3,
+        )
+        scenario = TrafficScenario(
+            spec=TrafficSpec(tenants=1, horizon=8),
+            tenants=(TenantTraffic(tenant=tenant, bursts=((0, 6),)),),
+            flash_windows=(),
+        )
+        with perf.fast_paths(fast):
+            report = ServiceEngine(scenario, fabric=Fabric(16, 16)).run()
+        assert report.accounts[0].active_intervals == 3
+        assert report.tenant_intervals == 3
 
     def test_parking_releases_idle_tenants(self):
         engine = build_engine()
@@ -240,40 +262,3 @@ class TestRunSegments:
         engine = build_engine()
         with pytest.raises(ValueError):
             engine.run(until=engine.scenario.spec.horizon + 1)
-
-    def test_mode_is_locked_after_first_run(self):
-        engine = build_engine()
-        with perf.fast_paths(True):
-            engine.run(until=40)
-        with perf.fast_paths(False):
-            with pytest.raises(RuntimeError):
-                engine.run(until=80)
-
-
-class TestMetricsSink:
-    def test_ring_is_bounded_and_counts_everything(self):
-        sink = MetricsSink(capacity=16)
-        engine = build_engine(metrics=sink)
-        engine.run()
-        assert len(sink.records) == 16
-        assert sink.emitted > 16
-
-    def test_jsonl_stream_matches_emitted(self, tmp_path):
-        path = tmp_path / "metrics.jsonl"
-        sink = MetricsSink(capacity=8, jsonl_path=str(path))
-        engine = build_engine(metrics=sink)
-        engine.run()
-        lines = path.read_text().splitlines()
-        assert len(lines) == sink.emitted
-
-    def test_event_mode_emits_stretch_records(self):
-        sink = MetricsSink(capacity=4096)
-        engine = build_engine(metrics=sink)
-        with perf.fast_paths(True):
-            engine.run()
-        kinds = {record["kind"] for record in sink.records}
-        assert kinds == {"interval", "stretch"}
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            MetricsSink(capacity=0)

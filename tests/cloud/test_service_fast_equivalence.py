@@ -1,13 +1,19 @@
-"""Event-driven service == dense reference, bit for bit.
+"""Service engine, fast paths on == off, bit for bit.
 
-The acceptance claim for the service engine: at a fixed seed the
-event-heap run (FAST on) and the dense per-interval reference (FAST
-off) produce the identical ``ServiceReport`` — per-tenant accounting
-included — across worker counts and with the sanitizer armed.  Open
-churn and closed tenant lists (``CloudProvider`` runs) are both
-covered.  The Hypothesis property drives randomized churn schedules
-(tenant counts, activity, bursts, flash crowds, diurnal cycles, seeds)
-through both engines.
+The acceptance claim for the service engine: at a fixed seed a run
+with the fast paths on and one with them off (the fabric's placement,
+admission, noise and operating-point tables each switch to a scalar
+twin; the interval loop is the same) produce the identical
+``ServiceReport`` — per-tenant accounting included — across worker
+counts and with the sanitizer armed.  Open churn and closed tenant
+lists (``CloudProvider`` runs) are both covered.  The Hypothesis
+property drives randomized churn schedules (tenant counts, activity,
+bursts, flash crowds, diurnal cycles, seeds) through both modes.
+
+Both modes share the loop, so their agreement cannot show which
+tenants it steps.  ``assert_steps_follow_traffic`` counts that from the
+traffic timelines alone: a wake bucket that drops or repeats a tenant
+fails it even when the two modes agree.
 """
 
 import pytest
@@ -19,7 +25,7 @@ from repro.analysis import sanitize
 from repro.arch.fabric import Fabric
 from repro.cloud import CloudProvider, Tenant
 from repro.cloud.service import ServiceEngine
-from repro.cloud.traffic import TrafficSpec, generate_traffic
+from repro.cloud.traffic import TrafficScenario, TrafficSpec, generate_traffic
 from repro.experiments.harness import qos_target_for
 from repro.experiments.scenarios import provider_mix, run_provider_mix
 from repro.experiments.stats import (
@@ -49,9 +55,12 @@ def run_engine(spec, fast, overcommit=2.0):
         return engine.run()
 
 
-def run_departure_scenario():
+DEPARTURE_INTERVALS = 120
+
+
+def departure_tenants():
     """A closed mixed-policy list with staggered arrivals *and*
-    departures, on an overcommitted fabric."""
+    departures."""
     names = ["bzip", "hmmer", "sjeng", "lib", "omnetpp", "ferret"]
     tenants = []
     for index, name in enumerate(names):
@@ -66,10 +75,15 @@ def run_departure_scenario():
                 departure_interval=40 + index * 11 if index % 3 == 0 else None,
             )
         )
+    return tenants
+
+
+def run_departure_scenario():
+    """The departure list on an overcommitted fabric."""
     provider = CloudProvider(
         fabric=Fabric(width=16, height=16), seed=7, overcommit=1.5
     )
-    return provider.run(tenants, intervals=120)
+    return provider.run(departure_tenants(), intervals=DEPARTURE_INTERVALS)
 
 
 def run_closed(name):
@@ -82,6 +96,26 @@ def run_closed(name):
             provider_mix("half", tenants=6), intervals=60, seed=3, overcommit=1.5
         )
     return run_provider_mix(provider_mix(name, tenants=8), intervals=80, seed=0)
+
+
+def assert_steps_follow_traffic(report, scenario):
+    """Each admitted tenant stepped once in every interval of its
+    residency, ``[arrival, min(departure, horizon))``, where its traffic
+    is active, and ``tenant_intervals`` sums those residencies."""
+    horizon = scenario.spec.horizon
+    residencies = 0
+    for traffic in scenario.tenants:
+        tenant = traffic.tenant
+        account = report.accounts.get(tenant.tenant_id)
+        if account is None:
+            continue  # rejected
+        departure = tenant.departure_interval
+        stop = horizon if departure is None else min(departure, horizon)
+        residency = range(tenant.arrival_interval, stop)
+        active = [i for i in residency if traffic.is_active(i)]
+        assert account.active_intervals == len(active), tenant.tenant_id
+        residencies += len(residency)
+    assert report.tenant_intervals == residencies
 
 
 def assert_reports_identical(fast, reference):
@@ -142,6 +176,20 @@ class TestFastVsReference:
             reference = run_closed(name)
         assert_reports_identical(fast, reference)
 
+    def test_departures_step_their_residencies(self):
+        report = run_departure_scenario()
+        scenario = TrafficScenario.from_tenants(
+            departure_tenants(), DEPARTURE_INTERVALS, seed=7
+        )
+        departing = {
+            traffic.tenant.tenant_id
+            for traffic in scenario.tenants
+            if traffic.tenant.departure_interval is not None
+            and traffic.tenant.departure_interval < DEPARTURE_INTERVALS
+        }
+        assert departing & set(report.accounts)  # someone admitted departs
+        assert_steps_follow_traffic(report, scenario)
+
     @settings(max_examples=12, deadline=None)
     @given(
         tenants=st.integers(min_value=2, max_value=14),
@@ -170,6 +218,7 @@ class TestFastVsReference:
         )
         fast = run_engine(spec, fast=True)
         assert_reports_identical(fast, run_engine(spec, fast=False))
+        assert_steps_follow_traffic(fast, generate_traffic(spec))
         # Every stepped tenant holds at least its footprint through the
         # interval it ran in, and the fabric bounds what can be held.
         footprints = sum(

@@ -14,8 +14,8 @@ replays 3.12's ``sum()`` in Python over ``builtins.sum`` and checks the
 Convex cells, whose average-case profile once summed with it, against
 the same digests; ``TestAggregatesUnderCompensatedSum`` does the same
 for the aggregates read off the results (Table III's cost, the
-geometric mean, the service's mean violation and the latency Convex
-profile), which once summed with it as well.
+geometric mean, the service's mean violation, a schedule's averages
+and the latency Convex profile), which once summed with it as well.
 """
 
 import builtins
@@ -33,7 +33,13 @@ from repro.experiments.scenarios import (
     make_latency_simulator,
     run_app_with_allocator,
 )
-from repro.runtime.optimizer import IDLE_POINT, Schedule, ScheduleEntry
+from repro.arch.vcore import VCoreConfig
+from repro.runtime.optimizer import (
+    IDLE_POINT,
+    ConfigPoint,
+    Schedule,
+    ScheduleEntry,
+)
 from repro.workloads.apps import get_app
 
 INTERVALS = 60
@@ -231,6 +237,21 @@ class TestAggregatesUnderCompensatedSum:
         )
         monkeypatch.setattr(builtins, "sum", compensated_sum)
         assert report.mean_violation_percent == left_to_right(percents) / 3
+
+    def test_schedule_averages(self, monkeypatch):
+        speedups = (2.3, 1.7, 0.9)
+        fractions = (0.1, 0.2, 0.7)
+        terms = [s * f for s, f in zip(speedups, fractions)]
+        assert compensated_sum(terms) != left_to_right(terms)
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        schedule = Schedule(
+            tuple(
+                ScheduleEntry(ConfigPoint(VCoreConfig(1, 64), s, s), f)
+                for s, f in zip(speedups, fractions)
+            )
+        )
+        assert schedule.average_speedup == 1.2000000000000002
+        assert schedule.average_cost_rate == left_to_right(terms)
 
     def test_latency_convex_profile(self, monkeypatch):
         sim = make_latency_simulator(get_app("apache"))

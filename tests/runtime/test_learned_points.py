@@ -348,6 +348,19 @@ class TestSaturationClamp:
         assert schedule == solve_two_config(scratch_view_points(estimates), 3.0)
         assert sum(point is not None for point in view._points) == 1
 
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_nan_first_estimate_leaves_the_choice_to_the_solver(self, fast):
+        # No estimate reaches 0.98 x a leading NaN maximum, so the clamp
+        # picks nothing and the two-config rule decides: it raises, as
+        # it does with the fast paths off, instead of the clamp indexing
+        # the last point.
+        optimizer = LearningOptimizer(configs=CONFIGS[:2], cost_rates=[1.0, 3.0])
+        view = optimizer.learned_points(_FixedLearner([float("nan"), 2.0]))
+        assert view.saturation_clamp(5.0) is None
+        with perf.fast_paths(fast):
+            with pytest.raises(ValueError):
+                optimizer.schedule_points(view, 5.0)
+
 
 class TestLearnerChangeTracking:
     def test_version_advances_on_estimate_change(self):
