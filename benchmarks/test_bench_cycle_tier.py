@@ -171,8 +171,9 @@ def test_batch_tier_throughput(benchmark, announce):
     """Struct-of-arrays batch tier >= 8x the per-cell object pipeline.
 
     Full tier-agreement grid, jobs=1 on both sides so the comparison
-    is pure engine speed: batched lockstep stepping through the
-    compiled kernel versus one object-pipeline run per cell (the
+    is pure engine speed: one compiled-kernel call that runs the cells
+    one after another, each to completion, versus one object-pipeline
+    run per cell (the
     per-cell side runs with the native core off, so each cell takes
     the per-cycle engine).  Results must be bit-identical; the
     ``cells_per_second`` series lands in ``BENCH_CYCLE.json``.

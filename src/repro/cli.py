@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=True,
         help=(
-            "advance tier cells in lockstep through the "
+            "run tier cells in slabs through the "
             "struct-of-arrays batch tier (tiers figure only); "
             "--no-batch dispatches each cell singly"
         ),

@@ -706,8 +706,8 @@ def run_tier_batch(cells: Sequence) -> List:
     ``instructions``, ``seed``).  Cells sharing one (phase,
     instructions, seed) generate and encode their trace exactly once —
     the normal sweep shape puts the configuration innermost, so a
-    four-config ladder costs one trace — then every cell advances in
-    lockstep through :func:`repro.sim.batchpipe.run_batch`.  Returns
+    four-config ladder costs one trace — then every cell runs in one
+    :func:`repro.sim.batchpipe.run_batch` call.  Returns
     one :class:`~repro.sim.ssim.CycleResult` per cell in order, each
     bit-identical to what :func:`run_tier_cell` produces for the same
     spec.

@@ -173,12 +173,11 @@ class TierBatchSpec:
 
     Where a :class:`TierCellSpec` dispatches one (phase, config)
     simulation, a batch spec carries a whole slab of them so one worker
-    can advance every cell in lockstep through
-    :func:`repro.sim.batchpipe.run_batch` — traces shared across
-    configurations are generated and encoded once, and the stepping
-    cost amortizes over the batch.  Its result is the tuple of
-    per-cell :class:`~repro.sim.ssim.CycleResult`s in cell order,
-    bit-identical to dispatching each cell singly.
+    runs every cell in one :func:`repro.sim.batchpipe.run_batch` call —
+    traces shared across configurations are generated, encoded and
+    renamed once, and the dispatch cost amortizes over the batch.  Its
+    result is the tuple of per-cell :class:`~repro.sim.ssim.CycleResult`s
+    in cell order, bit-identical to dispatching each cell singly.
     """
 
     cells: Tuple[TierCellSpec, ...]
@@ -344,8 +343,8 @@ def run_cells(
     With ``tier_batch`` enabled the :class:`TierCellSpec` entries are
     grouped into per-worker :class:`TierBatchSpec` slabs before
     dispatch and the slab results are flattened back into the original
-    slots afterwards — the struct-of-arrays tier then advances each
-    slab's cells in lockstep.  Batching is invisible in the results
+    slots afterwards — the struct-of-arrays tier then runs each slab's
+    cells in one kernel call.  Batching is invisible in the results
     (bit-identical per cell); it only changes the wall clock.
 
     A pool worker that dies mid-sweep raises :class:`WorkerLostError`,

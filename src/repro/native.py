@@ -296,7 +296,7 @@ class NativeBatchCore:
         self.path = path
         fn = library.repro_run_batch
         fn.restype = ctypes.c_int64
-        fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 11
+        fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 12
         self._fn = fn
         generate = library.repro_generate_trace
         generate.restype = ctypes.c_int64
@@ -343,13 +343,16 @@ class NativeBatchCore:
         mispredicted: np.ndarray,
         addresses: np.ndarray,
         code_addresses: np.ndarray,
-        producers: np.ndarray,
+        sources: np.ndarray,
+        dests: np.ndarray,
         warm: np.ndarray,
         out_cell: np.ndarray,
         out_slice: np.ndarray,
     ) -> int:
-        """Invoke the compiled lockstep kernel; returns its status code
-        (0 = ok, negative = allocation failure)."""
+        """Invoke the compiled batch kernel, which renames each trace
+        from ``sources`` (``prod_width`` columns) and ``dests`` and runs
+        the cells one after another; returns its status code (0 = ok,
+        negative = allocation failure)."""
         buffers = _buffers(
             ("params", params, np.int64),
             ("cell_conf", cell_conf, np.int64),
@@ -358,7 +361,8 @@ class NativeBatchCore:
             ("mispredicted", mispredicted, np.int8),
             ("addresses", addresses, np.int64),
             ("code_addresses", code_addresses, np.int64),
-            ("producers", producers, np.int64),
+            ("sources", sources, np.int64),
+            ("dests", dests, np.int64),
             ("warm", warm, np.int64),
             ("out_cell", out_cell, np.int64),
             ("out_slice", out_slice, np.int64),

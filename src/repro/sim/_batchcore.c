@@ -1,10 +1,13 @@
 /* Struct-of-arrays batch core for the cycle-accurate tier.
  *
- * One exported entrypoint, repro_run_batch, advances many independent
- * pipeline cells in lockstep: every iteration of the outer loop steps
- * each still-active cell through exactly one processed cycle (an
- * "event epoch" -- the idle cycles in between are skipped), with
- * finished cells dropped from the active list.
+ * One exported entrypoint, repro_run_batch, runs many independent
+ * pipeline cells one after another: it renames a cell's trace (once
+ * per distinct trace, so a configuration ladder sharing one trace
+ * renames it once), builds the cell, steps it event epoch by event
+ * epoch until it commits its whole trace (the idle cycles in between
+ * are skipped), writes its output rows and frees it before the next
+ * cell starts.  Only one cell's scoreboard, wake lists, heaps and
+ * cache arrays are alive at a time.
  *
  * Each cell is an event-driven twin of the per-cycle scalar engine,
  * repro.sim.pipeline.MultiSlicePipeline._run_reference, plus the
@@ -44,7 +47,9 @@
  *
  * All inputs are flat little-endian int64/int8 buffers prepared by
  * repro.sim.batchpipe from TraceArrays (see repro.sim.soa); -1 is the
- * None sentinel throughout.
+ * None sentinel throughout.  The caller keeps every register id below
+ * the op-id bound (batchpipe.OP_ID_LIMIT), which bounds the rename
+ * stage's last-writer table.
  */
 
 #include <stdint.h>
@@ -920,8 +925,72 @@ static int cell_epoch(Cell *c) {
     return 0;
 }
 
+/* ---- rename stage --------------------------------------------------- */
+
+/* Fill prod[n * width]: row i lists, packed left and -1-padded, the
+ * most recent earlier writer of each of op i's source registers that
+ * has one, in source order -- the last_writer view of
+ * MultiSlicePipeline._run_reference.  An op reading its own dest sees
+ * the previous writer, because the dest is recorded after the reads.
+ * Returns 0, or -1 on allocation failure. */
+static int rename_trace(int64_t n, int64_t width, const int64_t *sources,
+                        const int64_t *dests, int64_t *prod) {
+    int64_t top = 0, i, k;
+    int64_t *writer;
+    for (i = 0; i < n * width; i++)
+        if (sources[i] > top)
+            top = sources[i];
+    for (i = 0; i < n; i++)
+        if (dests[i] > top)
+            top = dests[i];
+    writer = (int64_t *)malloc((size_t)(top + 1) * sizeof(int64_t));
+    if (writer == NULL)
+        return -1;
+    memset(writer, 0xff, (size_t)(top + 1) * sizeof(int64_t));
+    for (i = 0; i < n; i++) {
+        const int64_t *regs = sources + i * width;
+        int64_t *row = prod + i * width;
+        int64_t found = 0;
+        for (k = 0; k < width; k++)
+            if (regs[k] >= 0 && writer[regs[k]] >= 0)
+                row[found++] = writer[regs[k]];
+        for (; found < width; found++)
+            row[found] = -1;
+        if (dests[i] >= 0)
+            writer[dests[i]] = i;
+    }
+    free(writer);
+    return 0;
+}
+
 /* ---- batch driver --------------------------------------------------- */
 
+static void write_rows(const Cell *c, int64_t *row, int64_t *slice_rows) {
+    int64_t s;
+    row[O_CYCLES] = c->cycle;
+    row[O_L1_HITS] = c->l1_hits;
+    row[O_L2_HITS] = c->l2_hits;
+    row[O_L2_MISSES] = c->mem_acc;
+    row[O_MISPREDICTS] = c->mispredicts;
+    row[O_L1I_HITS] = c->l1i_hits;
+    row[O_L1I_MISSES] = c->l1i_misses;
+    row[O_L2_WRITEBACKS] = c->l2_wb;
+    for (s = 0; s < c->S; s++) {
+        int64_t *srow = slice_rows + s * S_COUNT;
+        srow[S_COMMITTED] = c->committed_n[s];
+        srow[S_L2_ACCESSES] = c->l2_accesses_n[s];
+        srow[S_L2_MISSES] = c->l2_misses_n[s];
+        srow[S_L1_MISSES] = c->l1_misses_n[s];
+        srow[S_BRANCHES] = c->branches_n[s];
+        srow[S_BRANCH_MISPREDICTS] = c->branch_mispredicts_n[s];
+    }
+}
+
+/* Run each cell to completion in turn.  sources is [ops * prod_width]
+ * (-1-padded register ids), dests [ops]; cells sharing a trace share
+ * its offset.  Returns 0, or -2 on allocation failure (everything
+ * freed; out rows are then unspecified).  A runaway cell sets its
+ * O_STATUS to 1. */
 int64_t repro_run_batch(
     int64_t n_cells,
     int64_t max_slices,
@@ -933,93 +1002,54 @@ int64_t repro_run_batch(
     const int8_t *mispredicted,
     const int64_t *addresses,
     const int64_t *code_addresses,
-    const int64_t *producers,
+    const int64_t *sources,
+    const int64_t *dests,
     const int64_t *warm,
     int64_t *out_cell,
     int64_t *out_slice)
 {
-    Cell *cells;
-    int64_t *active;
-    int64_t i, remaining;
-    int failed = 0;
+    int64_t *prod;
+    int64_t i, longest = 1, renamed_off = -1;
 
-    cells = (Cell *)calloc((size_t)n_cells, sizeof(Cell));
-    active = (int64_t *)malloc((size_t)n_cells * sizeof(int64_t));
-    if (cells == NULL || active == NULL) {
-        free(cells);
-        free(active);
+    for (i = 0; i < n_cells; i++)
+        if (cell_conf[i * C_COUNT + C_TRACE_LEN] > longest)
+            longest = cell_conf[i * C_COUNT + C_TRACE_LEN];
+    prod = (int64_t *)malloc((size_t)(longest * prod_width)
+                             * sizeof(int64_t));
+    if (prod == NULL)
         return -2;
-    }
     for (i = 0; i < n_cells; i++) {
         const int64_t *conf = cell_conf + i * C_COUNT;
         int64_t off = conf[C_TRACE_OFF];
-        if (cell_init(&cells[i], params, conf[C_SLICES], conf[C_L2_BANKS],
-                      conf[C_TRACE_LEN], prod_width, kinds + off,
-                      is_mem + off, mispredicted + off, addresses + off,
-                      code_addresses + off, producers + off * prod_width,
-                      warm + conf[C_WARM_OFF], conf[C_WARM_LEN])) {
-            failed = 1;
-            break;
-        }
-        active[i] = i;
-    }
-    if (failed) {
-        for (i = 0; i < n_cells; i++)
-            cell_free(&cells[i]);
-        free(cells);
-        free(active);
-        return -2;
-    }
-
-    /* lockstep: every pass steps each still-active cell through one
-     * event epoch, then compacts the active list in place */
-    remaining = n_cells;
-    while (remaining > 0 && !failed) {
-        int64_t kept = 0;
-        for (i = 0; i < remaining; i++) {
-            int64_t cell_id = active[i];
-            int status = cell_epoch(&cells[cell_id]);
-            if (status == 0) {
-                active[kept++] = cell_id;
-            } else if (status == -2) {
-                failed = 1;
-                break;
-            } else {
-                out_cell[cell_id * O_COUNT + O_STATUS] =
-                    status == 1 ? 0 : 1;
+        int64_t n = conf[C_TRACE_LEN];
+        Cell cell;
+        int status = 0;
+        if (off != renamed_off) {
+            if (rename_trace(n, prod_width, sources + off * prod_width,
+                             dests + off, prod)) {
+                free(prod);
+                return -2;
             }
+            renamed_off = off;
         }
-        remaining = kept;
-    }
-
-    if (!failed) {
-        for (i = 0; i < n_cells; i++) {
-            Cell *c = &cells[i];
-            int64_t *row = out_cell + i * O_COUNT;
-            int64_t s;
-            row[O_CYCLES] = c->cycle;
-            row[O_L1_HITS] = c->l1_hits;
-            row[O_L2_HITS] = c->l2_hits;
-            row[O_L2_MISSES] = c->mem_acc;
-            row[O_MISPREDICTS] = c->mispredicts;
-            row[O_L1I_HITS] = c->l1i_hits;
-            row[O_L1I_MISSES] = c->l1i_misses;
-            row[O_L2_WRITEBACKS] = c->l2_wb;
-            for (s = 0; s < c->S; s++) {
-                int64_t *srow = out_slice
-                    + (i * max_slices + s) * S_COUNT;
-                srow[S_COMMITTED] = c->committed_n[s];
-                srow[S_L2_ACCESSES] = c->l2_accesses_n[s];
-                srow[S_L2_MISSES] = c->l2_misses_n[s];
-                srow[S_L1_MISSES] = c->l1_misses_n[s];
-                srow[S_BRANCHES] = c->branches_n[s];
-                srow[S_BRANCH_MISPREDICTS] = c->branch_mispredicts_n[s];
-            }
+        if (cell_init(&cell, params, conf[C_SLICES], conf[C_L2_BANKS], n,
+                      prod_width, kinds + off, is_mem + off,
+                      mispredicted + off, addresses + off,
+                      code_addresses + off, prod, warm + conf[C_WARM_OFF],
+                      conf[C_WARM_LEN]))
+            status = -2;
+        while (status == 0)
+            status = cell_epoch(&cell);
+        if (status == -2) {
+            cell_free(&cell);
+            free(prod);
+            return -2;
         }
+        out_cell[i * O_COUNT + O_STATUS] = status == 1 ? 0 : 1;
+        write_rows(&cell, out_cell + i * O_COUNT,
+                   out_slice + i * max_slices * S_COUNT);
+        cell_free(&cell);
     }
-    for (i = 0; i < n_cells; i++)
-        cell_free(&cells[i]);
-    free(cells);
-    free(active);
-    return failed ? -2 : 0;
+    free(prod);
+    return 0;
 }

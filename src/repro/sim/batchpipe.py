@@ -1,14 +1,11 @@
 """Struct-of-arrays batch execution tier for the cycle simulator.
 
-:func:`run_batch` advances **many independent pipeline cells in
-lockstep**: per-cell fetch/issue/commit cursors, ROB/window occupancy,
-operand-ready times, MSHR release heaps and cycle counters live as
-2-D ``(cell, slice)`` arrays inside the compiled stepping kernel
-(``sim/_batchcore.c``, loaded via :mod:`repro.native`), which walks an
-active-cell mask per event epoch so the per-step dispatch cost
-amortizes across the whole batch.  Genuinely irregular state — cache
-tag arrays, wakeup lists, release heaps — is held per cell inside the
-kernel rather than forced into rectangular form.
+:func:`run_batch` runs **many independent pipeline cells** through one
+call of the compiled kernel (``sim/_batchcore.c``, loaded via
+:mod:`repro.native`).  The cells share pooled trace columns; the
+kernel renames each distinct trace once, then runs the cells one after
+another, each to completion, so only one cell's scoreboard, wakeup
+lists, release heaps and cache arrays are alive at a time.
 
 The per-cycle object pipeline, ``MultiSlicePipeline.run``, is the
 scalar twin: for every cell, :func:`run_batch` returns a bit-identical
@@ -23,9 +20,9 @@ Both the tier grid and :class:`~repro.sim.ssim.SSim`'s single cells
 run here.
 
 Scope: the kernel implements the scripted-mispredict front end only
-(``dynamic_branches`` stays object-path territory) and requires the
-standard 64-byte block size; op counts are bounded by the packed
-``(time << 21) | op_id`` event-key layout.
+(``dynamic_branches`` stays object-path territory), requires the
+standard 64-byte block size and at most two sources per op; op counts
+and register ids are bounded by :data:`OP_ID_LIMIT`.
 """
 
 from __future__ import annotations
@@ -49,14 +46,16 @@ from repro.sim.pipeline import (
     MultiSlicePipeline,
     PipelineResult,
 )
-from repro.sim.soa import TraceArrays
+from repro.sim.soa import TraceArrays, ordered_unique
 
 #: The native kernel packs future events as ``(time << 21) | op_id``;
-#: traces must keep op ids below this bound to use it.
+#: traces must keep op ids below this bound to use it.  Register ids
+#: must stay below it too: the kernel's rename stage sizes its
+#: last-writer table from a trace's largest register.
 OP_ID_LIMIT = 1 << 21
 
-#: Producer columns the kernel consumes (the trace generator emits at
-#: most two sources per op).
+#: Source (and so producer) columns the kernel consumes (the trace
+#: generator emits at most two sources per op).
 _PRODUCER_WIDTH = 2
 
 #: Cache block size the kernel hardcodes (address ``// 64``).
@@ -128,21 +127,35 @@ def _params_block(
     )
 
 
-def _native_supported(cells: Sequence[BatchCell], cache_params: CacheParams) -> bool:
-    """Whether every cell fits the compiled kernel's envelope."""
+def _native_supported(
+    traces: Sequence[TraceArrays], cache_params: CacheParams
+) -> bool:
+    """Whether every trace fits the compiled kernel's envelope."""
     if (
         cache_params.l1d.block_bytes != _BLOCK_BYTES
         or cache_params.l1i.block_bytes != _BLOCK_BYTES
         or cache_params.l2_bank.block_bytes != _BLOCK_BYTES
     ):
         return False
-    for cell in cells:
-        n = len(cell.trace)
+    for trace in traces:
+        n = len(trace)
         if n == 0 or n >= OP_ID_LIMIT:
             return False
-        if cell.trace.source_width > _PRODUCER_WIDTH:
+        if trace.source_width > _PRODUCER_WIDTH:
+            return False
+        if max(trace.sources.max(), trace.dests.max()) >= OP_ID_LIMIT:
             return False
     return True
+
+
+def _padded_sources(trace: TraceArrays) -> np.ndarray:
+    """The trace's source registers, ``-1``-padded to the kernel's
+    :data:`_PRODUCER_WIDTH` columns (``from_ops`` keeps one column when
+    no op has a second source)."""
+    missing = _PRODUCER_WIDTH - trace.source_width
+    if missing == 0:
+        return trace.sources
+    return np.pad(trace.sources, ((0, 0), (0, missing)), constant_values=-1)
 
 
 def _dedupe_traces(cells: Sequence[BatchCell]) -> Tuple[List[TraceArrays], List[int]]:
@@ -150,8 +163,8 @@ def _dedupe_traces(cells: Sequence[BatchCell]) -> Tuple[List[TraceArrays], List[
 
     Sweep cells sharing one trace across several configurations are the
     common case; encoding each distinct bundle once keeps the pooled
-    buffers (and the rename/prewarm precomputation) proportional to the
-    number of *traces*, not cells.  Shared bundles are adjacent in
+    buffers, the prewarm sets and the kernel's renaming proportional to
+    the number of *traces*, not cells.  Shared bundles are adjacent in
     practice (configuration is the innermost sweep axis), so the
     last-seen fast path makes this linear.
     """
@@ -180,30 +193,37 @@ def run_batch(
     """Run every cell to completion; one result per cell, in order.
 
     With :data:`repro.perf.FAST` enabled and the compiled core
-    available, all cells advance in lockstep through the native
-    struct-of-arrays kernel; otherwise each cell runs through the
-    per-cycle ``MultiSlicePipeline`` twin.  Both paths produce
-    bit-identical results, counters and memory stats.
+    available, one call of the native kernel runs the cells one after
+    another, each to completion; otherwise each cell runs through the
+    per-cycle ``MultiSlicePipeline`` twin.  Cells are independent, so
+    a cell's result does not depend on the batch it runs in or its
+    place there.  Both paths produce bit-identical results, counters
+    and memory stats.
     """
     cells = list(cells)
     if not cells:
         return []
+    traces, trace_of = _dedupe_traces(cells)
     if perf.FAST:
         core = native.batch_core()
-        if core is not None and _native_supported(cells, cache_params):
-            return _run_batch_native(core, cells, slice_params, cache_params)
-        return _run_batch_objects(cells, slice_params, cache_params)
-    return _run_batch_objects(cells, slice_params, cache_params)
+        if core is not None and _native_supported(traces, cache_params):
+            return _run_batch_native(
+                core, cells, traces, trace_of, slice_params, cache_params
+            )
+    return _run_batch_objects(
+        cells, traces, trace_of, slice_params, cache_params
+    )
 
 
 def _run_batch_objects(
     cells: Sequence[BatchCell],
+    traces: Sequence[TraceArrays],
+    trace_of: Sequence[int],
     slice_params: SliceParams,
     cache_params: CacheParams,
 ) -> List[BatchCellResult]:
     """Reference path: each cell through the object pipeline twin."""
     results: List[BatchCellResult] = []
-    traces, trace_of = _dedupe_traces(cells)
     decoded = [trace.to_ops() for trace in traces]
     for cell, trace_index in zip(cells, trace_of):
         pipeline = MultiSlicePipeline(cell.config, slice_params, cache_params)
@@ -221,28 +241,31 @@ def _run_batch_objects(
 def _run_batch_native(
     core: "native.NativeBatchCore",
     cells: Sequence[BatchCell],
+    traces: Sequence[TraceArrays],
+    trace_of: Sequence[int],
     slice_params: SliceParams,
     cache_params: CacheParams,
 ) -> List[BatchCellResult]:
-    """Pool the traces and step every cell through the compiled kernel."""
-    traces, trace_of = _dedupe_traces(cells)
+    """Pool the traces and run every cell through the compiled kernel."""
     kinds_pool: List[np.ndarray] = []
     mem_pool: List[np.ndarray] = []
     mis_pool: List[np.ndarray] = []
     addr_pool: List[np.ndarray] = []
     code_pool: List[np.ndarray] = []
-    prod_pool: List[np.ndarray] = []
+    source_pool: List[np.ndarray] = []
+    dest_pool: List[np.ndarray] = []
     warm_pool: List[np.ndarray] = []
     trace_offsets = np.zeros(len(traces) + 1, dtype=np.int64)
     warm_offsets = np.zeros(len(traces) + 1, dtype=np.int64)
     for index, trace in enumerate(traces):
-        warm = trace.unique_code_addresses()
+        warm = ordered_unique(trace.code_addresses)
         kinds_pool.append(trace.kinds)
         mem_pool.append(trace.is_memory)
         mis_pool.append(trace.mispredicted.astype(np.int8))
         addr_pool.append(trace.addresses)
         code_pool.append(trace.code_addresses)
-        prod_pool.append(trace.rename_producers(_PRODUCER_WIDTH))
+        source_pool.append(_padded_sources(trace))
+        dest_pool.append(trace.dests)
         warm_pool.append(warm)
         trace_offsets[index + 1] = trace_offsets[index] + len(trace)
         warm_offsets[index + 1] = warm_offsets[index] + warm.shape[0]
@@ -273,7 +296,8 @@ def _run_batch_native(
         np.ascontiguousarray(np.concatenate(mis_pool)),
         np.ascontiguousarray(np.concatenate(addr_pool)),
         np.ascontiguousarray(np.concatenate(code_pool)),
-        np.ascontiguousarray(np.concatenate(prod_pool)),
+        np.ascontiguousarray(np.concatenate(source_pool)),
+        np.ascontiguousarray(np.concatenate(dest_pool)),
         np.ascontiguousarray(np.concatenate(warm_pool)),
         out_cell,
         out_slice,

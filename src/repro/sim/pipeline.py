@@ -24,7 +24,7 @@ the fast analytic tier, not a validated microarchitectural twin.
 This module is the cycle tier's scalar engine: one loop iteration per
 simulated cycle, re-scanning every in-flight op
 (:meth:`MultiSlicePipeline._run_reference`).  The fast engine is the
-compiled lockstep kernel behind :func:`repro.sim.batchpipe.run_batch`;
+compiled batch kernel behind :func:`repro.sim.batchpipe.run_batch`;
 the parity suite asserts that it returns a bit-identical
 :class:`PipelineResult`, per-Slice counters and memory state for every
 trace this engine runs.

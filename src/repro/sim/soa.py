@@ -19,11 +19,10 @@ across cells and threads without defensive copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro import perf
 from repro.sim.isa import MicroOp, OpKind
 
 #: Stable kind codes used by the SoA encoding and the native batch
@@ -50,8 +49,8 @@ def _sealed(array: np.ndarray) -> np.ndarray:
 def ordered_unique(code_addresses: np.ndarray) -> np.ndarray:
     """Distinct non-negative values in first-occurrence order.
 
-    The vectorized dedup the prewarm paths share: ``np.unique`` sorts
-    by value but reports each value's first index, so re-sorting those
+    The batch kernel's prewarm working set: ``np.unique`` sorts by
+    value but reports each value's first index, so re-sorting those
     indices restores trace order — the order cache installation (and
     therefore LRU state) depends on.
     """
@@ -201,107 +200,3 @@ class TraceArrays:
                 )
             )
         return ops
-
-    # ------------------------------------------------------------------
-    # Derived columns for the batch kernel
-    # ------------------------------------------------------------------
-
-    def unique_code_addresses(self) -> np.ndarray:
-        """Distinct code addresses in first-occurrence order.
-
-        This is the prewarm working set (`None` entries excluded); the
-        order matters because cache installation order decides LRU
-        state, so both paths preserve it exactly.
-        """
-        if perf.FAST:
-            return self._unique_code_addresses_fast()
-        return self._unique_code_addresses_reference()
-
-    def _unique_code_addresses_reference(self) -> np.ndarray:
-        seen = set()
-        out: List[int] = []
-        for address in self.code_addresses.tolist():
-            if address >= 0 and address not in seen:
-                seen.add(address)
-                out.append(address)
-        return _sealed(np.array(out, dtype=np.int64))
-
-    def _unique_code_addresses_fast(self) -> np.ndarray:
-        return ordered_unique(self.code_addresses)
-
-    def rename_producers(self, width: Optional[int] = None) -> np.ndarray:
-        """Per-op in-flight producer indices, ``(n, width)`` ``-1``-padded.
-
-        Entry ``(i, k)`` is the op index of the most recent earlier
-        writer of op ``i``'s ``k``-th *resolvable* source register —
-        sources whose register has no earlier writer are skipped and
-        the found producers are packed left, mirroring the pipeline's
-        rename stage.
-        """
-        if width is None:
-            width = self.source_width
-        if perf.FAST:
-            return self._rename_producers_fast(width)
-        return self._rename_producers_reference(width)
-
-    def _rename_producers_reference(self, width: int) -> np.ndarray:
-        n = len(self)
-        producers = np.full((n, width), -1, dtype=np.int64)
-        sources = self.sources.tolist()
-        dests = self.dests.tolist()
-        last_writer: dict = {}
-        for i in range(n):
-            col = 0
-            for reg in sources[i]:
-                if reg < 0:
-                    continue
-                writer = last_writer.get(reg)
-                if writer is not None:
-                    if col >= width:
-                        raise ValueError(
-                            f"op {i}: more than {width} producers"
-                        )
-                    producers[i, col] = writer
-                    col += 1
-            dest = dests[i]
-            if dest >= 0:
-                last_writer[dest] = i
-        return _sealed(producers)
-
-    def _rename_producers_fast(self, width: int) -> np.ndarray:
-        n = len(self)
-        if n == 0:
-            return _sealed(np.full((0, width), -1, dtype=np.int64))
-        dests = self.dests
-        writer_idx = np.nonzero(dests >= 0)[0]
-        if writer_idx.shape[0] == 0:
-            return _sealed(np.full((n, width), -1, dtype=np.int64))
-        # Combo key (reg, writer index) packed into one int64; writer
-        # indices are already ascending within each register, and
-        # np.sort groups by register, so a right-bisect of
-        # ``reg * (n + 1) + (i - 1)`` lands on the most recent writer
-        # of ``reg`` strictly before op ``i``.
-        stride = np.int64(n + 1)
-        combo = np.sort(dests[writer_idx] * stride + writer_idx)
-        found = np.full((n, self.source_width), -1, dtype=np.int64)
-        rows = np.arange(n, dtype=np.int64)
-        for col in range(self.source_width):
-            regs = self.sources[:, col]
-            valid = regs >= 0
-            query = regs * stride + (rows - 1)
-            slot = np.searchsorted(combo, query, side="right") - 1
-            hit = valid & (slot >= 0)
-            candidate = combo[np.where(hit, slot, 0)]
-            hit &= (candidate // stride) == regs
-            found[:, col] = np.where(hit, candidate % stride, -1)
-        # Pack found producers left (stable: preserves source order).
-        order = np.argsort(found < 0, axis=1, kind="stable")
-        packed = np.take_along_axis(found, order, axis=1)
-        if packed.shape[1] > width:
-            if np.any(packed[:, width:] >= 0):
-                raise ValueError(f"more than {width} producers")
-            packed = packed[:, :width]
-        elif packed.shape[1] < width:
-            pad = np.full((n, width - packed.shape[1]), -1, dtype=np.int64)
-            packed = np.concatenate([packed, pad], axis=1)
-        return _sealed(np.ascontiguousarray(packed))

@@ -1,12 +1,15 @@
 """Batch tier vs object pipeline: bit-identity under every dispatch.
 
-Every cell :func:`repro.sim.batchpipe.run_batch` advances must come
-back *bit-identical* to ``MultiSlicePipeline.run`` on the same trace —
-the :class:`PipelineResult`, every per-Slice counter and the full
+Every cell :func:`repro.sim.batchpipe.run_batch` runs must come back
+*bit-identical* to ``MultiSlicePipeline.run`` on the same trace — the
+:class:`PipelineResult`, every per-Slice counter and the full
 memory-system stats — across random phase mixes, batch sizes
 {1, 3, 8} and Slice counts {1, 2, 4, 8}, whether the compiled kernel
 runs, the native core is disabled or cannot be built, or fast paths
-are off entirely.
+are off entirely.  Hand-built and Hypothesis ``from_ops`` traces cover
+what the generator never emits: one source column, registers far
+above the register file, rename chains through an op's own
+destination, and register ids at the kernel's bound.
 """
 
 import dataclasses
@@ -15,12 +18,15 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import native, perf
 from repro.arch.counters import CounterKind
-from repro.arch.params import DEFAULT_SLICE_PARAMS
+from repro.arch.params import DEFAULT_CACHE_PARAMS, DEFAULT_SLICE_PARAMS
 from repro.arch.vcore import VCoreConfig
-from repro.sim.batchpipe import BatchCell, run_batch
+from repro.sim import batchpipe
+from repro.sim.batchpipe import OP_ID_LIMIT, BatchCell, run_batch
 from repro.sim.isa import MicroOp, OpKind
 from repro.sim.pipeline import MultiSlicePipeline
 from repro.sim.soa import TraceArrays
@@ -80,18 +86,43 @@ def object_snapshot(cell):
     return result, counters, pipeline.memory.stats()
 
 
+def batch_snapshot(outcome):
+    """A :class:`BatchCellResult` in ``object_snapshot``'s shape."""
+    counters = [
+        {kind: block.value(kind) for kind in CounterKind}
+        for block in outcome.counters
+    ]
+    return outcome.result, counters, outcome.memory_stats
+
+
 def assert_batch_matches_objects(cells):
     outcomes = run_batch(cells)
     assert len(outcomes) == len(cells)
     for cell, outcome in zip(cells, outcomes):
-        result, counters, memory_stats = object_snapshot(cell)
-        assert outcome.result == result
-        assert outcome.memory_stats == memory_stats
-        assert len(outcome.counters) == len(counters)
-        for block, expected in zip(outcome.counters, counters):
-            assert {
-                kind: block.value(kind) for kind in CounterKind
-            } == expected
+        assert batch_snapshot(outcome) == object_snapshot(cell)
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """The batch paths :func:`run_batch` takes, in call order."""
+    taken = []
+    for name in ("_run_batch_native", "_run_batch_objects"):
+        original = getattr(batchpipe, name)
+
+        def spy(*args, _original=original, _name=name):
+            taken.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(batchpipe, name, spy)
+    return taken
+
+
+def native_path_expected():
+    """The path a cell the kernel supports takes on this host."""
+    perf.set_fast_paths(True)
+    if native.batch_core() is None:
+        return ["_run_batch_objects"]
+    return ["_run_batch_native"]
 
 
 def mixed_cells(batch_size, seed):
@@ -178,6 +209,10 @@ class TestDispatch:
         assert_batch_matches_objects(cells)
 
     def test_results_come_back_in_cell_order(self):
+        # Cells are independent: a cell's result is the same alone, in
+        # a batch and in the reversed batch.  The first and last cells
+        # share a trace with another in between, so the kernel renames
+        # that trace twice.
         trace_a = generate_trace(PHASES[0], seed=1)
         trace_b = generate_trace(PHASES[2], seed=2)
         cells = [
@@ -185,10 +220,163 @@ class TestDispatch:
             BatchCell(trace=trace_b, config=VCoreConfig(slices=1, l2_kb=64)),
             BatchCell(trace=trace_a, config=VCoreConfig(slices=4, l2_kb=256)),
         ]
-        outcomes = run_batch(cells)
+        outcomes = [batch_snapshot(outcome) for outcome in run_batch(cells)]
         for cell, outcome in zip(cells, outcomes):
-            assert outcome.result.config == cell.config
-            assert outcome.result.instructions == len(cell.trace)
+            assert outcome[0].config == cell.config
+            assert outcome[0].instructions == len(cell.trace)
+        alone = [batch_snapshot(run_batch([cell])[0]) for cell in cells]
+        assert outcomes == alone
+        reversed_outcomes = run_batch(cells[::-1])
+        assert [
+            batch_snapshot(outcome) for outcome in reversed_outcomes[::-1]
+        ] == outcomes
+
+
+#: Registers inside the generator's register file, plus ids far above
+#: it: the kernel's last-writer table is sized from each trace's
+#: largest register.
+REG = st.one_of(
+    st.integers(min_value=0, max_value=63),
+    st.integers(min_value=129, max_value=4096),
+)
+ADDR = st.integers(min_value=0, max_value=1 << 40)
+
+
+@st.composite
+def micro_op_fields(draw):
+    """Field dict for one valid MicroOp (op_id assigned positionally),
+    drawing every ``None`` field."""
+    kind = draw(st.sampled_from(list(OpKind)))
+    sources = tuple(draw(st.lists(REG, min_size=0, max_size=2)))
+    dest = draw(st.one_of(st.none(), REG))
+    address = draw(st.one_of(st.none(), ADDR))
+    code_address = draw(st.one_of(st.none(), ADDR))
+    mispredicted = False
+    taken = None
+    branch_target = None
+    if kind in (OpKind.LOAD, OpKind.STORE):
+        address = draw(ADDR)
+    if kind is OpKind.LOAD:
+        dest = draw(REG)
+    if kind is OpKind.BRANCH:
+        mispredicted = draw(st.booleans())
+        taken = draw(st.one_of(st.none(), st.booleans()))
+        branch_target = draw(st.one_of(st.none(), ADDR))
+    return dict(
+        kind=kind,
+        sources=sources,
+        dest=dest,
+        address=address,
+        mispredicted=mispredicted,
+        code_address=code_address,
+        taken=taken,
+        branch_target=branch_target,
+    )
+
+
+TRACES = st.lists(micro_op_fields(), min_size=1, max_size=50).map(
+    lambda fields: [
+        MicroOp(op_id=i, **kwargs) for i, kwargs in enumerate(fields)
+    ]
+)
+
+
+def load(op_id, sources, dest, line):
+    """A load of its own cache line, so each one misses to memory and a
+    dependence between two of them shows in the cycle count."""
+    return MicroOp(
+        op_id=op_id,
+        kind=OpKind.LOAD,
+        sources=sources,
+        dest=dest,
+        address=line << 20,
+        code_address=64 * op_id,
+    )
+
+
+def one_cell_per_slice_count(ops):
+    trace = TraceArrays.from_ops(ops)
+    return [
+        BatchCell(trace=trace, config=VCoreConfig(slices=slices, l2_kb=64))
+        for slices in SLICE_LADDER
+    ]
+
+
+def register_trace(field, register):
+    """Two ops whose second writes (``dest``) or reads (``sources``)
+    ``register``."""
+    tail = {"dest": register} if field == "dest" else {"sources": (1, register)}
+    return [
+        load(0, (), 1, line=1),
+        MicroOp(op_id=1, kind=OpKind.ALU, **tail),
+    ]
+
+
+class TestFromOpsTraces:
+    """Traces the generator never emits, through the kernel (on a host
+    with a compiler) and against the per-cycle engine."""
+
+    @given(ops=TRACES, slices=st.sampled_from(SLICE_LADDER))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_object_pipeline(self, ops, slices):
+        trace = TraceArrays.from_ops(ops)
+        assert batchpipe._native_supported([trace], DEFAULT_CACHE_PARAMS)
+        config = VCoreConfig(slices=slices, l2_kb=64 * slices)
+        assert_batch_matches_objects([BatchCell(trace=trace, config=config)])
+
+    def test_rename_chain(self, paths):
+        # The rename stage's corner cases, on a chain of loads that each
+        # miss to memory, so a lost or wrong producer moves the cycles.
+        ops = [
+            load(0, (), 3, line=1),
+            # reads its own destination: the producer is op 0
+            load(1, (3,), 3, line=2),
+            # reg 7 has no writer yet: op 1 alone, packed left
+            load(2, (7, 3), 7, line=3),
+            # reg 9 has no writer yet: op 2 packs left past it
+            load(3, (9, 7), 4, line=4),
+            # a repeated source names its writer twice
+            MicroOp(op_id=4, kind=OpKind.ALU, sources=(4, 4), dest=9),
+            MicroOp(op_id=5, kind=OpKind.ALU, sources=(9,), code_address=0),
+        ]
+        expected = native_path_expected()
+        cells = one_cell_per_slice_count(ops)
+        assert_batch_matches_objects(cells)
+        assert paths == expected
+        unchained = one_cell_per_slice_count(
+            [dataclasses.replace(op, sources=()) for op in ops]
+        )
+        assert run_batch(cells[:1])[0].result.cycles > (
+            run_batch(unchained[:1])[0].result.cycles
+            + 2 * DEFAULT_SLICE_PARAMS.memory_delay
+        )
+
+    def test_one_source_column_is_padded(self, paths):
+        ops = [
+            load(0, (), 1, line=1),
+            MicroOp(op_id=1, kind=OpKind.ALU, sources=(1,), dest=2),
+            load(2, (2,), 1, line=2),
+            MicroOp(op_id=3, kind=OpKind.STORE, sources=(1,), address=64),
+            MicroOp(op_id=4, kind=OpKind.BRANCH, sources=(2,)),
+        ]
+        assert TraceArrays.from_ops(ops).source_width == 1
+        expected = native_path_expected()
+        assert_batch_matches_objects(one_cell_per_slice_count(ops))
+        assert paths == expected
+
+    @pytest.mark.parametrize("field", ["dest", "sources"])
+    def test_register_at_the_bound_takes_the_object_path(self, paths, field):
+        # The kernel sizes its last-writer table from a trace's largest
+        # register: the largest id below OP_ID_LIMIT runs there, and an
+        # id at the bound runs on the per-cycle engine instead.
+        expected = native_path_expected()
+        assert_batch_matches_objects(
+            one_cell_per_slice_count(register_trace(field, OP_ID_LIMIT - 1))
+        )
+        assert_batch_matches_objects(
+            one_cell_per_slice_count(register_trace(field, OP_ID_LIMIT))
+        )
+        assert paths == expected + ["_run_batch_objects"]
 
 
 def generated(phase, seed, count=900):

@@ -1,7 +1,7 @@
 """The compiled cycle kernel is an optimization, never a model change.
 
 Every trace here runs twice — through :func:`repro.sim.batchpipe.run_batch`
-on ``TraceArrays.from_ops(trace)`` (the native lockstep kernel when a
+on ``TraceArrays.from_ops(trace)`` (the compiled batch kernel when a
 compiler is available) and through the per-cycle scalar engine,
 ``MultiSlicePipeline.run`` — and must produce *identical* results: the
 :class:`PipelineResult`, every per-Slice counter, and the full

@@ -2,11 +2,10 @@
 
 :class:`TraceArrays` must be a *lossless* re-encoding of a micro-op
 trace — the batch tier's correctness argument starts from
-``from_ops(ops).to_ops() == ops`` — and its derived columns (ordered
-code-address dedup, producer rename) must agree between the numpy fast
-paths and their scalar reference twins, with fast paths in either
-position.  The Hypothesis strategy deliberately exercises every
-``None``-sentinel field, empty source tuples and branch-only fields.
+``from_ops(ops).to_ops() == ops`` — and ``ordered_unique``, the batch
+kernel's prewarm set, must keep first-occurrence order.  The
+Hypothesis strategy deliberately exercises every ``None``-sentinel
+field, empty source tuples and branch-only fields.
 """
 
 import numpy as np
@@ -14,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import perf
 from repro.sim.isa import MicroOp, OpKind
 from repro.sim.soa import (
     KIND_ALU,
@@ -169,62 +167,3 @@ class TestOrderedUnique:
                 seen.add(value)
                 expected.append(value)
         assert ordered_unique(column).tolist() == expected
-
-
-class TestFastReferenceTwins:
-    @pytest.fixture(autouse=True)
-    def restore_fast_paths(self):
-        yield
-        perf.set_fast_paths(True)
-
-    @given(ops=TRACES)
-    @settings(max_examples=100, deadline=None)
-    def test_unique_code_addresses_twins_agree(self, ops):
-        arrays = TraceArrays.from_ops(ops)
-        with perf.fast_paths(True):
-            fast = arrays.unique_code_addresses()
-        with perf.fast_paths(False):
-            reference = arrays.unique_code_addresses()
-        assert fast.tolist() == reference.tolist()
-
-    @given(ops=TRACES)
-    @settings(max_examples=150, deadline=None)
-    def test_rename_producers_twins_agree(self, ops):
-        arrays = TraceArrays.from_ops(ops)
-        with perf.fast_paths(True):
-            fast = arrays.rename_producers(2)
-        with perf.fast_paths(False):
-            reference = arrays.rename_producers(2)
-        assert fast.tolist() == reference.tolist()
-        assert fast.shape == (len(ops), 2)
-
-    def test_rename_producers_known_chain(self):
-        ops = [
-            MicroOp(op_id=0, kind=OpKind.ALU, dest=3),
-            MicroOp(op_id=1, kind=OpKind.ALU, sources=(3,), dest=3),
-            MicroOp(op_id=2, kind=OpKind.ALU, sources=(3, 7), dest=7),
-            # reg 7's producer (op 2) is found, reg 9 has none: the
-            # single hit packs left.
-            MicroOp(op_id=3, kind=OpKind.ALU, sources=(9, 7)),
-            MicroOp(op_id=4, kind=OpKind.ALU, sources=(3, 3)),
-        ]
-        producers = TraceArrays.from_ops(ops).rename_producers(2)
-        assert producers.tolist() == [
-            [-1, -1],
-            [0, -1],
-            [1, -1],
-            [2, -1],
-            [1, 1],
-        ]
-
-    def test_rename_producers_overflow_raises(self):
-        ops = [
-            MicroOp(op_id=0, kind=OpKind.ALU, dest=1),
-            MicroOp(op_id=1, kind=OpKind.ALU, dest=2),
-            MicroOp(op_id=2, kind=OpKind.ALU, sources=(1, 2)),
-        ]
-        arrays = TraceArrays.from_ops(ops)
-        for enabled in (True, False):
-            with perf.fast_paths(enabled):
-                with pytest.raises(ValueError):
-                    arrays.rename_producers(1)
