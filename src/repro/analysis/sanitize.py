@@ -10,11 +10,11 @@ single ``if sanitize.ENABLED`` so the disabled cost is one global load.
 
 Two families of checks plug into the engine:
 
-* **freeze-on-publish** — :func:`freeze` deep-converts a value about to
-  enter a process-global cache into its immutable form (dict →
-  ``MappingProxyType``, list → tuple, set → frozenset, ndarray →
-  ``writeable=False``) and :func:`verify_frozen` re-checks a published
-  value without rebuilding it;
+* **freeze-on-publish** — a value entering a process-global cache is
+  published in its immutable form (a ``MappingProxyType``, tuples,
+  frozensets, ``writeable=False`` ndarrays, frozen dataclasses, sealed
+  tables), and :func:`verify_frozen` re-checks a published value
+  without rebuilding it;
 * **shadow recounts** — :func:`should_sample` drives sampled
   re-validation of incremental structures (the fabric free-index)
   against a full recomputation.
@@ -29,7 +29,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping, Tuple
+from typing import Any, Iterator, Tuple
 
 import numpy as np
 
@@ -97,54 +97,6 @@ def _is_frozen_dataclass(value: object) -> bool:
         return False
     params = getattr(type(value), "__dataclass_params__", None)
     return bool(params is not None and params.frozen)
-
-
-_SCALARS: Tuple[type, ...] = (
-    bool,
-    int,
-    float,
-    complex,
-    str,
-    bytes,
-    frozenset,
-    type(None),
-)
-
-
-def freeze(value: Any, rule: str, owner: str) -> Any:
-    """Deep-convert ``value`` into its immutable publishable form.
-
-    Mappings become ``MappingProxyType`` views (over a fresh dict whose
-    values are frozen recursively), lists/tuples become tuples of
-    frozen elements, sets become frozensets, ndarrays are marked
-    ``writeable=False`` in place.  Scalars, frozen dataclasses and
-    already-proxied mappings pass through.  Anything else is a
-    publish-of-unfreezable violation.
-    """
-    if isinstance(value, np.ndarray):
-        value.setflags(write=False)
-        return value
-    if isinstance(value, MappingProxyType):
-        return value
-    if isinstance(value, Mapping):
-        return MappingProxyType(
-            {key: freeze(item, rule, owner) for key, item in value.items()}
-        )
-    if isinstance(value, (list, tuple)):
-        return tuple(freeze(item, rule, owner) for item in value)
-    if isinstance(value, (set, frozenset)):
-        return frozenset(value)
-    if isinstance(value, _SCALARS) or _is_frozen_dataclass(value):
-        return value
-    if hasattr(value, "seal") and callable(value.seal):
-        value.seal()
-        return value
-    raise SanitizerViolation(
-        rule,
-        owner,
-        "freeze",
-        f"cannot freeze value of type {type(value).__name__}",
-    )
 
 
 def verify_frozen(value: Any, rule: str, owner: str, site: str) -> None:

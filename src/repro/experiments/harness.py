@@ -22,7 +22,17 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -88,9 +98,12 @@ def qos_target_for(
     return worst_case_best * margin
 
 
-@dataclass(frozen=True)
-class IntervalRecord:
-    """Everything observed in one control interval."""
+class IntervalRecord(NamedTuple):
+    """Everything observed in one control interval.
+
+    A NamedTuple, like the other per-interval values: its ``index``
+    field hides ``tuple.index``.
+    """
 
     index: int
     start_cycle: float

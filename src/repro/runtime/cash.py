@@ -21,8 +21,7 @@ cycles per iteration possible (Section VI-A).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro import perf
 from repro.arch.vcore import VCoreConfig
@@ -36,24 +35,40 @@ from repro.runtime.optimizer import (
 )
 from repro.runtime.qlearning import ExplorationPolicy, SpeedupLearner
 
+# Per-interval values are NamedTuples, validated in a subclass's
+# ``__new__`` (see :mod:`repro.runtime.optimizer`).
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True)
-class LegObservation:
-    """Measured QoS for one executed schedule leg."""
 
+class _LegObservationFields(NamedTuple):
     config: Optional[VCoreConfig]
     fraction: float
     qos: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0 + 1e-12:
-            raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
-        if self.qos < 0:
-            raise ValueError(f"qos must be non-negative, got {self.qos}")
+
+class LegObservation(_LegObservationFields):
+    """Measured QoS for one executed schedule leg."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, config: Optional[VCoreConfig], fraction: float, qos: float
+    ) -> "LegObservation":
+        if not 0.0 <= fraction <= 1.0 + 1e-12:
+            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+        if qos < 0:
+            raise ValueError(f"qos must be non-negative, got {qos}")
+        return _new_tuple(cls, (config, fraction, qos))
 
 
-@dataclass(frozen=True)
-class QoSMeasurement:
+class _QoSMeasurementFields(NamedTuple):
+    overall_qos: float
+    legs: Tuple[LegObservation, ...]
+    signature: Tuple[float, ...]
+    goal_scale: float
+
+
+class QoSMeasurement(_QoSMeasurementFields):
     """What the hardware reports for the previous control interval.
 
     ``signature`` carries configuration-independent workload
@@ -61,28 +76,32 @@ class QoSMeasurement:
     III-B2 lists cache miss rate and branch miss-predict rate among the
     counters the runtime can query) — the runtime uses them to
     recognize *which* phase it entered, not just that one changed.
+
+    ``goal_scale`` is for load-normalized QoS metrics (server capacity
+    margin): the factor by which the normalization changed since the
+    previous measurement.  The runtime observes arrival rates through
+    its counters, so this is measured, not oracular — it lets the
+    learner renormalize every estimate instead of waiting to re-visit
+    each configuration as the load drifts.
     """
 
-    overall_qos: float
-    legs: Tuple[LegObservation, ...] = ()
-    signature: Tuple[float, ...] = ()
-    goal_scale: float = 1.0
-    """For load-normalized QoS metrics (server capacity margin): the
-    factor by which the normalization changed since the previous
-    measurement.  The runtime observes arrival rates through its
-    counters, so this is measured, not oracular — it lets the learner
-    renormalize every estimate instead of waiting to re-visit each
-    configuration as the load drifts."""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.overall_qos < 0:
+    def __new__(
+        cls,
+        overall_qos: float,
+        legs: Tuple[LegObservation, ...] = (),
+        signature: Tuple[float, ...] = (),
+        goal_scale: float = 1.0,
+    ) -> "QoSMeasurement":
+        if overall_qos < 0:
             raise ValueError(
-                f"overall_qos must be non-negative, got {self.overall_qos}"
+                f"overall_qos must be non-negative, got {overall_qos}"
             )
+        return _new_tuple(cls, (overall_qos, legs, signature, goal_scale))
 
 
-@dataclass(frozen=True)
-class RuntimeDecision:
+class RuntimeDecision(NamedTuple):
     """The runtime's output for one interval."""
 
     schedule: Schedule
@@ -173,10 +192,9 @@ class CASHRuntime:
         self._last_schedule: Optional[Schedule] = None
         self._applied_speedup = qos_goal / initial_base_qos
         # Signature-based phase detection state: the reference counter
-        # signature of the current phase, the confirmation streak, and
-        # the base-speed estimate recorded when the phase was entered.
+        # signature of the current phase and the base-speed estimate
+        # recorded when the phase was entered.
         self._signature_ref: Optional[Tuple[float, ...]] = None
-        self._signature_streak = 0
         self._phase_entry_base = initial_base_qos
         # The decision the latest step returned; the next step reads
         # whether it explored.  Only the last one is kept.
@@ -196,10 +214,10 @@ class CASHRuntime:
         signature — memory intensity and branch mispredict rate, read
         over the Runtime Interface Network — changes decisively at real
         phase boundaries and is configuration-independent, so it is the
-        trigger; the Kalman level remains the bank-matching key.  Two
-        consecutive out-of-band signatures confirm a change.  Without a
-        signature (degraded monitoring), the Kalman drift detector is
-        the fallback.
+        trigger; the Kalman level remains the bank-matching key.  A
+        single out-of-band signature is a change.  Without a signature
+        (degraded monitoring), the Kalman drift detector is the
+        fallback.
         """
         kalman_change = self.detector.observe()
         if not measurement.signature:
@@ -216,7 +234,6 @@ class CASHRuntime:
             # reacting immediately means the triggering interval's
             # observations are credited to the *new* phase's table.
             self._signature_ref = measurement.signature
-            self._signature_streak = 0
             return True
         return False
 

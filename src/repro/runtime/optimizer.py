@@ -26,13 +26,13 @@ envelope (:func:`lower_envelope_cost`), which the oracle uses with
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -43,22 +43,34 @@ import numpy as np
 from repro import native, perf
 from repro.arch.vcore import VCoreConfig
 
+# Values built once or more per control interval are NamedTuples: a
+# frozen dataclass sets each field through ``object.__setattr__``, a
+# tuple is built in one call.  A NamedTuple body cannot override
+# ``__new__``, so a type that validates subclasses its fields tuple
+# with ``__slots__ = ()`` (no instance dict), and its ``__new__``
+# checks the fields and then builds the tuple directly.
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True)
-class ConfigPoint:
-    """One configuration's operating point: speedup s_k and cost c_k."""
 
+class _ConfigPointFields(NamedTuple):
     config: Optional[VCoreConfig]
     speedup: float
     cost_rate: float
 
-    def __post_init__(self) -> None:
-        if self.speedup < 0:
-            raise ValueError(f"speedup must be non-negative, got {self.speedup}")
-        if self.cost_rate < 0:
-            raise ValueError(
-                f"cost_rate must be non-negative, got {self.cost_rate}"
-            )
+
+class ConfigPoint(_ConfigPointFields):
+    """One configuration's operating point: speedup s_k and cost c_k."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, config: Optional[VCoreConfig], speedup: float, cost_rate: float
+    ) -> "ConfigPoint":
+        if speedup < 0:
+            raise ValueError(f"speedup must be non-negative, got {speedup}")
+        if cost_rate < 0:
+            raise ValueError(f"cost_rate must be non-negative, got {cost_rate}")
+        return _new_tuple(cls, (config, speedup, cost_rate))
 
     @property
     def is_idle(self) -> bool:
@@ -77,36 +89,49 @@ class ConfigPoint:
 IDLE_POINT = ConfigPoint(config=None, speedup=0.0, cost_rate=0.0)
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
-    """One leg of a schedule: run ``point`` for ``fraction`` of τ."""
-
+class _ScheduleEntryFields(NamedTuple):
     point: ConfigPoint
     fraction: float
 
-    def __post_init__(self) -> None:
-        if not -1e-12 <= self.fraction <= 1.0 + 1e-12:
-            raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
+
+class ScheduleEntry(_ScheduleEntryFields):
+    """One leg of a schedule: run ``point`` for ``fraction`` of τ."""
+
+    __slots__ = ()
+
+    def __new__(cls, point: ConfigPoint, fraction: float) -> "ScheduleEntry":
+        if not -1e-12 <= fraction <= 1.0 + 1e-12:
+            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+        return _new_tuple(cls, (point, fraction))
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """A (at most two-leg) schedule over one quantum."""
-
+class _ScheduleFields(NamedTuple):
     entries: Tuple[ScheduleEntry, ...]
-    saturated: bool = False
-    """True when the demand exceeded every configuration's speedup and
-    the schedule was clamped to the fastest configuration."""
+    saturated: bool
 
-    def __post_init__(self) -> None:
+
+class Schedule(_ScheduleFields):
+    """A (at most two-leg) schedule over one quantum.
+
+    ``saturated`` is True when the demand exceeded every
+    configuration's speedup and the schedule was clamped to the fastest
+    configuration.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, entries: Tuple[ScheduleEntry, ...], saturated: bool = False
+    ) -> "Schedule":
         # This and the averages below add left to right in a loop, not
         # with builtin ``sum()``, which compensates float rounding from
         # CPython 3.12 on: CASH's Kalman update reads ``average_speedup``.
         total = 0.0
-        for entry in self.entries:
+        for entry in entries:
             total += entry.fraction
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"schedule fractions sum to {total}, not 1")
+        return _new_tuple(cls, (entries, saturated))
 
     @property
     def average_speedup(self) -> float:
@@ -367,8 +392,8 @@ class LearnedPoints:
 
     The seed runtime rebuilt the full ``ConfigPoint`` list (and the
     lower hull) from fresh ``qos_estimates()`` dictionaries on every
-    step — ~130 dataclass constructions and two hull sorts per control
-    interval.  A Q-learning update only touches the one or two
+    step — ~130 ``ConfigPoint`` constructions and two hull sorts per
+    control interval.  A Q-learning update only touches the one or two
     configurations that actually executed, so this view keeps every
     position's estimate in one float64 buffer of its own and writes
     exactly the entries whose estimates changed (tracked by the

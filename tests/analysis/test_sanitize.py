@@ -36,46 +36,6 @@ def fast():
     perf.set_fast_paths(previous)
 
 
-class TestFreeze:
-    def test_dict_becomes_readonly_view(self):
-        frozen = sanitize.freeze({"a": [1, 2]}, "cache-publish", "test")
-        assert isinstance(frozen, MappingProxyType)
-        assert frozen["a"] == (1, 2)
-        with pytest.raises(TypeError):
-            frozen["b"] = 3
-
-    def test_ndarray_marked_readonly_in_place(self):
-        array = np.arange(4.0)
-        frozen = sanitize.freeze(array, "cache-publish", "test")
-        assert frozen is array
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 99.0
-
-    def test_unfreezable_object_is_a_violation(self):
-        class Opaque:
-            pass
-
-        with pytest.raises(SanitizerViolation) as excinfo:
-            sanitize.freeze(Opaque(), "cache-publish", "owner-site")
-        violation = excinfo.value
-        assert violation.rule == "cache-publish"
-        assert violation.owner == "owner-site"
-        assert "Opaque" in violation.detail
-
-    def test_sealable_object_gets_sealed(self):
-        class Sealable:
-            def __init__(self):
-                self.sealed = False
-
-            def seal(self):
-                self.sealed = True
-
-        value = Sealable()
-        assert sanitize.freeze(value, "cache-publish", "test") is value
-        assert value.sealed
-
-
 class TestVerifyFrozen:
     def test_writeable_ndarray_is_a_violation(self):
         with pytest.raises(SanitizerViolation) as excinfo:

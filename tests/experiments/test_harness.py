@@ -1,6 +1,8 @@
 """The closed-loop evaluation harness."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -9,10 +11,18 @@ from repro.baselines.oracle import OracleAllocator
 from repro.baselines.race import RaceToIdleAllocator, worst_case_config
 from repro.experiments.harness import (
     CASHAllocator,
+    IntervalRecord,
     LatencySimulator,
     ThroughputSimulator,
     _PhaseWalker,
     qos_target_for,
+)
+from repro.runtime.cash import LegObservation, QoSMeasurement, RuntimeDecision
+from repro.runtime.optimizer import (
+    IDLE_POINT,
+    ConfigPoint,
+    Schedule,
+    ScheduleEntry,
 )
 from repro.sim.perfmodel import DEFAULT_PERF_MODEL
 from repro.workloads.apps import get_app, make_x264
@@ -38,6 +48,123 @@ class TestQosTarget:
     def test_rejects_bad_margin(self):
         with pytest.raises(ValueError):
             qos_target_for(make_x264(), margin=0.0)
+
+
+_CONFIG = VCoreConfig(2, 128)
+_POINT = ConfigPoint(_CONFIG, 1.5, 0.25)
+_ENTRY = ScheduleEntry(_POINT, 0.75)
+_IDLE_ENTRY = ScheduleEntry(IDLE_POINT, 0.25)
+_LEG = LegObservation(_CONFIG, 0.75, 1.25)
+_SOLO = Schedule((ScheduleEntry(_POINT, 1.0),))
+_POINT_REPR = (
+    "ConfigPoint(config=VCoreConfig(slices=2, l2_kb=128), speedup=1.5, "
+    "cost_rate=0.25)"
+)
+_ENTRY_REPR = f"ScheduleEntry(point={_POINT_REPR}, fraction=0.75)"
+_IDLE_ENTRY_REPR = (
+    "ScheduleEntry(point=ConfigPoint(config=None, speedup=0.0, "
+    "cost_rate=0.0), fraction=0.25)"
+)
+_SOLO_REPR = (
+    f"Schedule(entries=(ScheduleEntry(point={_POINT_REPR}, fraction=1.0),), "
+    "saturated=False)"
+)
+_LEG_REPR = (
+    "LegObservation(config=VCoreConfig(slices=2, l2_kb=128), fraction=0.75, "
+    "qos=1.25)"
+)
+
+# (type, fields by keyword, the repr the frozen dataclass printed).
+_VALUE_CASES = [
+    (
+        ConfigPoint,
+        dict(config=None, speedup=0.0, cost_rate=0.0),
+        "ConfigPoint(config=None, speedup=0.0, cost_rate=0.0)",
+    ),
+    (ConfigPoint, dict(config=_CONFIG, speedup=1.5, cost_rate=0.25), _POINT_REPR),
+    (ScheduleEntry, dict(point=_POINT, fraction=0.75), _ENTRY_REPR),
+    (
+        Schedule,
+        dict(entries=(_ENTRY, _IDLE_ENTRY), saturated=True),
+        f"Schedule(entries=({_ENTRY_REPR}, {_IDLE_ENTRY_REPR}), saturated=True)",
+    ),
+    (LegObservation, dict(config=_CONFIG, fraction=0.75, qos=1.25), _LEG_REPR),
+    (
+        QoSMeasurement,
+        dict(overall_qos=1.0, legs=(_LEG,), signature=(0.3, 0.1), goal_scale=0.5),
+        f"QoSMeasurement(overall_qos=1.0, legs=({_LEG_REPR},), "
+        "signature=(0.3, 0.1), goal_scale=0.5)",
+    ),
+    (
+        QoSMeasurement,
+        dict(overall_qos=0.5, legs=(), signature=(), goal_scale=1.0),
+        "QoSMeasurement(overall_qos=0.5, legs=(), signature=(), goal_scale=1.0)",
+    ),
+    (
+        RuntimeDecision,
+        dict(
+            schedule=_SOLO,
+            speedup_demand=2.0,
+            base_estimate=0.5,
+            explored=_CONFIG,
+            phase_change=True,
+        ),
+        f"RuntimeDecision(schedule={_SOLO_REPR}, speedup_demand=2.0, "
+        "base_estimate=0.5, explored=VCoreConfig(slices=2, l2_kb=128), "
+        "phase_change=True)",
+    ),
+    (
+        IntervalRecord,
+        dict(
+            index=3,
+            start_cycle=2e6,
+            phase_name="p0",
+            schedule=_SOLO,
+            true_qos=1.5,
+            measured_qos=1.4,
+            active_qos=1.5,
+            cost_rate=0.25,
+            violated=False,
+            reconfig_cycles=7,
+            cycles=1e6,
+            request_rate=0.0,
+        ),
+        f"IntervalRecord(index=3, start_cycle=2000000.0, phase_name='p0', "
+        f"schedule={_SOLO_REPR}, true_qos=1.5, measured_qos=1.4, "
+        "active_qos=1.5, cost_rate=0.25, violated=False, reconfig_cycles=7, "
+        "cycles=1000000.0, request_rate=0.0)",
+    ),
+]
+
+
+class TestIntervalValues:
+    """The values built once or more per control interval are immutable
+    tuples that print, hash and compare as their frozen dataclasses did,
+    so every digest of a ``repr`` and every pinned count holds."""
+
+    @pytest.mark.parametrize("kind, fields, text", _VALUE_CASES)
+    def test_value_contract(self, kind, fields, text):
+        value = kind(**fields)
+        assert not dataclasses.is_dataclass(kind)
+        assert kind(*fields.values()) == value
+        assert repr(value) == text
+        assert hash(value) == hash(tuple(fields.values()))
+        twin = pickle.loads(pickle.dumps(value))
+        assert type(twin) is kind and twin == value and repr(twin) == text
+        name = next(iter(fields))
+        with pytest.raises(AttributeError):
+            setattr(value, name, fields[name])
+        with pytest.raises(AttributeError):
+            value.extra = 0
+
+    def test_defaults(self):
+        assert QoSMeasurement(0.5) == QoSMeasurement(0.5, (), (), 1.0)
+        assert Schedule((_ENTRY, _IDLE_ENTRY)).saturated is False
+        decision = RuntimeDecision(_SOLO, 2.0, 0.5)
+        assert decision.explored is None and decision.phase_change is False
+        record = IntervalRecord(0, 0.0, "p", _SOLO, 1.0, 1.0, 1.0, 0.1, False, 0)
+        assert (record.cycles, record.request_rate) == (0.0, 0.0)
+        assert record.configs == [_CONFIG]
 
 
 class TestPhaseWalker:

@@ -297,9 +297,28 @@ class TestBookkeeping:
             make_runtime(qos_goal=0.0)
 
     def test_measurement_validation(self):
-        with pytest.raises(ValueError):
-            QoSMeasurement(overall_qos=-1.0)
-        with pytest.raises(ValueError):
-            LegObservation(config=None, fraction=2.0, qos=0.0)
-        with pytest.raises(ValueError):
-            LegObservation(config=None, fraction=0.5, qos=-1.0)
+        for build, message in (
+            (
+                lambda: QoSMeasurement(overall_qos=-1.0),
+                "overall_qos must be non-negative, got -1.0",
+            ),
+            (
+                lambda: QoSMeasurement(-0.5, (), ()),
+                "overall_qos must be non-negative, got -0.5",
+            ),
+            (
+                lambda: LegObservation(config=None, fraction=2.0, qos=0.0),
+                "fraction must be in [0, 1], got 2.0",
+            ),
+            (
+                lambda: LegObservation(None, -0.1, 0.0),
+                "fraction must be in [0, 1], got -0.1",
+            ),
+            (
+                lambda: LegObservation(config=None, fraction=0.5, qos=-1.0),
+                "qos must be non-negative, got -1.0",
+            ),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                build()
+            assert str(excinfo.value) == message

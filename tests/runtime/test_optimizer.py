@@ -44,16 +44,30 @@ class TestConfigPoint:
         assert free.efficiency == float("inf")
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ConfigPoint(config=None, speedup=-1.0, cost_rate=0.0)
-        with pytest.raises(ValueError):
-            ConfigPoint(config=None, speedup=1.0, cost_rate=-0.1)
+        for speedup, cost, message in (
+            (-1.0, 0.0, "speedup must be non-negative, got -1.0"),
+            (1.0, -0.1, "cost_rate must be non-negative, got -0.1"),
+        ):
+            with pytest.raises(ValueError) as by_keyword:
+                ConfigPoint(config=None, speedup=speedup, cost_rate=cost)
+            with pytest.raises(ValueError) as by_position:
+                ConfigPoint(None, speedup, cost)
+            assert str(by_keyword.value) == str(by_position.value) == message
 
 
 class TestScheduleInvariants:
     def test_fractions_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            Schedule(entries=(ScheduleEntry(IDLE_POINT, 0.5),))
+        for fractions, total in (((0.5,), 0.5), ((), 0.0), ((0.75, 0.5), 1.25)):
+            entries = tuple(ScheduleEntry(IDLE_POINT, f) for f in fractions)
+            with pytest.raises(ValueError) as excinfo:
+                Schedule(entries=entries)
+            assert str(excinfo.value) == f"schedule fractions sum to {total}, not 1"
+
+    def test_entry_fraction_in_unit_range(self):
+        for fraction in (1.5, -0.5):
+            with pytest.raises(ValueError) as excinfo:
+                ScheduleEntry(point=IDLE_POINT, fraction=fraction)
+            assert str(excinfo.value) == f"fraction must be in [0, 1], got {fraction}"
 
     def test_average_speedup_and_cost(self):
         schedule = Schedule(
